@@ -153,14 +153,25 @@ def _build_spec(kind: str, options: dict, params: ModelParams):
     raise ConfigError(f"unknown test kind {kind!r}")
 
 
+def _threshold_series(kind: str, options: dict, params: ModelParams) -> list:
+    """The cycle-expectation series a test's threshold and constraints rest on."""
+    if kind == "cycle":
+        return [signed_cycle_expectation(int(options["ell"]), params.p, params.d)]
+    series = [signed_cycle_expectation(3, params.p, params.d)]
+    if kind == "constrained-scan" and options.get("cycle_constant", "auto") == "auto":
+        # the calibrated constant comes from the ell = 3 and ell = 4 series
+        series.append(signed_cycle_expectation(4, params.p, params.d))
+    return series
+
+
 def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed: int):
     """One ResultRow; numerical failures are recorded in-row as NaNs."""
     start = time.monotonic()
     try:
-        series = signed_cycle_expectation(3, params.p, params.d)
+        series = _threshold_series(kind, options, params)
         spec = _build_spec(kind, options, params)
         est = estimate_errors(spec, trials, Seed(seed))
-        failed = series.truncation_failed
+        failed = any(s.truncation_failed for s in series)
         row = {
             "threshold": repr(spec.threshold),
             "type1": repr(est.type1), "type1_hw": repr(est.type1_half_width),

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .graphs import Graph, ModelParams
-from .sphere import sample_uniform_sphere, solve_threshold
+from .graphs import Graph, ModelParams, _unit_gram, pair_index, symmetric_matrix
+from .sphere import solve_threshold
 
 __all__ = [
     "EnsembleDraw",
@@ -76,8 +76,7 @@ def sample_spherical_wishart(k: int, d: int, rng: np.random.Generator) -> Ensemb
     k, d = int(k), int(d)
     if k < 1 or d < 1:
         raise ValueError(f"k and d must be >= 1, got k={k}, d={d}")
-    u = sample_uniform_sphere(d, rng, size=k)
-    gram = u @ u.T
+    gram, u = _unit_gram(k, d, rng, latent=True)
     np.fill_diagonal(gram, 1.0)
     return EnsembleDraw(kind="spherical-wishart", matrix=gram, d=d, latents=u)
 
@@ -138,9 +137,7 @@ def composite_planted_graph(
         wish = sample_wishart(members.size, params.d, rng)
         inner = threshold_map_beta(wish, tau)
         su, sv = np.triu_indices(members.size, k=1)
-        gi, gj = members[su], members[sv]
-        flat = gi * n - (gi * (gi + 1)) // 2 + (gj - gi - 1)
-        edges[flat] = inner.edges
+        edges[pair_index(members[su], members[sv], n)] = inner.edges
     return Graph(n, edges)
 
 
@@ -167,10 +164,7 @@ def lkj_log_kernel(y, k: int, d: int) -> float:
     expected = k * (k - 1) // 2
     if y.size != expected:
         raise ValueError(f"expected {expected} strictly-upper entries, got {y.size}")
-    ybar = np.zeros((k, k))
-    iu = np.triu_indices(k, k=1)
-    ybar[iu] = y
-    ybar[(iu[1], iu[0])] = y
+    ybar = symmetric_matrix(y, k)
     eig = np.linalg.eigvalsh(np.eye(k) + ybar)
     if eig[0] <= 0.0:
         raise ValueError(

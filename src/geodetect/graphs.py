@@ -28,6 +28,7 @@ __all__ = [
     "PlantedSample",
     "Seed",
     "pair_index",
+    "symmetric_matrix",
     "sample_null",
     "sample_full_geometric",
     "sample_planted",
@@ -70,11 +71,24 @@ class ModelParams:
         return math.ceil(1.1 * self.k - 1e-9)
 
 
-def pair_index(i: int, j: int, n: int) -> int:
-    """Canonical flat index of pair (i, j), i < j, in row-major upper-triangle order."""
-    if not 0 <= i < j < n:
+def pair_index(i, j, n: int):
+    """Canonical flat index of pair (i, j), i < j, in row-major upper-triangle order.
+
+    i and j may also be integer arrays of one shape; the result has that shape.
+    """
+    ok = (0 <= i) & (i < j) & (j < n)  # a bool for ints, a mask for arrays
+    if not (ok if isinstance(ok, bool) else ok.all()):
         raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
     return i * n - (i * (i + 1)) // 2 + (j - i - 1)
+
+
+def symmetric_matrix(values, n: int, dtype=float) -> np.ndarray:
+    """n x n symmetric matrix carrying flat pair values off the diagonal, 0 on it."""
+    a = np.zeros((n, n), dtype=dtype)
+    iu = np.triu_indices(n, k=1)
+    a[iu] = values
+    a[iu[::-1]] = values
+    return a
 
 
 class Graph:
@@ -117,11 +131,7 @@ class Graph:
         return bool(self._edges[pair_index(i, j, self.n)])
 
     def adjacency_matrix(self, dtype=float) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=dtype)
-        iu = np.triu_indices(self.n, k=1)
-        a[iu] = self._edges
-        a[(iu[1], iu[0])] = self._edges
-        return a
+        return symmetric_matrix(self._edges, self.n, dtype)
 
     def __eq__(self, other):
         return (
@@ -155,10 +165,11 @@ class Graph:
         m = int(lines[1])
         if len(lines) != 2 + m:
             raise ValueError(f"expected {m} edge lines, found {len(lines) - 2}")
+        ij = np.array([ln.split() for ln in lines[2:]], dtype=np.int64).reshape(m, 2)
         edges = np.zeros(n * (n - 1) // 2, dtype=bool)
-        for ln in lines[2:]:
-            i, j = map(int, ln.split())
-            edges[pair_index(i, j, n)] = True
+        edges[pair_index(ij[:, 0], ij[:, 1], n)] = True
+        if int(edges.sum()) != m:
+            raise ValueError(f"edge list repeats a pair: {m} lines, {edges.sum()} edges")
         return cls(n, edges)
 
     def to_bitfield_bytes(self) -> bytes:
@@ -170,6 +181,9 @@ class Graph:
     def from_bitfield_bytes(cls, blob: bytes) -> "Graph":
         n = int.from_bytes(blob[:8], "little")
         m = n * (n - 1) // 2
+        size = 8 + (m + 7) // 8
+        if len(blob) != size:
+            raise ValueError(f"bit field for n={n} needs {size} bytes, got {len(blob)}")
         bits = np.unpackbits(
             np.frombuffer(blob[8:], dtype=np.uint8), count=m, bitorder="little"
         )
@@ -217,14 +231,8 @@ class Seed:
         )
 
 
-_tau_cache: dict[tuple[float, int], float] = {}
-
-
-def _cached_tau(p: float, d: int) -> float:
-    key = (float(p), int(d))
-    if key not in _tau_cache:
-        _tau_cache[key] = solve_threshold(p, d).tau if p < 1.0 else -1.0
-    return _tau_cache[key]
+def _tau(p: float, d: int) -> float:
+    return solve_threshold(p, d).tau if p < 1.0 else -1.0  # p = 1: every pair
 
 
 def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -240,28 +248,33 @@ def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph(n, rng.random(m) < p)
 
 
-def _unit_gram(s: int, d: int, rng: np.random.Generator):
-    """Gram matrix of s i.i.d. uniform unit vectors on S^{d-1}.
+def _unit_gram(
+    s: int, d: int, rng: np.random.Generator, shape=(), latent: bool | None = None
+):
+    """Gram matrices of s i.i.d. uniform unit vectors on S^{d-1}, batched over shape.
 
-    Direct route materializes the latents.  For s*d beyond the memory limit
-    (and d >= s), the Wishart Bartlett decomposition gives the same Gram law
-    exactly: W = L L^T with L_ii^2 ~ chi^2_{d-i+1}, L_ij ~ N(0,1), and the
-    normalized W_ij / sqrt(W_ii W_jj) equals <Z_i, Z_j>/(|Z_i||Z_j|) in law.
+    Returns (gram, latents) with shapes shape + (s, s) and shape + (s, d).  The
+    latent route materializes the latents; it is the default while
+    s*d <= LATENT_ELEMENT_LIMIT or d < s.  Otherwise (latent=False, needs
+    d >= s) the Wishart Bartlett decomposition gives the same Gram law exactly:
+    W = L L^T with L_ii^2 ~ chi^2_{d-i+1}, L_ij ~ N(0,1), and the normalized
+    W_ij / sqrt(W_ii W_jj) equals <Z_i, Z_j>/(|Z_i||Z_j|) in law; latents are
+    None there.  Only off-diagonal entries are meaningful.
     """
-    if s == 0:
-        return np.zeros((0, 0)), np.zeros((0, d))
-    if s * d <= LATENT_ELEMENT_LIMIT or d < s:
-        u = sample_uniform_sphere(d, rng, size=s)
-        return u @ u.T, u
-    dof = d - np.arange(s)
-    diag = np.sqrt(rng.chisquare(dof))
-    low = np.tril(rng.standard_normal((s, s)), k=-1)
-    low[np.diag_indices(s)] = diag
-    w = low @ low.T
-    norms = np.sqrt(np.diag(w))
-    gram = w / np.outer(norms, norms)
-    np.fill_diagonal(gram, 1.0)
-    return gram, None
+    shape = tuple(shape)
+    if latent is None:
+        latent = s * d <= LATENT_ELEMENT_LIMIT or d < s
+    if latent:
+        u = sample_uniform_sphere(d, rng, size=(*shape, s))
+        return u @ u.swapaxes(-1, -2), u
+    diag = np.sqrt(rng.chisquare(np.broadcast_to(d - np.arange(s), (*shape, s))))
+    low = np.tril(rng.standard_normal((*shape, s, s)), k=-1)
+    idx = np.arange(s)
+    low[..., idx, idx] = diag
+    w = low @ low.swapaxes(-1, -2)
+    norms = np.sqrt(w[..., idx, idx])
+    w /= norms[..., :, None] * norms[..., None, :]
+    return w, None
 
 
 def sample_full_geometric(
@@ -273,7 +286,7 @@ def sample_full_geometric(
     Gram route for very large d.
     """
     n = int(n)
-    tau = _cached_tau(p, d)
+    tau = _tau(p, d)
     gram, latents = _unit_gram(n, d, rng)
     iu = np.triu_indices(n, k=1)
     return Graph(n, gram[iu] >= tau), latents
@@ -293,13 +306,11 @@ def sample_planted_fixed_community(
     edges = rng.random(n * (n - 1) // 2) < params.p
     latents = None
     if members.size >= 1:
-        tau = _cached_tau(params.p, params.d)
+        tau = _tau(params.p, params.d)
         gram, latents = _unit_gram(members.size, params.d, rng)
         if members.size >= 2:
             su, sv = np.triu_indices(members.size, k=1)
-            gi, gj = members[su], members[sv]
-            flat = gi * n - (gi * (gi + 1)) // 2 + (gj - gi - 1)
-            edges[flat] = gram[su, sv] >= tau
+            edges[pair_index(members[su], members[sv], n)] = gram[su, sv] >= tau
     return PlantedSample(graph=Graph(n, edges), community=mask, latents=latents)
 
 

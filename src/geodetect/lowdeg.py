@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .graphs import ModelParams, Seed
+from .graphs import ModelParams, Seed, _unit_gram
 from .sphere import solve_threshold
 
 __all__ = [
@@ -183,20 +183,8 @@ def _edge_indicators(
     """
     tau = solve_threshold(params.p, params.d).tau
     member = rng.random((batch, v)) < params.k / params.n
-    if v * params.d <= 4096:
-        z = rng.standard_normal((batch, v, params.d))
-        z /= np.linalg.norm(z, axis=2, keepdims=True)
-        gram = np.einsum("bvd,bwd->bvw", z, z)
-    else:
-        # Bartlett route: exact normalized-Wishart Gram, O(v^2) per sample
-        dof = params.d - np.arange(v)
-        diag = np.sqrt(rng.chisquare(np.broadcast_to(dof, (batch, v))))
-        low = np.tril(rng.standard_normal((batch, v, v)), k=-1)
-        idx = np.arange(v)
-        low[:, idx, idx] = diag
-        gram = np.einsum("bij,bkj->bik", low, low)
-        norms = np.sqrt(gram[:, idx, idx])
-        gram /= norms[:, :, None] * norms[:, None, :]
+    # beyond v*d = 4096 the Bartlett route costs O(v^2) per sample, not O(v d)
+    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,), latent=v * params.d <= 4096)
     out = np.empty((batch, len(pairs)))
     for col, (i, j) in enumerate(pairs):
         both = member[:, i] & member[:, j]

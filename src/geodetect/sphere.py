@@ -138,8 +138,9 @@ class ThresholdResult:
     residual: float
 
 
+@lru_cache(maxsize=1024)
 def solve_threshold(p: float, d: int) -> ThresholdResult:
-    """Solve inner_product_tail(tau, d) = p by bisection.
+    """Solve inner_product_tail(tau, d) = p by bisection, cached per (p, d).
 
     The tail is continuous and strictly decreasing, so bisection on [0, 1)
     for p <= 1/2 (and on (-1, 0] otherwise) is robust even when the law is
@@ -489,10 +490,12 @@ def signed_cycle_expectation(
     )
 
 
-def sample_uniform_sphere(d: int, rng: np.random.Generator, size: int | None = None):
+def sample_uniform_sphere(
+    d: int, rng: np.random.Generator, size: int | tuple | None = None
+):
     """Uniform points on S^{d-1} as normalized standard Gaussian vectors.
 
-    Returns shape (d,) for size=None, else (size, d).
+    Returns shape (d,) for size=None, else size + (d,) for an int or tuple size.
     """
     d = int(d)
     if d < 1:
@@ -500,5 +503,6 @@ def sample_uniform_sphere(d: int, rng: np.random.Generator, size: int | None = N
     if size is None:
         z = rng.standard_normal(d)
         return z / np.linalg.norm(z)
-    z = rng.standard_normal((int(size), d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = rng.standard_normal((*np.atleast_1d(size), d))
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    return z

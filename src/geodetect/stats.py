@@ -2,9 +2,10 @@
 
 A signed count replaces each edge indicator G_ij by the centered value
 G_ij - p, so every statistic here has mean zero under the Erdos-Renyi null.
-Two independent kernels are kept for the signed triangle count (an explicit
-pair loop and the trace of the cubed centered adjacency); they must agree to
-float-summation accuracy and are cross-checked in the tests.
+Every statistic reads the centered adjacency (centered_adjacency), and every
+triangle count, global, per subset or inside a scan, is Tr(Abar^3)/6 of the
+relevant block.  The tests cross-check it against an explicit pair loop kept
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,15 +17,12 @@ from itertools import combinations, islice, permutations
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, symmetric_matrix
 
 __all__ = [
-    "CenteredAdjacency",
     "ScanConfig",
     "centered_adjacency",
     "signed_triangle_count",
-    "signed_triangle_count_direct",
-    "signed_triangle_count_trace",
     "signed_cycle_count",
     "cycle_vertex_orders",
     "wedge_sums",
@@ -40,56 +38,19 @@ _ENUM_MAX_N = 64
 _ENUM_MAX_ELL = 7
 
 
-@dataclass(frozen=True)
-class CenteredAdjacency:
+def centered_adjacency(graph: Graph, p: float) -> np.ndarray:
     """Symmetric matrix with entries G_ij - p off the diagonal and 0 on it."""
-
-    n: int
-    entries: np.ndarray
+    return symmetric_matrix(graph.edges - p, graph.n)
 
 
-def centered_adjacency(graph: Graph, p: float) -> CenteredAdjacency:
-    a = graph.adjacency_matrix(dtype=float)
-    iu = np.triu_indices(graph.n, k=1)
-    a[iu] -= p
-    a[(iu[1], iu[0])] -= p
-    return CenteredAdjacency(n=graph.n, entries=a)
-
-
-def _signed_matrix(graph: Graph, p: float) -> np.ndarray:
-    return centered_adjacency(graph, p).entries
-
-
-def signed_triangle_count_direct(graph: Graph, p: float) -> float:
-    """Sum over i < j < l of (G_ij-p)(G_jl-p)(G_il-p), explicit pair loop."""
-    a = _signed_matrix(graph, p)
-    n = graph.n
-    total = 0.0
-    for i in range(n - 2):
-        row_i = a[i]
-        for j in range(i + 1, n - 1):
-            total += row_i[j] * float(row_i[j + 1 :] @ a[j, j + 1 :])
-    return total
-
-
-def signed_triangle_count_trace(graph: Graph, p: float) -> float:
-    """Trace kernel: Tr(Abar^3) counts each triangle 6 times."""
-    a = _signed_matrix(graph, p)
+def _triangle_sum(a: np.ndarray) -> float:
+    """Signed triangle count of a centered matrix: Tr(A^3) counts each one 6 times."""
     return float(((a @ a) * a).sum()) / 6.0
 
 
-def signed_triangle_count(graph: Graph, p: float, kernel: str = "auto") -> float:
-    """Global signed triangle count; kernel is 'auto', 'direct', or 'trace'.
-
-    The matrix trace kernel dominates the explicit pair loop at every size
-    here, so 'auto' always takes it; the direct loop is kept as an
-    independently coded cross-check.
-    """
-    if kernel == "direct":
-        return signed_triangle_count_direct(graph, p)
-    if kernel in ("trace", "auto"):
-        return signed_triangle_count_trace(graph, p)
-    raise ValueError(f"unknown kernel {kernel!r}")
+def signed_triangle_count(graph: Graph, p: float) -> float:
+    """Global signed triangle count, sum over i < j < l of (G_ij-p)(G_jl-p)(G_il-p)."""
+    return _triangle_sum(centered_adjacency(graph, p))
 
 
 def cycle_vertex_orders(ell: int) -> list[tuple[int, ...]]:
@@ -139,7 +100,7 @@ def signed_cycle_count(graph: Graph, p: float, ell: int) -> float:
     """Sum of the signed edge product over all distinct length-ell cycles.
 
     Enumerates all C(n, ell) * (ell-1)!/2 cycles; refuses n > 64 or ell > 7
-    (ell = 3 falls back to the triangle kernels for any n).
+    (ell = 3 falls back to the triangle count for any n).
     """
     ell = int(ell)
     if ell == 3:
@@ -153,7 +114,7 @@ def signed_cycle_count(graph: Graph, p: float, ell: int) -> float:
         )
     if n < ell:
         return 0.0
-    a = _signed_matrix(graph, p)
+    a = centered_adjacency(graph, p)
     cached = _cycle_gather_arrays(n, ell)
     if cached is not None:
         verts_u, verts_v = cached
@@ -189,7 +150,7 @@ def _subset_signed(graph: Graph, p: float, subset) -> tuple[np.ndarray, np.ndarr
         raise ValueError("subset vertices must lie in [0, n)")
     if np.unique(verts).size != verts.size:
         raise ValueError("subset contains duplicate vertices")
-    a = _signed_matrix(graph, p)
+    a = centered_adjacency(graph, p)
     return verts, a[np.ix_(verts, verts)]
 
 
@@ -223,10 +184,8 @@ def wedge_sums_symmetric(graph: Graph, p: float, subset) -> dict[tuple[int, int]
 
 def subset_signed_triangles(graph: Graph, p: float, subset) -> float:
     """Signed triangle count of the induced subgraph on the given vertex set."""
-    verts, sub = _subset_signed(graph, p, subset)
-    if verts.size < 3:
-        return 0.0
-    return float(((sub @ sub) * sub).sum()) / 6.0
+    _, sub = _subset_signed(graph, p, subset)
+    return _triangle_sum(sub)
 
 
 def _feasible(sub_signed: np.ndarray, sigma_sq: float, bound: float) -> bool:
@@ -265,10 +224,6 @@ class ScanConfig:
                 f"exhaustive scan over C({n}, {self.k_minus}) subsets exceeds "
                 f"the {self._EXHAUSTIVE_LIMIT} limit"
             )
-
-
-def _triangle_sum(sub: np.ndarray) -> float:
-    return float(((sub @ sub) * sub).sum()) / 6.0
 
 
 def _local_search(
@@ -322,7 +277,7 @@ def _scan_impl(
     constraint,
 ):
     n = graph.n
-    a = _signed_matrix(graph, p)
+    a = centered_adjacency(graph, p)
     if cfg.mode == "planted-oracle":
         if oracle_subset is None:
             raise ValueError("planted-oracle mode requires an oracle subset")

@@ -100,6 +100,35 @@ class TestTestCommand:
         assert row["threshold"] == "nan"
         assert main(["--strict", "test", "--config", str(cfg), "--out", str(out)]) == 3
 
+    def test_strict_reads_every_series_of_the_threshold(self, tmp_path, monkeypatch):
+        # the constrained-scan calibration uses ell = 3 and 4, a cycle test its ell
+        import dataclasses
+
+        import geodetect.cli as cli_mod
+
+        real = cli_mod.signed_cycle_expectation
+
+        def fail_ell4(ell, p, d):
+            res = real(ell, p, d)
+            return dataclasses.replace(res, truncation_failed=True) if ell == 4 else res
+
+        cfg = tmp_path / "cfg.ini"
+        out = tmp_path / "rows.csv"
+        args = ["--strict", "test", "--config", str(cfg), "--out", str(out), "--trials", "2"]
+        sections = {
+            "[test.global-triangle]": 0,
+            "[test.constrained-scan]": 3,
+            "[test.constrained-scan]\ncycle_constant = 1.2": 0,
+            "[test.cycle]\nell = 4": 3,
+        }
+        for section in sections:
+            cfg.write_text(BASE_CONFIG.replace("[test.global-triangle]", section))
+            assert main(args) == 0
+        monkeypatch.setattr(cli_mod, "signed_cycle_expectation", fail_ell4)
+        for section, code in sections.items():
+            cfg.write_text(BASE_CONFIG.replace("[test.global-triangle]", section))
+            assert main(args) == code, section
+
 
 class TestSweepCommand:
     def test_axes_and_resume(self, tmp_path):

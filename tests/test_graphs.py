@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geodetect.graphs as graphs_mod
+from geodetect.ensembles import composite_planted_graph
 from geodetect.graphs import (
     Graph,
     ModelParams,
@@ -19,6 +20,7 @@ from geodetect.graphs import (
     sample_planted_fixed_community,
     sample_planted_fixed_size,
 )
+from geodetect.lowdeg import fourier_coefficient_mc, small_graph_from_edges
 from geodetect.sphere import solve_threshold
 from geodetect.stats import signed_triangle_count
 
@@ -50,6 +52,9 @@ class TestGraph:
         iu, ju = np.triu_indices(n, k=1)
         for idx, (i, j) in enumerate(zip(iu, ju)):
             assert pair_index(int(i), int(j), n) == idx
+        assert np.array_equal(pair_index(iu, ju, n), np.arange(iu.size))
+        with pytest.raises(ValueError):
+            pair_index(ju, iu, n)
 
     def test_immutable(self):
         g = Graph(4, np.zeros(6, dtype=bool))
@@ -86,6 +91,16 @@ class TestGraph:
         blob = g.to_bitfield_bytes()
         assert blob[:8] == (5).to_bytes(8, "little")
         assert len(blob) == 8 + 2  # ceil(10 / 8)
+
+    def test_edgelist_rejects_duplicate_lines(self):
+        with pytest.raises(ValueError):
+            Graph.from_edgelist_text("3\n2\n0 1\n0 1\n")
+
+    def test_bitfield_rejects_wrong_length(self):
+        blob = Graph(5, np.ones(10, dtype=bool)).to_bitfield_bytes()
+        for bad in (blob[:9], blob + b"\x00", blob[:7]):
+            with pytest.raises(ValueError):
+                Graph.from_bitfield_bytes(bad)
 
 
 class TestSeed:
@@ -182,6 +197,33 @@ class TestFullGeometric:
         total = trials * 15
         se = math.sqrt(p * (1 - p) / total)
         assert abs(count / total - p) <= 3 * se
+
+
+class TestUnitGram:
+    @pytest.mark.parametrize("latent", [True, False])
+    def test_batch_of_one_matches_unbatched(self, latent):
+        s, d = 5, 40
+        gram, lat = graphs_mod._unit_gram(s, d, np.random.default_rng(3), latent=latent)
+        gram1, lat1 = graphs_mod._unit_gram(
+            s, d, np.random.default_rng(3), shape=(1,), latent=latent
+        )
+        assert gram1.shape == (1, s, s)
+        iu = np.triu_indices(s, k=1)
+        assert np.max(np.abs(gram1[0][iu] - gram[iu])) <= 1e-12
+        if latent:
+            assert np.max(np.abs(lat1[0] - lat)) <= 1e-12
+        else:
+            assert lat is None and lat1 is None
+
+    def test_one_threshold_solve_per_density_and_dimension(self):
+        # a (p, d) no other test uses, so its first solve is a cache miss
+        params = ModelParams(n=12, p=0.237, d=37, k=12)
+        before = solve_threshold.cache_info().misses
+        sample_planted(params, Seed(0).stream(0))
+        triangle = small_graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        fourier_coefficient_mc(triangle, params, 100, Seed(1))
+        composite_planted_graph(range(6), params, Seed(2).stream(0))
+        assert solve_threshold.cache_info().misses - before == 1
 
 
 class TestSamplePlanted:

@@ -18,12 +18,12 @@ from geodetect.stats import (
     signed_cycle_count,
     signed_embedding_product,
     signed_triangle_count,
-    signed_triangle_count_direct,
-    signed_triangle_count_trace,
     subset_signed_triangles,
     wedge_sums,
     wedge_sums_symmetric,
 )
+
+from oracles import signed_triangle_count_direct
 
 
 def graph_from_edges(n, edges):
@@ -34,7 +34,7 @@ def graph_from_edges(n, edges):
 
 
 def brute_triangles(graph, p):
-    """Triple-loop oracle, coded independently of both kernels."""
+    """Triple-loop oracle, coded independently of the trace kernel and the pair loop."""
     total = 0.0
     for i, j, l in combinations(range(graph.n), 3):
         total += (
@@ -67,9 +67,9 @@ class TestCenteredAdjacency:
     def test_entries(self):
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         c = centered_adjacency(g, 0.3)
-        assert np.all(np.diag(c.entries) == 0)
-        assert np.array_equal(c.entries, c.entries.T)
-        off = c.entries[np.triu_indices(4, k=1)]
+        assert np.all(np.diag(c) == 0)
+        assert np.array_equal(c, c.T)
+        off = c[np.triu_indices(4, k=1)]
         assert set(np.round(off, 12)) == {0.7, -0.3}
 
 
@@ -87,7 +87,7 @@ class TestSignedTriangles:
         for t in range(20):
             g = sample_null(20, 0.3, seed.stream(t))
             direct = signed_triangle_count_direct(g, 0.3)
-            trace = signed_triangle_count_trace(g, 0.3)
+            trace = signed_triangle_count(g, 0.3)
             assert abs(direct - trace) <= 1e-9
 
     def test_against_brute_force(self):
@@ -96,12 +96,7 @@ class TestSignedTriangles:
             g = sample_null(n, 0.5, seed.stream(t))
             expected = brute_triangles(g, 0.37)
             assert signed_triangle_count_direct(g, 0.37) == pytest.approx(expected, abs=1e-10)
-            assert signed_triangle_count_trace(g, 0.37) == pytest.approx(expected, abs=1e-10)
-
-    def test_kernel_name_validation(self):
-        g = graph_from_edges(3, [])
-        with pytest.raises(ValueError):
-            signed_triangle_count(g, 0.5, kernel="magic")
+            assert signed_triangle_count(g, 0.37) == pytest.approx(expected, abs=1e-10)
 
 
 class TestSignedCycles:
