@@ -53,6 +53,7 @@ _QUAD_RTOL = 1e-10
 _QUAD_ATOL = 1e-15
 _QUAD_ORDER = 64
 _QUAD_PANELS = (4, 8, 16, 32, 64, 128, 256)
+_NORM_BLOCK_ELEMENTS = 1_000_000  # per row block of sample_uniform_sphere
 
 
 class QuadratureWarning(UserWarning):
@@ -504,5 +505,11 @@ def sample_uniform_sphere(
         z = rng.standard_normal(d)
         return z / np.linalg.norm(z)
     z = rng.standard_normal((*np.atleast_1d(size), d))
-    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    # normalise in row blocks: each row reduces on its own, so the result is
+    # the same, but the squared-entry temporary stays near _NORM_BLOCK_ELEMENTS
+    rows = z.reshape(-1, d)
+    step = max(1, _NORM_BLOCK_ELEMENTS // d)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        block /= np.linalg.norm(block, axis=-1, keepdims=True)
     return z

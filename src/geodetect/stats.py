@@ -2,10 +2,21 @@
 
 A signed count replaces each edge indicator G_ij by the centered value
 G_ij - p, so every statistic here has mean zero under the Erdos-Renyi null.
-Every statistic reads the centered adjacency (centered_adjacency), and every
-triangle count, global, per subset or inside a scan, is Tr(Abar^3)/6 of the
-relevant block.  The tests cross-check it against an explicit pair loop kept
-in tests/oracles.py.
+Every statistic reads the centered adjacency Abar (centered_adjacency), and
+every triangle count, global, per subset, or over a stack of subsets inside a
+scan, is Tr(Abar^3)/6 of the relevant block.  The tests cross-check it against
+an explicit pair loop kept in tests/oracles.py.
+
+Cycles of length 4 and 5 are trace polynomials as well (the cycle-counting
+identities of Alon, Yuster and Zwick, re-derived for the weighted matrix
+Abar).  With A2 = Abar @ Abar, A3 = A2 @ Abar and s_i = (A2)_ii:
+
+    8 C4  = sum(A2 o A2) - 2 sum_i s_i^2 + sum(Abar o^4)
+    10 C5 = sum(A3 o A2) - 5 sum_i (A3)_ii s_i + 5 sum(Abar o^3 o A2)
+
+where o is the entrywise product and o^k the entrywise power.  The first term
+of each is Tr(Abar^4) or Tr(Abar^5); the others remove the closed walks that
+revisit a vertex.  Lengths 6 and 7 are enumerated.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import chain, combinations, islice, permutations
 
 import numpy as np
 
@@ -36,6 +47,7 @@ __all__ = [
 
 _ENUM_MAX_N = 64
 _ENUM_MAX_ELL = 7
+_CHUNK_BYTES = 2**20  # per gathered block of the cycle enumeration and the exhaustive scan
 
 
 def centered_adjacency(graph: Graph, p: float) -> np.ndarray:
@@ -43,9 +55,13 @@ def centered_adjacency(graph: Graph, p: float) -> np.ndarray:
     return symmetric_matrix(graph.edges - p, graph.n)
 
 
-def _triangle_sum(a: np.ndarray) -> float:
-    """Signed triangle count of a centered matrix: Tr(A^3) counts each one 6 times."""
-    return float(((a @ a) * a).sum()) / 6.0
+def _triangle_sum(a: np.ndarray):
+    """Signed triangle count of a centered matrix: Tr(A^3) counts each one 6 times.
+
+    Reduces over the last two axes: a float for one matrix, an array for a stack.
+    """
+    total = ((a @ a) * a).sum(axis=(-2, -1)) / 6.0
+    return float(total) if total.ndim == 0 else total
 
 
 def signed_triangle_count(graph: Graph, p: float) -> float:
@@ -78,29 +94,53 @@ def _cycle_pair_slots(ell: int) -> np.ndarray:
     return slots
 
 
-_CYCLE_CACHE_ELEMENTS = 4_000_000
+def _subset_blocks(n: int, size: int, per_subset: int):
+    """The size-subsets of range(n) in lexicographic order, as (B, size) index blocks.
+
+    B keeps B * per_subset float64 values within _CHUNK_BYTES.
+    """
+    chunk = max(1, _CHUNK_BYTES // (8 * max(1, per_subset)))
+    combos = combinations(range(n), size)
+    while block := list(islice(combos, chunk)):
+        flat = np.fromiter(chain.from_iterable(block), dtype=int, count=len(block) * size)
+        yield flat.reshape(len(block), size)
 
 
-@lru_cache(maxsize=8)
-def _cycle_gather_arrays(n: int, ell: int):
-    """Vertex-pair gather indices for every cycle, cached when small enough."""
+def _cycle_trace_sum(a: np.ndarray, ell: int) -> float:
+    """Signed 4- or 5-cycle count of a centered matrix from its traces."""
+    a2 = a @ a
+    s = np.diagonal(a2)
+    sq = a * a
+    if ell == 4:
+        return float((a2 * a2).sum() - 2.0 * (s @ s) + (sq * sq).sum()) / 8.0
+    a3 = a2 @ a
+    return float(
+        (a3 * a2).sum() - 5.0 * (np.diagonal(a3) @ s) + 5.0 * (sq * a * a2).sum()
+    ) / 10.0
+
+
+def _cycle_enumerated_sum(a: np.ndarray, ell: int) -> float:
+    """Signed ell-cycle count by streaming over all C(n, ell) * (ell-1)!/2 cycles."""
     slots = _cycle_pair_slots(ell)
-    n_cycles = math.comb(n, ell) * slots.shape[0]
-    if n_cycles * ell > _CYCLE_CACHE_ELEMENTS:
-        return None
-    subsets = np.fromiter(
-        (v for combo in combinations(range(n), ell) for v in combo), dtype=np.int64
-    ).reshape(-1, ell)
-    verts_u = subsets[:, slots[:, :, 0]].reshape(-1, ell)
-    verts_v = subsets[:, slots[:, :, 1]].reshape(-1, ell)
-    return verts_u, verts_v
+    total = 0.0
+    for sub in _subset_blocks(a.shape[0], ell, slots.shape[0] * ell):
+        vals = a[sub[:, slots[:, :, 0]], sub[:, slots[:, :, 1]]]
+        total += float(vals.prod(axis=2).sum())
+    return total
 
 
 def signed_cycle_count(graph: Graph, p: float, ell: int) -> float:
     """Sum of the signed edge product over all distinct length-ell cycles.
 
-    Enumerates all C(n, ell) * (ell-1)!/2 cycles; refuses n > 64 or ell > 7
-    (ell = 3 falls back to the triangle count for any n).
+    ell = 3 is the triangle count Tr(Abar^3)/6.  ell = 4 and 5 use the trace
+    identities, with A2 = Abar @ Abar, A3 = A2 @ Abar and s_i = (A2)_ii:
+
+        8 C4  = sum(A2 o A2) - 2 sum_i s_i^2 + sum(Abar o^4)
+        10 C5 = sum(A3 o A2) - 5 sum_i (A3)_ii s_i + 5 sum(Abar o^3 o A2)
+
+    (o the entrywise product).  These three work at any n.  ell = 6 and 7
+    enumerate all C(n, ell) * (ell-1)!/2 cycles and refuse n > 64; longer
+    cycles are refused.
     """
     ell = int(ell)
     if ell == 3:
@@ -108,40 +148,25 @@ def signed_cycle_count(graph: Graph, p: float, ell: int) -> float:
     if not 3 <= ell <= _ENUM_MAX_ELL:
         raise ValueError(f"cycle length must lie in [3, {_ENUM_MAX_ELL}], got {ell}")
     n = graph.n
-    if n > _ENUM_MAX_N:
+    if ell > 5 and n > _ENUM_MAX_N:
         raise ValueError(
-            f"cycle enumeration is limited to n <= {_ENUM_MAX_N}, got n = {n}"
+            f"cycle enumeration (ell = {ell}) is limited to n <= {_ENUM_MAX_N}, got n = {n}"
         )
     if n < ell:
         return 0.0
     a = centered_adjacency(graph, p)
-    cached = _cycle_gather_arrays(n, ell)
-    if cached is not None:
-        verts_u, verts_v = cached
-        return float(a[verts_u, verts_v].prod(axis=1).sum())
-    slots = _cycle_pair_slots(ell)
-    total = 0.0
-    chunk = max(1, 2_000_000 // (slots.shape[0] * ell))
-    combos = combinations(range(n), ell)
-    while True:
-        block = np.fromiter(
-            (v for combo in islice(combos, chunk) for v in combo), dtype=np.int64
-        )
-        if block.size == 0:
-            break
-        sub = block.reshape(-1, ell)
-        vals = a[sub[:, slots[:, :, 0]], sub[:, slots[:, :, 1]]]
-        total += float(vals.prod(axis=2).sum())
-    return total
+    if ell <= 5:
+        return _cycle_trace_sum(a, ell)
+    return _cycle_enumerated_sum(a, ell)
 
 
 def _wedge_matrix(sub_signed: np.ndarray) -> np.ndarray:
-    """W[a, b] = sum over c < a of M[c, a] * M[c, b] for positions a < b."""
-    size = sub_signed.shape[0]
-    w = np.zeros((size, size))
-    for a in range(1, size - 1):
-        w[a, a + 1 :] = sub_signed[:a, a] @ sub_signed[:a, a + 1 :]
-    return w
+    """W[a, b] = sum over c < a of M[c, a] * M[c, b] for positions a < b.
+
+    Works on the last two axes, so a stack of subsets gives a stack of W.
+    """
+    upper = np.triu(sub_signed, 1)
+    return np.triu(np.swapaxes(upper, -1, -2) @ sub_signed, 1)
 
 
 def _subset_signed(graph: Graph, p: float, subset) -> tuple[np.ndarray, np.ndarray]:
@@ -188,11 +213,14 @@ def subset_signed_triangles(graph: Graph, p: float, subset) -> float:
     return _triangle_sum(sub)
 
 
-def _feasible(sub_signed: np.ndarray, sigma_sq: float, bound: float) -> bool:
+def _feasible(sub_signed: np.ndarray, sigma_sq: float, bound: float):
+    """Wedge constraints of one subset block, or of each block in a stack."""
     w = _wedge_matrix(sub_signed)
-    iu = np.triu_indices(w.shape[0], k=1)
-    vals = w[iu]
-    return float(vals @ vals) <= sigma_sq and float(np.abs(vals).max(initial=0.0)) <= bound
+    iu = np.triu_indices(w.shape[-1], k=1)
+    vals = w[..., iu[0], iu[1]]
+    # a dot product per block, summed as vals @ vals sums a single one
+    sum_sq = (vals[..., None, :] @ vals[..., :, None])[..., 0, 0]
+    return (sum_sq <= sigma_sq) & (np.abs(vals).max(axis=-1, initial=0.0) <= bound)
 
 
 @dataclass(frozen=True)
@@ -297,17 +325,17 @@ def _scan_impl(
         if subset is None:
             return None, None
         return val, subset
-    # exhaustive
+    # exhaustive: score the subsets a block at a time, keep the first maximum
     cfg.check_exhaustive(n)
     best_val, best_set = -math.inf, None
-    for combo in combinations(range(n), cfg.k_minus):
-        idx = np.asarray(combo, dtype=int)
-        sub = a[np.ix_(idx, idx)]
-        if constraint is not None and not constraint(sub):
-            continue
-        val = _triangle_sum(sub)
-        if val > best_val:
-            best_val, best_set = val, idx
+    for idx in _subset_blocks(n, cfg.k_minus, cfg.k_minus**2):
+        subs = a[idx[:, :, None], idx[:, None, :]]
+        vals = _triangle_sum(subs)
+        if constraint is not None:
+            vals = np.where(constraint(subs), vals, -math.inf)
+        best = int(np.argmax(vals))
+        if vals[best] > best_val:
+            best_val, best_set = float(vals[best]), idx[best].copy()
     if best_set is None:
         return None, None
     return best_val, best_set

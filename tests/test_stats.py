@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodetect import stats as stats_mod
 from geodetect.graphs import Graph, Seed, pair_index, sample_null
 from geodetect.stats import (
     ScanConfig,
@@ -23,7 +24,7 @@ from geodetect.stats import (
     wedge_sums_symmetric,
 )
 
-from oracles import signed_triangle_count_direct
+from oracles import signed_cycle_count_enumerated, signed_triangle_count_direct
 
 
 def graph_from_edges(n, edges):
@@ -125,27 +126,70 @@ class TestSignedCycles:
             brute_cycles(g, 0.3, ell), abs=1e-10
         )
 
-    def test_streaming_path_matches_cached(self, monkeypatch):
-        import geodetect.stats as stats_mod
+    @pytest.mark.parametrize("ell", [4, 5])
+    def test_trace_identities_match_enumeration(self, ell):
+        seed = Seed(103)
+        for t, (n, p) in enumerate(
+            (n, p) for n in (5, 8, 12, 16) for p in (0.1, 0.3, 0.45, 0.7)
+        ):
+            g = sample_null(n, p, seed.stream(10 * ell + t))
+            assert signed_cycle_count(g, 0.3, ell) == pytest.approx(
+                signed_cycle_count_enumerated(g, 0.3, ell), abs=1e-10
+            )
 
-        g = sample_null(12, 0.4, Seed(103).stream(0))
-        cached = signed_cycle_count(g, 0.4, 5)
-        stats_mod._cycle_gather_arrays.cache_clear()
-        monkeypatch.setattr(stats_mod, "_CYCLE_CACHE_ELEMENTS", 0)
-        streamed = signed_cycle_count(g, 0.4, 5)
-        stats_mod._cycle_gather_arrays.cache_clear()
-        assert streamed == pytest.approx(cached, abs=1e-10)
+    @pytest.mark.parametrize("ell", [4, 5])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_trace_identities_match_permutation_oracle(self, ell, p):
+        g = sample_null(7, p, Seed(103).stream(100 + ell))
+        assert signed_cycle_count(g, 0.35, ell) == pytest.approx(
+            brute_cycles(g, 0.35, ell), abs=1e-10
+        )
+
+    @pytest.mark.parametrize("ell", [4, 5])
+    def test_fewer_vertices_than_cycle_length(self, ell):
+        for n in range(1, ell):
+            g = sample_null(n, 0.5, Seed(103).stream(200 + n))
+            assert signed_cycle_count(g, 0.3, ell) == 0.0
+
+    @pytest.mark.parametrize("ell", [4, 5])
+    def test_empty_and_complete_graphs(self, ell):
+        p = 0.3
+        for n in range(ell, 10):
+            cycles = math.comb(n, ell) * math.factorial(ell - 1) // 2
+            empty = graph_from_edges(n, [])
+            complete = graph_from_edges(n, list(combinations(range(n), 2)))
+            assert signed_cycle_count(empty, p, ell) == pytest.approx(
+                cycles * (-p) ** ell, rel=1e-12
+            )
+            assert signed_cycle_count(complete, p, ell) == pytest.approx(
+                cycles * (1 - p) ** ell, rel=1e-12
+            )
+
+    def test_four_cycles_beyond_enumeration_limit(self):
+        g = sample_null(66, 0.3, Seed(103).stream(300))
+        assert signed_cycle_count(g, 0.3, 4) == pytest.approx(
+            signed_cycle_count_enumerated(g, 0.3, 4), abs=1e-8
+        )
+
+    @pytest.mark.parametrize("ell, n", [(6, 14), (7, 10)])
+    def test_enumerated_lengths_match_oracle(self, ell, n):
+        # C(14, 6) six-cycle subsets fill several gathered blocks
+        g = sample_null(n, 0.4, Seed(103).stream(400 + ell))
+        assert signed_cycle_count(g, 0.4, ell) == pytest.approx(
+            signed_cycle_count_enumerated(g, 0.4, ell), abs=1e-10
+        )
 
     def test_enumeration_refusals(self):
         g = sample_null(65, 0.5, Seed(104).stream(0))
         with pytest.raises(ValueError):
-            signed_cycle_count(g, 0.5, 4)
+            signed_cycle_count(g, 0.5, 6)
         small = sample_null(10, 0.5, Seed(104).stream(1))
         with pytest.raises(ValueError):
             signed_cycle_count(small, 0.5, 8)
-        # ell = 3 is fine at any n through the triangle kernel
+        # ell = 3, 4 and 5 are trace polynomials and work at any n
         big = sample_null(65, 0.5, Seed(104).stream(2))
-        assert isinstance(signed_cycle_count(big, 0.5, 3), float)
+        for ell in (3, 4, 5):
+            assert isinstance(signed_cycle_count(big, 0.5, ell), float)
 
 
 class TestWedgeSums:
@@ -195,6 +239,22 @@ class TestWedgeSums:
         total_sym = sum(signed(i, j) * w for (i, j), w in sym.items())
         assert total_asym == pytest.approx(f_a, abs=1e-12)
         assert total_sym == pytest.approx(3 * f_a, abs=1e-12)
+
+    def test_stacked_wedge_matrix_against_double_loop(self):
+        g = sample_null(10, 0.5, Seed(105).stream(5))
+        a = centered_adjacency(g, 0.5)
+        subsets = [list(range(8)), [0, 2, 3, 5, 6, 7, 8, 9], [1, 2, 4, 5, 6, 7, 8, 9]]
+        stacked = stats_mod._wedge_matrix(np.stack([a[np.ix_(s, s)] for s in subsets]))
+        for w, subset in zip(stacked, subsets):
+            for x, y in combinations(range(len(subset)), 2):
+                i, j = subset[x], subset[y]
+                expected = sum(
+                    (g.has_edge(l, i) - 0.5) * (g.has_edge(l, j) - 0.5)
+                    for l in subset
+                    if l < i
+                )
+                assert w[x, y] == pytest.approx(expected, abs=1e-12)
+            assert np.all(np.tril(w) == 0.0)
 
     def test_duplicate_subset_rejected(self):
         g = sample_null(5, 0.5, Seed(105).stream(4))
@@ -293,6 +353,34 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_statistic(g, 0.3, cfg, oracle_subset=[1, 2])  # wrong size
 
+    def test_exhaustive_spans_several_blocks(self):
+        n, k = 18, 6
+        assert math.comb(n, k) > stats_mod._CHUNK_BYTES // (8 * k * k)
+        g = sample_null(n, 0.4, Seed(107).stream(2))
+        value, subset = scan_statistic(g, 0.4, ScanConfig(k_minus=k, mode="exhaustive"))
+        expected, _ = brute_scan(g, 0.4, k)
+        assert value == pytest.approx(expected, abs=1e-10)
+        assert len(subset) == k
+        assert subset_signed_triangles(g, 0.4, subset) == pytest.approx(value, abs=1e-10)
+
+    @pytest.mark.parametrize("k_minus", [0, 1, 2])
+    def test_subsets_without_triangles(self, k_minus):
+        # no subset of fewer than 3 vertices holds a triangle: the first one wins
+        g = sample_null(6, 0.5, Seed(107).stream(3))
+        value, subset = scan_statistic(g, 0.5, ScanConfig(k_minus=k_minus))
+        assert value == 0.0
+        assert list(subset) == list(range(k_minus))
+        cfg = ScanConfig(k_minus=k_minus, sigma_sq=1.0, B=1.0)
+        value, subset = constrained_scan_statistic(g, 0.5, cfg)
+        assert value == 0.0
+        assert list(subset) == list(range(k_minus))
+
+    def test_subset_larger_than_graph(self):
+        g = sample_null(5, 0.5, Seed(107).stream(4))
+        assert scan_statistic(g, 0.5, ScanConfig(k_minus=6)) == (None, None)
+        cfg = ScanConfig(k_minus=6, sigma_sq=1.0, B=1.0)
+        assert constrained_scan_statistic(g, 0.5, cfg) == (None, None)
+
     def test_exhaustive_size_guard(self):
         cfg = ScanConfig(k_minus=20, mode="exhaustive")
         with pytest.raises(ValueError):
@@ -329,6 +417,22 @@ class TestConstrainedScan:
             assert value is None
         else:
             assert value == pytest.approx(expected, abs=1e-10)
+
+    def test_exhaustive_spans_several_blocks(self):
+        n, k = 18, 6
+        assert math.comb(n, k) > stats_mod._CHUNK_BYTES // (8 * k * k)
+        g = sample_null(n, 0.4, Seed(111).stream(2))
+        sigma_sq, bound = 1.2, 0.7
+        cfg = ScanConfig(k_minus=k, mode="exhaustive", sigma_sq=sigma_sq, B=bound)
+        value, subset = constrained_scan_statistic(g, 0.4, cfg)
+        expected, _ = brute_scan(g, 0.4, k, sigma_sq=sigma_sq, bound=bound)
+        assert expected is not None
+        assert value == pytest.approx(expected, abs=1e-10)
+        # the constraints bind: the unconstrained maximum is larger
+        assert value < scan_statistic(g, 0.4, ScanConfig(k_minus=k))[0] - 1e-6
+        table = wedge_sums(g, 0.4, subset)
+        assert sum(v * v for v in table.values()) <= sigma_sq + 1e-12
+        assert max(abs(v) for v in table.values()) <= bound + 1e-12
 
     def test_requires_constraints(self):
         g = sample_null(6, 0.4, Seed(111).stream(1))
