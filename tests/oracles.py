@@ -1,10 +1,11 @@
 """Independently coded reference kernels the tests check the library against."""
 
+import math
 from itertools import combinations, islice
 
 import numpy as np
 
-from geodetect.stats import centered_adjacency, cycle_vertex_orders
+from geodetect.stats import _triangle_sum, centered_adjacency, cycle_vertex_orders
 
 
 def signed_triangle_count_direct(graph, p: float) -> float:
@@ -39,3 +40,44 @@ def signed_cycle_count_enumerated(graph, p: float, ell: int) -> float:
             return total
         sub = block.reshape(-1, ell)
         total += float(a[sub[:, orders], sub[:, successors]].prod(axis=2).sum())
+
+
+def local_search_swap_loop(a, n, k_minus, restarts, rng, constraint=None):
+    """Swap hill-climb that runs the exact test on every candidate swap in turn.
+
+    Same contract as stats._local_search: for each restart, a sweep walks the
+    members in ascending order of their triangle contribution and, for each,
+    the outsiders in ascending order, and takes the first swap whose
+    _triangle_sum beats the current one and whose block passes the constraint.
+    """
+    best_val, best_set = -math.inf, None
+    for _ in range(max(1, restarts)):
+        current = np.sort(rng.permutation(n)[:k_minus])
+        val = _triangle_sum(a[np.ix_(current, current)])
+        improved = True
+        while improved:
+            improved = False
+            inside = a[np.ix_(current, current)]
+            contrib = np.einsum("ij,jk,ki->i", inside, inside, inside) / 2.0
+            order = np.argsort(contrib)
+            outside = np.setdiff1d(np.arange(n), current, assume_unique=False)
+            for pos in order:
+                for cand in outside:
+                    trial = current.copy()
+                    trial[pos] = cand
+                    trial.sort()
+                    sub = a[np.ix_(trial, trial)]
+                    tval = _triangle_sum(sub)
+                    if tval > val and (constraint is None or constraint(sub)):
+                        current, val = trial, tval
+                        improved = True
+                        break
+                if improved:
+                    break
+        if constraint is not None:
+            sub = a[np.ix_(current, current)]
+            if not constraint(sub):
+                continue
+        if val > best_val:
+            best_val, best_set = val, current
+    return best_val, best_set

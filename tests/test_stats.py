@@ -24,7 +24,11 @@ from geodetect.stats import (
     wedge_sums_symmetric,
 )
 
-from oracles import signed_cycle_count_enumerated, signed_triangle_count_direct
+from oracles import (
+    local_search_swap_loop,
+    signed_cycle_count_enumerated,
+    signed_triangle_count_direct,
+)
 
 
 def graph_from_edges(n, edges):
@@ -377,14 +381,69 @@ class TestScan:
 
     def test_subset_larger_than_graph(self):
         g = sample_null(5, 0.5, Seed(107).stream(4))
-        assert scan_statistic(g, 0.5, ScanConfig(k_minus=6)) == (None, None)
-        cfg = ScanConfig(k_minus=6, sigma_sq=1.0, B=1.0)
-        assert constrained_scan_statistic(g, 0.5, cfg) == (None, None)
+        for mode in ("exhaustive", "local-search"):
+            assert scan_statistic(g, 0.5, ScanConfig(k_minus=6, mode=mode)) == (None, None)
+            cfg = ScanConfig(k_minus=6, mode=mode, sigma_sq=1.0, B=1.0)
+            assert constrained_scan_statistic(g, 0.5, cfg) == (None, None)
 
     def test_exhaustive_size_guard(self):
         cfg = ScanConfig(k_minus=20, mode="exhaustive")
         with pytest.raises(ValueError):
             cfg.check_exhaustive(100)
+
+
+def assert_local_search_matches_oracle(graph, p, k_minus, restarts, seed, constraint=None):
+    """The sweep scan and the swap-loop oracle take the same path: equal bits."""
+    if constraint is None:
+        cfg = ScanConfig(k_minus=k_minus, mode="local-search", restarts=restarts)
+        got = scan_statistic(graph, p, cfg, rng=np.random.default_rng(seed))
+        check = None
+    else:
+        sigma_sq, bound = constraint
+        cfg = ScanConfig(
+            k_minus=k_minus, mode="local-search", restarts=restarts,
+            sigma_sq=sigma_sq, B=bound,
+        )
+        got = constrained_scan_statistic(graph, p, cfg, rng=np.random.default_rng(seed))
+        check = lambda sub: stats_mod._feasible(sub, sigma_sq, bound)  # noqa: E731
+    val, subset = local_search_swap_loop(
+        centered_adjacency(graph, p), graph.n, k_minus, restarts,
+        np.random.default_rng(seed), check,
+    )
+    if subset is None:
+        assert got == (None, None)
+    else:
+        assert got[0] == val
+        assert np.array_equal(got[1], subset)
+    return got
+
+
+class TestLocalSearch:
+    @pytest.mark.parametrize("p", [0.3, 0.123456])
+    @pytest.mark.parametrize("k_minus", [0, 1, 2, 6, 11, 12])
+    def test_matches_swap_loop(self, p, k_minus):
+        for t in range(4):
+            g = sample_null(12, p, Seed(120).stream(t))
+            assert_local_search_matches_oracle(g, p, k_minus, 3, t)
+            assert_local_search_matches_oracle(g, p, k_minus, 3, t, constraint=(1.0, 0.6))
+
+    @pytest.mark.parametrize("p", [0.3, 0.123456])
+    def test_matches_swap_loop_many_sweeps(self, p):
+        g = sample_null(40, p, Seed(121).stream(0))
+        plain = assert_local_search_matches_oracle(g, p, 15, 2, 5)
+        tight = assert_local_search_matches_oracle(g, p, 15, 2, 5, constraint=(15.0, 1.5))
+        assert tight[0] < plain[0]  # the constraints bind
+
+    @pytest.mark.parametrize("complete", [False, True])
+    def test_every_swap_ties(self, complete):
+        # every subset has the same sum, so every swap has gain 0 and none is taken
+        n, k, p = 10, 5, 0.3
+        g = graph_from_edges(n, list(combinations(range(n), 2)) if complete else [])
+        value, _ = assert_local_search_matches_oracle(g, p, k, 3, 0)
+        entry = (1.0 if complete else 0.0) - p
+        assert value == pytest.approx(math.comb(k, 3) * entry**3, abs=1e-12)
+        assert_local_search_matches_oracle(g, p, k, 3, 0, constraint=(1.0, 0.6))
+        assert_local_search_matches_oracle(g, p, k, 3, 0, constraint=(math.inf, math.inf))
 
 
 class TestConstrainedScan:
