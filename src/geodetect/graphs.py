@@ -219,15 +219,27 @@ class PlantedSample:
 class Seed:
     """Master seed with a stable per-trial stream derivation rule.
 
-    Identical (master, arm, trial) always yields a bit-identical sample within
-    this implementation, no matter how trials are scheduled.
+    Identical (master, key, arm, trial) always yields a bit-identical sample
+    within this implementation, no matter how trials are scheduled.  key is
+    the SeedSequence spawn key of a child seed (see spawn); a top-level seed
+    has the empty key.
     """
 
     master: int
+    key: tuple[int, ...] = ()
+
+    def spawn(self, child: int) -> Seed:
+        """Child seed with spawn key key + (child,).
+
+        Its streams differ from its parent's and from every other child's.
+        """
+        return Seed(self.master, (*self.key, int(child)))
 
     def stream(self, trial: int, arm: int = 0) -> np.random.Generator:
         return np.random.default_rng(
-            np.random.SeedSequence([int(self.master), int(arm), int(trial)])
+            np.random.SeedSequence(
+                [int(self.master), int(arm), int(trial)], spawn_key=self.key
+            )
         )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -39,19 +40,27 @@ def _pair_slots(v: int) -> list[tuple[int, int]]:
     return list(combinations(range(v), 2))
 
 
-def _canonical_code(v: int, edge_set: frozenset) -> int:
-    """Minimal edge bitmask over all vertex permutations; equal iff isomorphic."""
+@lru_cache(maxsize=None)
+def _slot_powers(v: int) -> np.ndarray:
+    """Slot images of every vertex permutation as bit weights, shape (C(v,2), v!).
+
+    Entry [b, r] is 1 << (slot of the image of slot b under the r-th
+    permutation), so a mask's image is the sum of the rows of its set bits.
+    """
     slots = _pair_slots(v)
-    best = None
-    for perm in permutations(range(v)):
-        mask = 0
-        for b, (i, j) in enumerate(slots):
-            pi, pj = perm[i], perm[j]
-            if (min(pi, pj), max(pi, pj)) in edge_set:
-                mask |= 1 << b
-        if best is None or mask < best:
-            best = mask
-    return best
+    index = {slot: b for b, slot in enumerate(slots)}
+    targets = [
+        [index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in slots]
+        for perm in permutations(range(v))
+    ]
+    return np.left_shift(1, np.array(targets, dtype=np.int64).T)
+
+
+def _permuted_masks(v: int, masks) -> np.ndarray:
+    """Edge bitmasks of every vertex permutation's image, shape masks.shape + (v!,)."""
+    powers = _slot_powers(v)
+    bits = np.asarray(masks, dtype=np.int64)[..., None] >> np.arange(len(powers)) & 1
+    return bits @ powers
 
 
 def _components(v: int, edges) -> list[set]:
@@ -111,28 +120,19 @@ def small_graph_from_edges(v: int, edges) -> SmallGraph:
     if len(edge_set) != len(norm):
         raise ValueError("duplicate edges")
     comps = _components(v, edge_set)
-    degree = [0] * v
-    for i, j in edge_set:
-        degree[i] += 1
-        degree[j] += 1
     tree_comp = any(
         sum(1 for (a, b) in edge_set if a in comp) == len(comp) - 1 for comp in comps
     )
-    auto = 0
-    for perm in permutations(range(v)):
-        if all(
-            (min(perm[i], perm[j]), max(perm[i], perm[j])) in edge_set
-            for i, j in edge_set
-        ):
-            auto += 1
+    mask = sum(1 << b for b, slot in enumerate(_pair_slots(v)) if slot in edge_set)
+    images = _permuted_masks(v, mask)
     return SmallGraph(
         v=v,
         edges=tuple(sorted(edge_set)),
-        canonical_code=_canonical_code(v, edge_set),
+        canonical_code=int(images.min()),
         is_forest=len(edge_set) == v - len(comps),
         component_count=len(comps),
         has_tree_component=tree_comp,
-        automorphisms=auto,
+        automorphisms=int((images == mask).sum()),
     )
 
 
@@ -144,20 +144,13 @@ def enumerate_graphs_upto(v_max: int) -> list[SmallGraph]:
     out = []
     for v in range(2, v_max + 1):
         slots = _pair_slots(v)
-        seen = set()
-        for mask in range(1, 1 << len(slots)):
+        masks = np.arange(1, 1 << len(slots))
+        # isomorphic masks share a code; keep the first (smallest) mask of each class
+        _, first = np.unique(_permuted_masks(v, masks).min(axis=1), return_index=True)
+        for mask in masks[first].tolist():
             edges = [slots[b] for b in range(len(slots)) if mask >> b & 1]
-            degree = [0] * v
-            for i, j in edges:
-                degree[i] += 1
-                degree[j] += 1
-            if min(degree) == 0:
-                continue
-            code = _canonical_code(v, frozenset(edges))
-            if code in seen:
-                continue
-            seen.add(code)
-            out.append(small_graph_from_edges(v, edges))
+            if len({x for edge in edges for x in edge}) == v:  # no isolated vertex
+                out.append(small_graph_from_edges(v, edges))
     out.sort(key=lambda g: (g.v, g.e, g.canonical_code))
     return out
 
@@ -178,13 +171,14 @@ def _edge_indicators(
     """Batch of edge indicators for the planted marginal on the first v vertices.
 
     Only the v embedding vertices matter, so the whole n-vertex graph is never
-    built: membership bits, a v x v latent Gram block, and Bernoulli fills
-    reproduce the exact marginal law.
+    built: membership bits, a v x v Gram block, and Bernoulli fills reproduce
+    the exact marginal law.  The Gram block comes from the Bartlett route (v
+    chi-squares and a v x v normal block per sample) whenever d >= v; only
+    d < v draws, and briefly holds, the batch's v*d latent coordinates.
     """
     tau = solve_threshold(params.p, params.d).tau
     member = rng.random((batch, v)) < params.k / params.n
-    # beyond v*d = 4096 the Bartlett route costs O(v^2) per sample, not O(v d)
-    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,), latent=v * params.d <= 4096)
+    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,), latent=params.d < v)
     out = np.empty((batch, len(pairs)))
     for col, (i, j) in enumerate(pairs):
         both = member[:, i] & member[:, j]
@@ -263,7 +257,8 @@ def low_degree_advantage(
     Graphs with a tree component contribute exactly zero (their coefficient
     factorizes through a vanishing tree factor) and are skipped analytically;
     everything else is estimated by Monte Carlo with bias-corrected squares
-    and propagated uncertainty.
+    and propagated uncertainty.  The graph at position idx of the enumeration
+    draws from seed.spawn(idx), so no two (master, graph) pairs share a stream.
     """
     if isinstance(seed, int):
         seed = Seed(seed)
@@ -277,9 +272,7 @@ def low_degree_advantage(
         if graph.has_tree_component:
             rows.append((graph, 0.0, 0.0, True))
             continue
-        est = fourier_coefficient_mc(
-            graph, params, trials, Seed(seed.master + 7919 * (idx + 1))
-        )
+        est = fourier_coefficient_mc(graph, params, trials, seed.spawn(idx))
         contrib = count * (est.phi**2 - est.stderr**2)
         total += contrib
         # var of phi^2 around its bias-corrected value

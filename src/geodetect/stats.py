@@ -329,19 +329,18 @@ def _scan_impl(
     constraint,
 ):
     n = graph.n
-    a = centered_adjacency(graph, p)
     if cfg.mode == "planted-oracle":
         if oracle_subset is None:
             raise ValueError("planted-oracle mode requires an oracle subset")
-        verts = np.asarray(sorted(int(v) for v in oracle_subset), dtype=int)
+        verts, sub = _subset_signed(graph, p, oracle_subset)
         if verts.size != cfg.k_minus:
             raise ValueError(
                 f"oracle subset has size {verts.size}, expected k_minus = {cfg.k_minus}"
             )
-        sub = a[np.ix_(verts, verts)]
         if constraint is not None and not constraint(sub):
             return None, None
         return _triangle_sum(sub), verts
+    a = centered_adjacency(graph, p)
     if cfg.mode == "local-search":
         if rng is None:
             rng = np.random.default_rng(0)

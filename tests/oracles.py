@@ -1,7 +1,7 @@
 """Independently coded reference kernels the tests check the library against."""
 
 import math
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
@@ -81,3 +81,26 @@ def local_search_swap_loop(a, n, k_minus, restarts, rng, constraint=None):
         if val > best_val:
             best_val, best_set = val, current
     return best_val, best_set
+
+
+def canonical_code_by_permutation(v: int, edge_set: frozenset) -> int:
+    """Minimal edge bitmask over all vertex permutations, one permutation at a time."""
+    slots = list(combinations(range(v), 2))
+    best = None
+    for perm in permutations(range(v)):
+        mask = 0
+        for b, (i, j) in enumerate(slots):
+            pi, pj = perm[i], perm[j]
+            if (min(pi, pj), max(pi, pj)) in edge_set:
+                mask |= 1 << b
+        if best is None or mask < best:
+            best = mask
+    return best
+
+
+def automorphisms_by_permutation(v: int, edge_set: frozenset) -> int:
+    """Number of vertex permutations that map the edge set onto itself."""
+    return sum(
+        all((min(perm[i], perm[j]), max(perm[i], perm[j])) in edge_set for i, j in edge_set)
+        for perm in permutations(range(v))
+    )

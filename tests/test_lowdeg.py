@@ -1,12 +1,17 @@
 """Tests for small-graph enumeration and Fourier-coefficient estimation."""
 
 import math
+import tracemalloc
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
+from geodetect import lowdeg
 from geodetect.graphs import ModelParams, Seed
 from geodetect.lowdeg import (
+    FourierEstimate,
+    _edge_indicators,
     enumerate_graphs_upto,
     fourier_coefficient_mc,
     low_degree_advantage,
@@ -15,6 +20,8 @@ from geodetect.lowdeg import (
 )
 from geodetect.sphere import signed_cycle_expectation
 
+from oracles import automorphisms_by_permutation, canonical_code_by_permutation
+
 EDGE = small_graph_from_edges(2, [(0, 1)])
 PATH3 = small_graph_from_edges(3, [(0, 1), (1, 2)])
 PATH4 = small_graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -22,6 +29,7 @@ STAR3 = small_graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
 TRIANGLE = small_graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
 TWO_EDGES = small_graph_from_edges(4, [(0, 1), (2, 3)])
 FOUR_CYCLE = small_graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+PENTAGON = small_graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 
 
 def iso_classes_by_permutation(v):
@@ -91,6 +99,32 @@ class TestCanonicalization:
                         == base.canonical_code
                     )
 
+    @pytest.mark.parametrize("v", [1, 2, 3, 4, 5])
+    def test_codes_match_permutation_oracle(self, v):
+        # every labeled graph on v vertices: table-driven code and automorphism
+        # count against the one-permutation-at-a-time loops
+        slots = list(combinations(range(v), 2))
+        for mask in range(1 << len(slots)):
+            edges = frozenset(slots[b] for b in range(len(slots)) if mask >> b & 1)
+            graph = small_graph_from_edges(v, edges)
+            assert graph.canonical_code == canonical_code_by_permutation(v, edges)
+            assert graph.automorphisms == automorphisms_by_permutation(v, edges)
+
+    @pytest.mark.parametrize(
+        "v, edges",
+        [
+            (6, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+            (6, [(0, 5), (1, 4), (2, 3), (0, 1)]),
+            (7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6)]),
+            (7, [(0, 6), (1, 6), (2, 6), (3, 5)]),
+        ],
+    )
+    def test_codes_match_permutation_oracle_above_enumeration_cap(self, v, edges):
+        graph = small_graph_from_edges(v, edges)
+        edge_set = frozenset(graph.edges)
+        assert graph.canonical_code == canonical_code_by_permutation(v, edge_set)
+        assert graph.automorphisms == automorphisms_by_permutation(v, edge_set)
+
     def test_classification_fields(self):
         assert EDGE.is_forest and EDGE.component_count == 1
         assert PATH3.is_forest
@@ -143,11 +177,33 @@ class TestFourierMc:
         assert abs(ratio - 0.125) <= 3 * se
 
     def test_bartlett_branch_used_for_large_d(self):
-        # v * d above the threshold exercises the batched Gram route
+        # d >= v takes the batched Bartlett Gram route; latents at d = 10,000
+        # would cost 30,000 normals per sample
         params = ModelParams(n=100, p=0.3, d=10_000, k=100)
         est = fourier_coefficient_mc(TRIANGLE, params, 20_000, Seed(36))
         predicted = signed_cycle_expectation(3, 0.3, 10_000).value / (0.21) ** 1.5
         assert abs(est.phi - predicted) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("p, seed", [(0.3, 37), (0.5, 38)])
+    def test_latent_branch_used_below_v(self, p, seed):
+        # d < v has no Bartlett decomposition, so the pentagon at d = 4 draws
+        # latents; k = n makes the coefficient the full-model cycle expectation
+        params = ModelParams(n=5, p=p, d=4, k=5)
+        est = fourier_coefficient_mc(PENTAGON, params, 100_000, Seed(seed))
+        predicted = signed_cycle_expectation(5, p, 4).value / (p * (1 - p)) ** 2.5
+        assert abs(est.phi - predicted) <= 3 * est.stderr
+
+    def test_chunk_memory_is_independent_of_d(self):
+        # at d = 1024 a 2048-sample chunk of latents alone would be 64 MiB
+        params = ModelParams(n=10, p=0.3, d=1024, k=10)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            _edge_indicators(4, FOUR_CYCLE.edges, params, rng, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_embedding_size_guard(self):
         params = ModelParams(n=3, p=0.5, d=8, k=2)
@@ -156,6 +212,28 @@ class TestFourierMc:
 
 
 class TestAdvantage:
+    def test_graph_streams_never_shared_across_masters(self, monkeypatch):
+        # masters 7919 apart: a per-graph offset of 7919·(idx+1) on the master
+        # would hand graph idx of one run the stream of graph idx + 1 of the other
+        first_draws = []
+
+        def record(graph, params, trials, seed):
+            first_draws.append(seed.stream(0, arm=2).integers(2**63))
+            return FourierEstimate(graph=graph, phi=0.0, stderr=1.0, trials=trials)
+
+        monkeypatch.setattr(lowdeg, "fourier_coefficient_mc", record)
+        params = ModelParams(n=60, p=0.5, d=64, k=30)
+        for master in (11, 11 + 7919, 11 + 2 * 7919):
+            low_degree_advantage(params, v_max=5, degree_cap=10, trials=1, seed=Seed(master))
+        assert len(first_draws) == 3 * 23  # graphs with a cycle in every component
+        assert len(set(first_draws)) == len(first_draws)
+
+    def test_direct_calls_keep_the_top_level_stream(self):
+        # a top-level Seed has the empty spawn key: [master, arm, trial] entropy
+        expected = np.random.default_rng(np.random.SeedSequence([36, 2, 0])).random(4)
+        assert np.array_equal(Seed(36).stream(0, arm=2).random(4), expected)
+        assert not np.array_equal(Seed(36).spawn(0).stream(0, arm=2).random(4), expected)
+
     def test_tiny_community_is_noise(self):
         params = ModelParams(n=60, p=0.5, d=64, k=1e-6)
         report = low_degree_advantage(params, v_max=4, degree_cap=6, trials=20_000, seed=Seed(41))

@@ -357,6 +357,15 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_statistic(g, 0.3, cfg, oracle_subset=[1, 2])  # wrong size
 
+    @pytest.mark.parametrize("subset", [[-1, 0, 1], [1, 1, 2], [5, 6, 8]])
+    def test_oracle_subset_validated(self, subset):
+        # a negative index would wrap to n - 1 and a repeat would be scored
+        g = sample_null(8, 0.4, Seed(112).stream(0))
+        cfg = ScanConfig(k_minus=3, mode="planted-oracle", sigma_sq=math.inf, B=math.inf)
+        for scan in (scan_statistic, constrained_scan_statistic):
+            with pytest.raises(ValueError):
+                scan(g, 0.4, cfg, oracle_subset=subset)
+
     def test_exhaustive_spans_several_blocks(self):
         n, k = 18, 6
         assert math.comb(n, k) > stats_mod._CHUNK_BYTES // (8 * k * k)
