@@ -36,7 +36,7 @@ from .graphs import (
     sample_planted_fixed_size,
 )
 from .lowdeg import low_degree_advantage
-from .sphere import signed_cycle_expectation, solve_threshold
+from .sphere import basis_for_density, signed_cycle_expectation, solve_threshold
 from .stats import signed_triangle_count
 
 CSV_COLUMNS = [
@@ -164,6 +164,11 @@ def _threshold_series(kind: str, options: dict, params: ModelParams) -> list:
     return series
 
 
+def _series_failed(res) -> bool:
+    """A series whose truncation rule or coefficient quadrature failed."""
+    return res.truncation_failed or not basis_for_density(res.p, res.d).quad_converged
+
+
 def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed: int):
     """One ResultRow; numerical failures are recorded in-row as NaNs."""
     start = time.monotonic()
@@ -171,7 +176,7 @@ def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed:
         series = _threshold_series(kind, options, params)
         spec = _build_spec(kind, options, params)
         est = estimate_errors(spec, trials, Seed(seed))
-        failed = any(s.truncation_failed for s in series)
+        failed = any(_series_failed(s) for s in series)
         row = {
             "threshold": repr(spec.threshold),
             "type1": repr(est.type1), "type1_hw": repr(est.type1_half_width),
@@ -194,11 +199,23 @@ def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed:
     }, failed
 
 
+def _seed(args, default=0) -> int:
+    """The master seed: --seed, else the config's; a U64 or a config error."""
+    raw = args.seed if args.seed is not None else default
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise ConfigError(f"seed must be an integer, got {raw!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _emit_rows(cfg, args, resume: bool):
     base = _model_from(cfg)
     run = cfg.get("run", {})
     trials = int(args.trials if args.trials is not None else run.get("trials", 200))
-    seed = int(args.seed if args.seed is not None else run.get("seed", 0))
+    seed = _seed(args, run.get("seed", 0))
     workers = int(args.workers if args.workers is not None else run.get("workers", 1))
     out_path = args.out or run.get("out")
     if out_path is None:
@@ -271,7 +288,7 @@ def cmd_cycle_expectation(args) -> int:
         "below_dimension_guard": res.below_dimension_guard,
         "version": __version__,
     }))
-    return 3 if (args.strict and res.truncation_failed) else 0
+    return 3 if (args.strict and _series_failed(res)) else 0
 
 
 def cmd_test(args) -> int:
@@ -293,7 +310,7 @@ def cmd_lowdeg(args) -> int:
     v_max = int(section.get("v_max", 4))
     degree_cap = int(section.get("degree_cap", 10))
     trials = int(args.trials if args.trials is not None else section.get("trials", 20000))
-    seed = int(args.seed if args.seed is not None else 0)
+    seed = _seed(args)
 
     report = low_degree_advantage(params, v_max, degree_cap, trials, Seed(seed))
     rows = []
@@ -335,7 +352,7 @@ def cmd_wishart(args) -> int:
     k = int(section.get("k", 20))
     d = int(section.get("d", 2000))
     trials = int(args.trials if args.trials is not None else section.get("trials", 200))
-    seed = Seed(int(args.seed if args.seed is not None else 0))
+    seed = Seed(_seed(args))
 
     deviations = [
         spectral_deviation(sample_spherical_wishart(k, d, seed.stream(t, arm=5)))
@@ -387,8 +404,7 @@ def cmd_wishart(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    seed = Seed(args.seed if args.seed is not None else 0)
-    rng = seed.stream(0, arm=9)
+    rng = Seed(_seed(args)).stream(0, arm=9)
     if args.model == "null":
         graph = sample_null(args.n, args.p, rng)
     elif args.model == "geometric":
@@ -416,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hidden geometric community simulation and detection toolkit",
     )
     parser.add_argument("--strict", action="store_true",
-                        help="exit 3 on numerical failures (series truncation flags)")
+                        help="exit 3 on numerical failures (series truncation or "
+                             "quadrature convergence flags)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tau = sub.add_parser("tau", help="solve the cap threshold tau(p, d)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,30 +223,36 @@ def _scan_config(spec: TestSpec) -> ScanConfig:
     )
 
 
-def statistic_value(spec: TestSpec, graph: Graph, oracle_subset=None):
-    """The raw statistic for a graph, or None for an infeasible constrained scan."""
-    if spec.kind == "global-triangle":
-        return signed_triangle_count(graph, spec.params.p)
-    if spec.kind == "cycle":
-        return signed_cycle_count(graph, spec.params.p, spec.ell)
-    cfg = _scan_config(spec)
+def _statistic(kind: str, p: float, ell, cfg: ScanConfig, graph: Graph, oracle_subset):
+    if kind == "global-triangle":
+        return signed_triangle_count(graph, p)
+    if kind == "cycle":
+        return signed_cycle_count(graph, p, ell)
     if cfg.mode == "planted-oracle" and oracle_subset is None:
         # under the null there is no community; exchangeability makes any
         # fixed subset equivalent, so use the first k_minus vertices
         oracle_subset = np.arange(cfg.k_minus)
-    if spec.kind == "scan":
-        value, _ = scan_statistic(graph, spec.params.p, cfg, oracle_subset)
+    if kind == "scan":
+        value, _ = scan_statistic(graph, p, cfg, oracle_subset)
     else:
-        value, _ = constrained_scan_statistic(graph, spec.params.p, cfg, oracle_subset)
+        value, _ = constrained_scan_statistic(graph, p, cfg, oracle_subset)
     return value
+
+
+def statistic_value(spec: TestSpec, graph: Graph, oracle_subset=None):
+    """The raw statistic for a graph, or None for an infeasible constrained scan."""
+    return _statistic(
+        spec.kind, spec.params.p, spec.ell, _scan_config(spec), graph, oracle_subset
+    )
+
+
+def _decide(value, threshold: float) -> str:
+    return "planted" if value is not None and value > threshold else "null"
 
 
 def run_test(spec: TestSpec, graph: Graph, oracle_subset=None) -> str:
     """Decide 'planted' or 'null'; strict inequality, infeasible scans say 'null'."""
-    value = statistic_value(spec, graph, oracle_subset)
-    if value is None:
-        return "null"
-    return "planted" if value > spec.threshold else "null"
+    return _decide(statistic_value(spec, graph, oracle_subset), spec.threshold)
 
 
 @dataclass(frozen=True)
@@ -270,11 +277,24 @@ class ErrorEstimate:
 _NULL_ARM, _PLANTED_ARM = 0, 1
 
 
+@lru_cache(maxsize=1 << 14)
+def _null_statistic(kind: str, n: int, p: float, ell, cfg: ScanConfig, seed: Seed, trial: int):
+    """Statistic of a seeded null draw.
+
+    The key holds exactly what the null draw and the statistic read: no d or
+    threshold, and k only through k_minus.  A sweep over d therefore draws and
+    scores each null graph once.
+    """
+    graph = sample_null(n, p, seed.stream(trial, arm=_NULL_ARM))
+    return _statistic(kind, p, ell, cfg, graph, None)
+
+
 def _null_trial(spec: TestSpec, seed: Seed, trial: int) -> bool:
     """True when the null draw raises a false alarm."""
-    rng = seed.stream(trial, arm=_NULL_ARM)
-    graph = sample_null(spec.params.n, spec.params.p, rng)
-    return run_test(spec, graph) == "planted"
+    value = _null_statistic(
+        spec.kind, spec.params.n, spec.params.p, spec.ell, _scan_config(spec), seed, trial
+    )
+    return _decide(value, spec.threshold) == "planted"
 
 
 def _planted_trial(spec: TestSpec, seed: Seed, trial: int):

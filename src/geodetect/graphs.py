@@ -36,12 +36,6 @@ __all__ = [
     "sample_planted_fixed_size",
 ]
 
-# Above this many latent matrix entries (|S| * d) the samplers switch to the
-# exact Gram-matrix route (Bartlett decomposition of the Wishart ensemble)
-# instead of materializing latent vectors.  Distributionally identical.
-LATENT_ELEMENT_LIMIT = 20_000_000
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Planted-model parameter tuple (n, p, d, k); k is the *expected* community size."""
@@ -194,8 +188,9 @@ class Graph:
 class PlantedSample:
     """A planted draw: graph, hidden community mask, latents for community vertices.
 
-    `latents` has one row per community vertex in ascending vertex order; it is
-    None when the sampler used the Gram-matrix route for very large d.
+    `latents` has one row per community vertex in ascending vertex order.  They
+    exist iff d < |S|; for d >= |S| the Gram block comes from the Bartlett route
+    and `latents` is None.
     """
 
     graph: Graph
@@ -215,18 +210,28 @@ class PlantedSample:
         return self.latents[row]
 
 
+_WORD = 2**32
+
+
 @dataclass(frozen=True)
 class Seed:
     """Master seed with a stable per-trial stream derivation rule.
 
     Identical (master, key, arm, trial) always yields a bit-identical sample
-    within this implementation, no matter how trials are scheduled.  key is
-    the SeedSequence spawn key of a child seed (see spawn); a top-level seed
-    has the empty key.
+    within this implementation, no matter how trials are scheduled, and two
+    different tuples never share entropy.  master lies in [0, 2**64); arm,
+    trial and the spawn-key entries lie in [0, 2**32).  key is the
+    SeedSequence spawn key of a child seed (see spawn); a top-level seed has
+    the empty key.
     """
 
     master: int
     key: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if not 0 <= self.master < 2**64:
+            raise ValueError(f"master seed must lie in [0, 2**64), got {self.master}")
+        _check_word("spawn key entry", *self.key)
 
     def spawn(self, child: int) -> Seed:
         """Child seed with spawn key key + (child,).
@@ -236,11 +241,22 @@ class Seed:
         return Seed(self.master, (*self.key, int(child)))
 
     def stream(self, trial: int, arm: int = 0) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(
-                [int(self.master), int(arm), int(trial)], spawn_key=self.key
-            )
-        )
+        master, arm, trial = int(self.master), int(arm), int(trial)
+        _check_word("arm and trial", arm, trial)
+        # SeedSequence turns the list into 32-bit words, splitting an int >=
+        # 2**32 in two, and pads fewer than four words with zeros: a one-word
+        # master reads as (master, arm, trial, 0).  A two-word master goes
+        # last, where its nonzero high word keeps the fourth word apart.
+        if master < _WORD:
+            entropy = [master, arm, trial]
+        else:
+            entropy = [arm, trial, master % _WORD, master // _WORD]
+        return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=self.key))
+
+
+def _check_word(what: str, *values):
+    if not all(0 <= v < _WORD for v in values):
+        raise ValueError(f"{what} must lie in [0, 2**32), got {values}")
 
 
 def _tau(p: float, d: int) -> float:
@@ -266,21 +282,24 @@ def _unit_gram(
     """Gram matrices of s i.i.d. uniform unit vectors on S^{d-1}, batched over shape.
 
     Returns (gram, latents) with shapes shape + (s, s) and shape + (s, d).  The
-    latent route materializes the latents; it is the default while
-    s*d <= LATENT_ELEMENT_LIMIT or d < s.  Otherwise (latent=False, needs
-    d >= s) the Wishart Bartlett decomposition gives the same Gram law exactly:
-    W = L L^T with L_ii^2 ~ chi^2_{d-i+1}, L_ij ~ N(0,1), and the normalized
-    W_ij / sqrt(W_ii W_jj) equals <Z_i, Z_j>/(|Z_i||Z_j|) in law; latents are
-    None there.  Only off-diagonal entries are meaningful.
+    route rule is latents iff d < s: the latent route materializes the latents
+    only where the Bartlett decomposition does not exist.  For d >= s the Wishart
+    Bartlett decomposition gives the same Gram law exactly, at O(s^2) draws
+    whatever d is: W = L L^T with L_ii^2 ~ chi^2_{d-i+1} and the s(s-1)/2
+    strictly-lower L_ij ~ N(0,1), and the normalized W_ij / sqrt(W_ii W_jj)
+    equals <Z_i, Z_j>/(|Z_i||Z_j|) in law; latents are None there.  latent=True
+    forces the latent route.  Only off-diagonal entries are meaningful.
     """
     shape = tuple(shape)
     if latent is None:
-        latent = s * d <= LATENT_ELEMENT_LIMIT or d < s
+        latent = d < s
     if latent:
         u = sample_uniform_sphere(d, rng, size=(*shape, s))
         return u @ u.swapaxes(-1, -2), u
     diag = np.sqrt(rng.chisquare(np.broadcast_to(d - np.arange(s), (*shape, s))))
-    low = np.tril(rng.standard_normal((*shape, s, s)), k=-1)
+    rows, cols = np.tril_indices(s, k=-1)
+    low = np.zeros((*shape, s, s))
+    low[..., rows, cols] = rng.standard_normal((*shape, rows.size))
     idx = np.arange(s)
     low[..., idx, idx] = diag
     w = low @ low.swapaxes(-1, -2)
@@ -294,8 +313,8 @@ def sample_full_geometric(
 ) -> tuple[Graph, np.ndarray | None]:
     """Full geometric model: n latents, edge iff inner product >= tau(p, d).
 
-    Returns (graph, latents); latents is None when the sampler used the
-    Gram route for very large d.
+    Returns (graph, latents); latents exist iff d < n, and are None on the
+    Gram route that every d >= n takes.
     """
     n = int(n)
     tau = _tau(p, d)

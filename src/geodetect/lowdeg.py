@@ -173,12 +173,12 @@ def _edge_indicators(
     Only the v embedding vertices matter, so the whole n-vertex graph is never
     built: membership bits, a v x v Gram block, and Bernoulli fills reproduce
     the exact marginal law.  The Gram block comes from the Bartlett route (v
-    chi-squares and a v x v normal block per sample) whenever d >= v; only
-    d < v draws, and briefly holds, the batch's v*d latent coordinates.
+    chi-squares and v(v-1)/2 normals per sample) whenever d >= v; only d < v
+    draws, and briefly holds, the batch's v*d latent coordinates.
     """
     tau = solve_threshold(params.p, params.d).tau
     member = rng.random((batch, v)) < params.k / params.n
-    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,), latent=params.d < v)
+    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,))
     out = np.empty((batch, len(pairs)))
     for col, (i, j) in enumerate(pairs):
         both = member[:, i] & member[:, j]

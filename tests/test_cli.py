@@ -130,6 +130,32 @@ class TestTestCommand:
             assert main(args) == code, section
 
 
+    def test_strict_reads_quadrature_convergence(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import geodetect.cli as cli_mod
+
+        real = cli_mod.basis_for_density
+        monkeypatch.setattr(
+            cli_mod,
+            "basis_for_density",
+            lambda p, d: dataclasses.replace(real(p, d), quad_converged=False),
+        )
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG)
+        out = tmp_path / "rows.csv"
+        args = ["test", "--config", str(cfg), "--out", str(out), "--trials", "2"]
+        assert main(args) == 0
+        header = out.read_text().splitlines()[0]
+        assert main(["--strict", *args]) == 3
+        assert out.read_text().splitlines()[0] == header
+        cyc = ["cycle-expectation", "--ell", "3", "--p", "0.3", "--d", "64"]
+        assert main(cyc) == 0
+        keys = set(json.loads(capsys.readouterr().out))
+        assert main(["--strict", *cyc]) == 3
+        assert set(json.loads(capsys.readouterr().out)) == keys
+
+
 class TestSweepCommand:
     def test_axes_and_resume(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -158,6 +184,44 @@ class TestSweepCommand:
         assert main(["test", "--config", str(cfg), "--out", str(out_test)]) == 0
         assert strip_wall(read_rows(out_sweep)) == strip_wall(read_rows(out_test))
 
+    def test_null_arm_drawn_once_per_trial(self, tmp_path, monkeypatch):
+        import geodetect.detection as detection_mod
+
+        calls = []
+        real = detection_mod.sample_null
+
+        def counted(n, p, rng):
+            calls.append(n)
+            return real(n, p, rng)
+
+        monkeypatch.setattr(detection_mod, "sample_null", counted)
+        detection_mod._null_statistic.cache_clear()
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16,32\n")
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--trials", "6"]) == 0
+        assert len(read_rows(out)) == 3
+        assert len(calls) == 6
+
+    def test_null_memo_changes_no_row(self, tmp_path):
+        import geodetect.detection as detection_mod
+
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16,32\n")
+        cold, warm, resumed = tmp_path / "cold.csv", tmp_path / "warm.csv", tmp_path / "r.csv"
+        args = ["sweep", "--config", str(cfg), "--trials", "10", "--out"]
+        detection_mod._null_statistic.cache_clear()
+        assert main([*args, str(cold)]) == 0
+        assert main([*args, str(warm)]) == 0
+        # an interrupted run: header and first row only, finished cold with --resume
+        resumed.write_text("".join(cold.read_text().splitlines(keepends=True)[:2]))
+        detection_mod._null_statistic.cache_clear()
+        assert main([*args, str(resumed), "--resume"]) == 0
+        expected = strip_wall(read_rows(cold))
+        assert len(expected) == 3
+        assert strip_wall(read_rows(warm)) == expected
+        assert strip_wall(read_rows(resumed)) == expected
+
     def test_logrange_axis(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = logrange:4:4096:4\n")
@@ -184,6 +248,18 @@ class TestConfigValidation:
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["test", "--config", str(tmp_path / "nope.ini"), "--out", "x.csv"]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_u64_rejected(self, tmp_path, seed):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG)
+        out = tmp_path / "rows.csv"
+        assert main(["test", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 2
+        cfg.write_text(BASE_CONFIG.replace("seed = 7", f"seed = {seed}"))
+        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 2
+        sample = ["sample", "--model", "null", "--n", "5", "--p", "0.5", "--out", str(out)]
+        assert main([*sample, "--seed", seed]) == 2
+        assert main([*sample, "--seed", str(2**64 - 1)]) == 0
 
     def test_scientific_notation_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -116,6 +116,39 @@ class TestSeed:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_streams_never_alias_across_masters(self):
+        # SeedSequence splits a master >= 2**32 into two words; these tuples
+        # would otherwise share entropy words
+        assert not np.array_equal(
+            Seed(2**32 + 12345).stream(0, arm=7).random(4),
+            Seed(12345).stream(7, arm=1).random(4),
+        )
+        masters = [0, 1, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**32 + 7, 7 * 2**32, 2**64 - 1]
+        seeds = [Seed(m) for m in masters] + [Seed(m).spawn(c) for m in masters for c in (0, 1, 7)]
+        first = {
+            seed.stream(t, arm=a).integers(2**63)
+            for seed in seeds
+            for a in (0, 1, 7)
+            for t in (0, 1, 7)
+        }
+        assert len(first) == len(seeds) * 9
+
+    def test_one_word_masters_keep_their_streams(self):
+        for master, arm, trial in ((0, 0, 0), (12345, 1, 7), (2**32 - 1, 9, 3)):
+            expected = np.random.default_rng(np.random.SeedSequence([master, arm, trial]))
+            assert Seed(master).stream(trial, arm=arm).random() == expected.random()
+
+    def test_out_of_range_rejected(self):
+        for master in (-1, 2**64):
+            with pytest.raises(ValueError):
+                Seed(master)
+        with pytest.raises(ValueError):
+            Seed(1).stream(-1)
+        with pytest.raises(ValueError):
+            Seed(1).stream(0, arm=2**32)
+        with pytest.raises(ValueError):
+            Seed(1).spawn(2**32)
+
 
 class TestSampleNull:
     def test_degenerate(self):
@@ -168,12 +201,11 @@ class TestFullGeometric:
     def test_high_dimension_kills_triangle_signal(self):
         from geodetect.sphere import signed_cycle_expectation
 
-        # d = 1e6 forces the Gram route; the signed-triangle mean is consistent
-        # with the vanishing series prediction, itself far below the per-draw
-        # noise (signal ~ 1/sqrt(d))
+        # d = 1e6 >= n takes the Gram route; the signed-triangle mean is
+        # consistent with the vanishing series prediction, itself far below the
+        # per-draw noise (signal ~ 1/sqrt(d))
         seed = Seed(6)
         trials, n, p, d = 10_000, 50, 0.3, 10**6
-        assert n * d > graphs_mod.LATENT_ELEMENT_LIMIT
         vals = np.empty(trials)
         for t in range(trials):
             g, latents = sample_full_geometric(n, p, d, seed.stream(t))
@@ -184,10 +216,9 @@ class TestFullGeometric:
         assert abs(vals.mean() - predicted) <= 3 * se
         assert predicted <= 0.1 * vals.std()  # drowned by per-draw noise
 
-    def test_gram_route_matches_direct_route(self, monkeypatch):
-        # force the Bartlett path (needs d >= n) and compare edge marginals
+    def test_gram_route_matches_direct_route(self):
+        # d >= n takes the Bartlett route; compare edge marginals
         trials, n, p, d = 30_000, 6, 0.2, 8
-        monkeypatch.setattr(graphs_mod, "LATENT_ELEMENT_LIMIT", 0)
         seed = Seed(4)
         count = 0
         for t in range(trials):
@@ -214,6 +245,44 @@ class TestUnitGram:
             assert np.max(np.abs(lat1[0] - lat)) <= 1e-12
         else:
             assert lat is None and lat1 is None
+
+    @pytest.mark.parametrize("s, d, latent", [(5, 4, True), (5, 5, False), (5, 6, False)])
+    def test_latents_iff_dimension_below_size(self, s, d, latent):
+        # d == s is the first dimension at which the Bartlett route exists
+        gram, lat = graphs_mod._unit_gram(s, d, np.random.default_rng(0))
+        assert gram.shape == (s, s)
+        assert (lat is not None) == latent
+        _, lat = sample_full_geometric(s, 0.3, d, np.random.default_rng(0))
+        assert (lat is not None) == latent
+        params = ModelParams(n=s, p=0.3, d=d, k=s)
+        planted = sample_planted_fixed_community(range(s), params, np.random.default_rng(0))
+        assert (planted.latents is not None) == latent
+
+    @pytest.mark.parametrize("latent", [True, False])
+    def test_gram_law_on_both_routes(self, latent):
+        # an off-diagonal entry of a uniform unit-vector Gram matrix has mean 0,
+        # variance 1/d and fourth moment 3/(d(d+2)); distinct entries are
+        # uncorrelated, and so are their squares
+        s, d, batch = 6, 8, 40_000
+        gram, _ = graphs_mod._unit_gram(
+            s, d, np.random.default_rng(11), shape=(batch,), latent=latent
+        )
+        iu = np.triu_indices(s, k=1)
+        x = gram[:, iu[0], iu[1]].ravel()
+        assert abs(x.mean()) <= 3 * math.sqrt(1 / d / x.size)
+        var_se = math.sqrt((3 / (d * (d + 2)) - 1 / d**2) / x.size)
+        assert abs(np.mean(x**2) - 1 / d) <= 3 * var_se
+
+    def test_bartlett_route_draws_only_lower_normals(self):
+        # s chi-squares, then s(s-1)/2 normals: the generator's next draw
+        # follows exactly after them
+        s, d = 6, 40
+        rng = np.random.default_rng(5)
+        graphs_mod._unit_gram(s, d, rng)
+        ref = np.random.default_rng(5)
+        ref.chisquare(d - np.arange(s))
+        ref.standard_normal(s * (s - 1) // 2)
+        assert rng.random() == ref.random()
 
     def test_one_threshold_solve_per_density_and_dimension(self):
         # a (p, d) no other test uses, so its first solve is a cache miss
