@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import math
@@ -61,6 +62,15 @@ class ConfigError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _section_values(section: str):
+    """Report a non-numeric or out-of-range value read in the block as a config error."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def _parse_axis(text: str) -> list[float]:
     text = text.strip()
     if text.startswith("logrange:"):
@@ -96,9 +106,10 @@ def _model_from(cfg: dict) -> ModelParams:
     if "model" not in cfg:
         raise ConfigError("config needs a [model] section")
     m = cfg["model"]
-    return ModelParams(
-        n=int(float(m["n"])), p=float(m["p"]), d=int(float(m["d"])), k=float(m["k"])
-    )
+    with _section_values("model"):
+        return ModelParams(
+            n=int(float(m["n"])), p=float(m["p"]), d=int(float(m["d"])), k=float(m["k"])
+        )
 
 
 def _test_sections(cfg: dict) -> list[tuple[str, dict]]:
@@ -113,16 +124,17 @@ def _grid_points(cfg: dict, base: ModelParams) -> list[ModelParams]:
     axes = {
         "n": [base.n], "p": [base.p], "d": [base.d], "k": [base.k],
     }
-    for key, text in sweep.items():
-        axes[key] = _parse_axis(text)
     points = []
-    for n in axes["n"]:
-        for p in axes["p"]:
-            for d in axes["d"]:
-                for k in axes["k"]:
-                    points.append(
-                        ModelParams(n=int(round(n)), p=float(p), d=int(round(d)), k=float(k))
-                    )
+    with _section_values("sweep"):
+        for key, text in sweep.items():
+            axes[key] = _parse_axis(text)
+        for n in axes["n"]:
+            for p in axes["p"]:
+                for d in axes["d"]:
+                    for k in axes["k"]:
+                        points.append(ModelParams(
+                            n=int(round(n)), p=float(p), d=int(round(d)), k=float(k)
+                        ))
     if len(points) > 10_000:
         raise ConfigError(f"sweep grid has {len(points)} points; the cap is 10000")
     return points
@@ -349,9 +361,12 @@ def cmd_lowdeg(args) -> int:
 def cmd_wishart(args) -> int:
     cfg = load_config(args.config)
     section = cfg.get("wishart", {})
-    k = int(section.get("k", 20))
-    d = int(section.get("d", 2000))
-    trials = int(args.trials if args.trials is not None else section.get("trials", 200))
+    with _section_values("wishart"):
+        k = int(float(section.get("k", 20)))
+        d = int(float(section.get("d", 2000)))
+        trials = int(float(args.trials if args.trials is not None else section.get("trials", 200)))
+        if min(k, d, trials) < 1:
+            raise ValueError(f"k, d and trials must be >= 1, got {k}, {d} and {trials}")
     seed = Seed(_seed(args))
 
     deviations = [
@@ -370,10 +385,13 @@ def cmd_wishart(args) -> int:
 
     route = None
     if "n" in section:
-        n = int(section["n"])
-        size = int(section.get("community_size", n // 2))
-        p = float(section.get("p", 0.5))
-        params = ModelParams(n=n, p=p, d=d, k=max(size, 1))
+        with _section_values("wishart"):
+            n = int(float(section["n"]))
+            size = int(float(section.get("community_size", n // 2)))
+            if not 0 <= size <= n:
+                raise ValueError(f"community_size must lie in [0, n], got {size} with n={n}")
+            p = float(section.get("p", 0.5))
+            params = ModelParams(n=n, p=p, d=d, k=max(size, 1))
         community = np.arange(size)
         comp_edges, comp_tri, dir_edges, dir_tri = 0.0, 0.0, 0.0, 0.0
         m = n * (n - 1) // 2

@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
 
-from .graphs import Graph, ModelParams, _unit_gram, pair_index, symmetric_matrix
-from .sphere import solve_threshold
+from .graphs import (
+    Graph,
+    ModelParams,
+    _bartlett_wishart,
+    _tau,
+    _unit_gram,
+    pair_index,
+    symmetric_matrix,
+)
 
 __all__ = [
     "EnsembleDraw",
@@ -36,7 +44,11 @@ ENSEMBLE_KINDS = ("goe-shifted", "wishart", "spherical-wishart")
 
 @dataclass(frozen=True)
 class EnsembleDraw:
-    """One symmetric matrix draw, with latent Gaussians retained for Wishart."""
+    """One symmetric matrix draw.
+
+    latents holds the Wishart or spherical-Wishart vectors only when d < k,
+    where the Bartlett decomposition does not exist; it is None otherwise.
+    """
 
     kind: str
     matrix: np.ndarray
@@ -63,22 +75,41 @@ def sample_goe_shifted(n: int, d: float, rng: np.random.Generator) -> EnsembleDr
 
 
 def sample_wishart(k: int, d: int, rng: np.random.Generator) -> EnsembleDraw:
-    """Gram matrix of k i.i.d. standard Gaussian d-vectors, latents retained."""
+    """Gram matrix of k i.i.d. standard Gaussian d-vectors.
+
+    For d >= k the exact Bartlett draw, at O(k^2) normals and no latents; only
+    for d < k are the k x d latents drawn, and then they are kept.
+    """
     k, d = int(k), int(d)
     if k < 1 or d < 1:
         raise ValueError(f"k and d must be >= 1, got k={k}, d={d}")
+    if d >= k:
+        return EnsembleDraw(kind="wishart", matrix=_bartlett_wishart(k, d, rng), d=d)
     z = rng.standard_normal((k, d))
     return EnsembleDraw(kind="wishart", matrix=z @ z.T, d=d, latents=z)
 
 
 def sample_spherical_wishart(k: int, d: int, rng: np.random.Generator) -> EnsembleDraw:
-    """Gram matrix of k i.i.d. uniform unit vectors; unit diagonal exactly."""
+    """Gram matrix of k i.i.d. uniform unit vectors; unit diagonal exactly.
+
+    Follows the route rule of the graph samplers: the unit vectors are drawn,
+    and kept as latents, only for d < k.
+    """
     k, d = int(k), int(d)
     if k < 1 or d < 1:
         raise ValueError(f"k and d must be >= 1, got k={k}, d={d}")
-    gram, u = _unit_gram(k, d, rng, latent=True)
+    gram, u = _unit_gram(k, d, rng)
     np.fill_diagonal(gram, 1.0)
     return EnsembleDraw(kind="spherical-wishart", matrix=gram, d=d, latents=u)
+
+
+@lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), built once per order and shared read-only."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -95,8 +126,7 @@ def threshold_map_alpha(m, p: float, d: float) -> Graph:
     x = _as_matrix(m)
     n = x.shape[0]
     cut = math.sqrt(d) * float(ndtri(1.0 - p))
-    iu = np.triu_indices(n, k=1)
-    return Graph(n, x[iu] >= cut)
+    return Graph(n, x[_upper_pairs(n)] >= cut)
 
 
 def threshold_map_beta(w, tau: float) -> Graph:
@@ -111,7 +141,7 @@ def threshold_map_beta(w, tau: float) -> Graph:
             "map needs a strictly positive diagonal"
         )
     scale = np.sqrt(diag)
-    iu = np.triu_indices(n, k=1)
+    iu = _upper_pairs(n)
     ratio = x[iu] / (scale[iu[0]] * scale[iu[1]])
     return Graph(n, ratio > tau)
 
@@ -133,10 +163,10 @@ def composite_planted_graph(
     edges_graph = threshold_map_alpha(goe, params.p, params.d)
     edges = np.array(edges_graph.edges)  # writable copy
     if members.size >= 2:
-        tau = solve_threshold(params.p, params.d).tau
+        tau = _tau(params.p, params.d)
         wish = sample_wishart(members.size, params.d, rng)
         inner = threshold_map_beta(wish, tau)
-        su, sv = np.triu_indices(members.size, k=1)
+        su, sv = _upper_pairs(members.size)
         edges[pair_index(members[su], members[sv], n)] = inner.edges
     return Graph(n, edges)
 

@@ -283,12 +283,11 @@ def _unit_gram(
 
     Returns (gram, latents) with shapes shape + (s, s) and shape + (s, d).  The
     route rule is latents iff d < s: the latent route materializes the latents
-    only where the Bartlett decomposition does not exist.  For d >= s the Wishart
-    Bartlett decomposition gives the same Gram law exactly, at O(s^2) draws
-    whatever d is: W = L L^T with L_ii^2 ~ chi^2_{d-i+1} and the s(s-1)/2
-    strictly-lower L_ij ~ N(0,1), and the normalized W_ij / sqrt(W_ii W_jj)
-    equals <Z_i, Z_j>/(|Z_i||Z_j|) in law; latents are None there.  latent=True
-    forces the latent route.  Only off-diagonal entries are meaningful.
+    only where the Bartlett decomposition does not exist.  For d >= s the
+    normalized W_ij / sqrt(W_ii W_jj) of a Bartlett Wishart draw (see
+    _bartlett_wishart) equals <Z_i, Z_j>/(|Z_i||Z_j|) in law, at O(s^2) draws
+    whatever d is; latents are None there.  latent=True forces the latent
+    route.  Only off-diagonal entries are meaningful.
     """
     shape = tuple(shape)
     if latent is None:
@@ -296,16 +295,27 @@ def _unit_gram(
     if latent:
         u = sample_uniform_sphere(d, rng, size=(*shape, s))
         return u @ u.swapaxes(-1, -2), u
-    diag = np.sqrt(rng.chisquare(np.broadcast_to(d - np.arange(s), (*shape, s))))
-    rows, cols = np.tril_indices(s, k=-1)
-    low = np.zeros((*shape, s, s))
-    low[..., rows, cols] = rng.standard_normal((*shape, rows.size))
+    w = _bartlett_wishart(s, d, rng, shape)
     idx = np.arange(s)
-    low[..., idx, idx] = diag
-    w = low @ low.swapaxes(-1, -2)
     norms = np.sqrt(w[..., idx, idx])
     w /= norms[..., :, None] * norms[..., None, :]
     return w, None
+
+
+def _bartlett_wishart(s: int, d: int, rng: np.random.Generator, shape=()) -> np.ndarray:
+    """Wishart(I_s, d) draws W = L L^T from the Bartlett factor; needs d >= s.
+
+    W has exactly the law of Z Z^T for an s x d standard Gaussian Z, at O(s^2)
+    draws whatever d is: s chi-squares L_ii^2 ~ chi^2_{d-i+1}, then the
+    s(s-1)/2 strictly-lower L_ij ~ N(0,1).  Returns shape + (s, s).
+    """
+    diag = np.sqrt(rng.chisquare(np.broadcast_to(d - np.arange(s), (*shape, s))))
+    strict_lower = np.tri(s, k=-1, dtype=bool)  # filled in row-major order
+    low = np.zeros((*shape, s, s))
+    low[..., strict_lower] = rng.standard_normal((*shape, s * (s - 1) // 2))
+    idx = np.arange(s)
+    low[..., idx, idx] = diag
+    return low @ low.swapaxes(-1, -2)
 
 
 def sample_full_geometric(

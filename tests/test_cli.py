@@ -261,6 +261,39 @@ class TestConfigValidation:
         assert main([*sample, "--seed", seed]) == 2
         assert main([*sample, "--seed", str(2**64 - 1)]) == 0
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param("wishart", "[wishart]\nk = 0\n", id="wishart-k"),
+            pytest.param("wishart", "[wishart]\nk = 4\ntrials = 0\n", id="wishart-trials"),
+            pytest.param(
+                "wishart", "[wishart]\nk = 4\ntrials = 5\nn = 10\ncommunity_size = 20\n",
+                id="wishart-community-size",
+            ),
+            pytest.param(
+                "wishart", "[wishart]\nk = 4\nd = 2\ntrials = 5\nn = 10\n", id="wishart-route-d"
+            ),
+            pytest.param("wishart", "[wishart]\nk = four\n", id="wishart-non-numeric"),
+            pytest.param("test", BASE_CONFIG.replace("d = 8", "d = 0"), id="model-d"),
+            pytest.param("lowdeg", BASE_CONFIG.replace("d = 8", "d = 0"), id="lowdeg-model-d"),
+            pytest.param("test", BASE_CONFIG.replace("p = 0.5", "p = x"), id="model-non-numeric"),
+            pytest.param("test", BASE_CONFIG.replace("n = 40", "n = inf"), id="model-infinite"),
+            pytest.param("sweep", BASE_CONFIG + "\n[sweep]\nd = 0,8\n", id="sweep-d"),
+            pytest.param("sweep", BASE_CONFIG + "\n[sweep]\nd = logrange:4:64\n", id="sweep-axis"),
+        ],
+    )
+    def test_bad_value_rejected(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: [")
+
+    def test_wishart_trials_flag_checked(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[wishart]\nk = 4\n")
+        assert main(["wishart", "--config", str(cfg), "--trials", "0"]) == 2
+
     def test_scientific_notation_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG.replace("d = 8", "d = 1e2"))

@@ -57,7 +57,7 @@ class TestWishart:
         iu = np.triu_indices(k, k=1)
         for t in range(draws):
             w = sample_wishart(k, d, seed.stream(t))
-            assert w.latents.shape == (k, d)
+            assert w.latents is None  # d >= k: the Bartlett route
             diag.append(np.diag(w.matrix))
             off.append(w.matrix[iu])
         diag = np.concatenate(diag)
@@ -66,13 +66,14 @@ class TestWishart:
         assert abs(off.mean()) <= 3 * math.sqrt(d / off.size)
 
     def test_norm_concentration_event(self):
-        # all k latent norms within 10% of sqrt(d), vs the stated bound
+        # all k latent norms within 10% of sqrt(d), vs the stated bound; the
+        # squared norms are the diagonal W_ii = |Z_i|^2, chi^2_d on either route
         seed = Seed(53)
         k, d, draws = 10, 2000, 400
         hits = 0
         for t in range(draws):
             w = sample_wishart(k, d, seed.stream(t))
-            norms = np.linalg.norm(w.latents, axis=1) / math.sqrt(d)
+            norms = np.sqrt(np.diag(w.matrix) / d)
             hits += bool(np.all((norms >= 0.9) & (norms <= 1.1)))
         rate = hits / draws
         assert rate >= 1 - 2 * k * math.exp(-d / 1000)
@@ -82,6 +83,23 @@ class TestWishart:
         for t in range(40):
             w = sample_wishart(8, 5, Seed(54).stream(t)).matrix
             assert np.linalg.eigvalsh(w).min() >= -1e-8
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_ensemble_latents_iff_dimension_below_order(d):
+    # d == k is the first dimension at which the Bartlett route exists; below
+    # it both samplers keep their latent draws bit for bit
+    k = 5
+    wish = sample_wishart(k, d, np.random.default_rng(7))
+    sph = sample_spherical_wishart(k, d, np.random.default_rng(7))
+    assert (wish.latents is not None) == (d < k)
+    assert (sph.latents is not None) == (d < k)
+    if d < k:
+        z = np.random.default_rng(7).standard_normal((k, d))
+        assert np.array_equal(wish.latents, z)
+        assert np.array_equal(wish.matrix, z @ z.T)
+        iu = np.triu_indices(k, k=1)
+        assert np.array_equal(sph.matrix[iu], (sph.latents @ sph.latents.T)[iu])
 
 
 class TestSphericalWishart:
@@ -243,9 +261,14 @@ class TestCompositeRoute:
         se = math.sqrt(0.25 / total)
         assert abs(count / total - 0.5) <= 3 * se
 
+    def test_density_one_is_complete(self):
+        params = ModelParams(n=10, p=1.0, d=8, k=5)
+        g = composite_planted_graph(range(5), params, Seed(64).stream(0))
+        assert g.edge_count == 45
+
     @pytest.mark.parametrize(
         "n,size,p,d",
-        [(12, 6, 0.5, 8), (14, 9, 0.3, 16), (16, 8, 0.5, 6)],
+        [(12, 6, 0.5, 8), (14, 9, 0.3, 16), (16, 8, 0.5, 6), (30, 15, 0.5, 32)],
     )
     def test_route_equivalence(self, n, size, p, d):
         # matrix route and direct sampler agree on edge marginal, triangle
