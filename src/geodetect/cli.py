@@ -36,7 +36,7 @@ from .graphs import (
     sample_planted_fixed_community,
     sample_planted_fixed_size,
 )
-from .lowdeg import low_degree_advantage
+from .lowdeg import V_MAX, low_degree_advantage
 from .sphere import basis_for_density, signed_cycle_expectation, solve_threshold
 from .stats import signed_triangle_count
 
@@ -319,9 +319,13 @@ def cmd_lowdeg(args) -> int:
     cfg = load_config(args.config)
     params = _model_from(cfg)
     section = cfg.get("lowdeg", {})
-    v_max = int(section.get("v_max", 4))
-    degree_cap = int(section.get("degree_cap", 10))
-    trials = int(args.trials if args.trials is not None else section.get("trials", 20000))
+    with _section_values("lowdeg"):
+        v_max = int(float(section.get("v_max", 4)))
+        degree_cap = int(float(section.get("degree_cap", 10)))
+        trials = int(float(args.trials if args.trials is not None else section.get("trials", 20000)))
+        cap = min(V_MAX, params.n)  # the enumeration cap; an embedding needs v <= n
+        if trials < 1 or v_max > cap:
+            raise ValueError(f"need trials >= 1 and v_max <= {cap}, got {trials} and {v_max}")
     seed = _seed(args)
 
     report = low_degree_advantage(params, v_max, degree_cap, trials, Seed(seed))

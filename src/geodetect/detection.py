@@ -9,7 +9,6 @@ declared only when the statistic strictly exceeds the threshold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -311,29 +310,21 @@ def _planted_trial(spec: TestSpec, seed: Seed, trial: int):
     return run_test(spec, sample.graph, oracle) == "null"
 
 
-def estimate_errors(
-    spec: TestSpec, trials: int, seed: Seed | int, workers: int = 1
-) -> ErrorEstimate:
+def estimate_errors(spec: TestSpec, trials: int, seed: Seed | int) -> ErrorEstimate:
     """Estimate type I / type II errors over seeded, order-independent trials.
 
     Planted trials whose community size falls outside [k_minus, k_plus] are
     excluded and counted rather than resampled, so the membership law is not
-    biased.  Trial streams are derived from (seed, arm, index); worker count
-    never changes the result.
+    biased.  Trial streams are derived from (seed, arm, index), so a trial's
+    outcome never depends on which trials ran before it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if isinstance(seed, int):
         seed = Seed(seed)
 
-    indices = range(trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            alarms = list(pool.map(lambda t: _null_trial(spec, seed, t), indices))
-            misses = list(pool.map(lambda t: _planted_trial(spec, seed, t), indices))
-    else:
-        alarms = [_null_trial(spec, seed, t) for t in indices]
-        misses = [_planted_trial(spec, seed, t) for t in indices]
+    alarms = [_null_trial(spec, seed, t) for t in range(trials)]
+    misses = [_planted_trial(spec, seed, t) for t in range(trials)]
 
     type1 = sum(alarms) / trials
     valid = [m for m in misses if m is not None]

@@ -2,8 +2,11 @@
 
 The Fourier coefficient of the planted law at a subgraph H is the planted-model
 mean of the normalized signed edge product prod (G_ij - p)/sqrt(p(1-p)) over
-the edges of H.  Coefficients vanish exactly whenever any connected component
-of H is a tree, scale as (k/n)^{v(H)} relative to the full model, and their
+the edges of H.  Given membership and latents, an edge touching a non-member
+is an independent centred coin, so the conditional mean vanishes unless every
+vertex of H is a member: the coefficient is exactly (k/n)^{v(H)} times the
+full geometric model's, and only the geometry is simulated.  Coefficients
+vanish exactly whenever any connected component of H is a tree, and their
 squares weighted by labeled-embedding counts form the truncated advantage sum
 used as a hardness diagnostic.
 """
@@ -168,24 +171,19 @@ class FourierEstimate:
 def _edge_indicators(
     v: int, pairs, params: ModelParams, rng: np.random.Generator, batch: int
 ) -> np.ndarray:
-    """Batch of edge indicators for the planted marginal on the first v vertices.
+    """Geometric edge indicators 1{<u_i, u_j> >= tau}, shape (batch, len(pairs)).
 
-    Only the v embedding vertices matter, so the whole n-vertex graph is never
-    built: membership bits, a v x v Gram block, and Bernoulli fills reproduce
-    the exact marginal law.  The Gram block comes from the Bartlett route (v
-    chi-squares and v(v-1)/2 normals per sample) whenever d >= v; only d < v
-    draws, and briefly holds, the batch's v*d latent coordinates.
+    Only a v x v Gram block of the embedding vertices' latents is drawn: from
+    the Bartlett route (v chi-squares and v(v-1)/2 normals per sample)
+    whenever d >= v; only d < v draws, and briefly holds, the batch's v*d
+    latent coordinates.  Community membership and the p-coins off the
+    community are never simulated; fourier_coefficient_mc applies their exact
+    effect, the factor (k/n)^v.
     """
     tau = solve_threshold(params.p, params.d).tau
-    member = rng.random((batch, v)) < params.k / params.n
     gram, _ = _unit_gram(v, params.d, rng, shape=(batch,))
-    out = np.empty((batch, len(pairs)))
-    for col, (i, j) in enumerate(pairs):
-        both = member[:, i] & member[:, j]
-        geo = gram[:, i, j] >= tau
-        coin = rng.random(batch) < params.p
-        out[:, col] = np.where(both, geo, coin).astype(float)
-    return out
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return gram[:, rows, cols] >= tau
 
 
 def fourier_coefficient_mc(
@@ -197,7 +195,12 @@ def fourier_coefficient_mc(
     """Monte Carlo Fourier coefficient on the fixed embedding (vertices 0..v-1).
 
     By exchangeability the fixed embedding estimates the coefficient of the
-    whole isomorphism class.
+    whole isomorphism class.  The Monte Carlo mean is the full geometric
+    model's coefficient; the mean and its standard error are then scaled by
+    the exact probability (k/n)^v that every vertex of the embedding is a
+    community member, so a vanishing k/n gives a zero coefficient.  Here v
+    counts the vertices some edge touches: an isolated vertex of H puts no
+    condition on membership.
     """
     if graph.v > params.n:
         raise ValueError(f"graph needs {graph.v} vertices but n = {params.n}")
@@ -221,9 +224,9 @@ def fourier_coefficient_mc(
         chunk_id += 1
     phi = total / trials
     var = max(total_sq / trials - phi**2, 0.0)
-    return FourierEstimate(
-        graph=graph, phi=phi, stderr=math.sqrt(var / trials), trials=trials
-    )
+    scale = (params.k / params.n) ** len({x for edge in graph.edges for x in edge})
+    stderr = scale * math.sqrt(var / trials)
+    return FourierEstimate(graph=graph, phi=scale * phi, stderr=stderr, trials=trials)
 
 
 @dataclass(frozen=True)

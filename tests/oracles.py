@@ -5,6 +5,8 @@ from itertools import combinations, islice, permutations
 
 import numpy as np
 
+from geodetect.graphs import _unit_gram
+from geodetect.sphere import solve_threshold
 from geodetect.stats import _triangle_sum, centered_adjacency, cycle_vertex_orders
 
 
@@ -104,3 +106,23 @@ def automorphisms_by_permutation(v: int, edge_set: frozenset) -> int:
         all((min(perm[i], perm[j]), max(perm[i], perm[j])) in edge_set for i, j in edge_set)
         for perm in permutations(range(v))
     )
+
+
+def edge_indicators_with_membership(v: int, pairs, params, rng, batch: int) -> np.ndarray:
+    """Planted-marginal edge indicators on the first v vertices, every coin simulated.
+
+    Draws Bernoulli(k/n) membership bits and a v x v Gram block; a pair of
+    members is adjacent iff its inner product reaches tau, any other pair
+    flips its own p-coin.  Unlike lowdeg._edge_indicators, no factor is left
+    to apply: the plain mean of the normalized signed edge product estimates
+    the planted Fourier coefficient.
+    """
+    tau = solve_threshold(params.p, params.d).tau
+    member = rng.random((batch, v)) < params.k / params.n
+    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,))
+    out = np.empty((batch, len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        both = member[:, i] & member[:, j]
+        coin = rng.random(batch) < params.p
+        out[:, col] = np.where(both, gram[:, i, j] >= tau, coin)
+    return out

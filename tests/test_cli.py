@@ -280,6 +280,15 @@ class TestConfigValidation:
             pytest.param("test", BASE_CONFIG.replace("n = 40", "n = inf"), id="model-infinite"),
             pytest.param("sweep", BASE_CONFIG + "\n[sweep]\nd = 0,8\n", id="sweep-d"),
             pytest.param("sweep", BASE_CONFIG + "\n[sweep]\nd = logrange:4:64\n", id="sweep-axis"),
+            pytest.param("lowdeg", BASE_CONFIG + "\n[lowdeg]\ntrials = 0\n", id="lowdeg-trials"),
+            pytest.param("lowdeg", BASE_CONFIG + "\n[lowdeg]\nv_max = 6\n", id="lowdeg-v-max-cap"),
+            pytest.param("lowdeg", BASE_CONFIG + "\n[lowdeg]\nv_max = x\n", id="lowdeg-v-max-text"),
+            pytest.param(
+                "lowdeg",
+                BASE_CONFIG.replace("n = 40", "n = 4").replace("k = 20", "k = 2")
+                + "\n[lowdeg]\nv_max = 5\n",
+                id="lowdeg-v-max-above-n",
+            ),
         ],
     )
     def test_bad_value_rejected(self, tmp_path, capsys, command, text):
@@ -293,6 +302,18 @@ class TestConfigValidation:
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[wishart]\nk = 4\n")
         assert main(["wishart", "--config", str(cfg), "--trials", "0"]) == 2
+
+    def test_lowdeg_trials_flag_checked(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG + "\n[lowdeg]\nv_max = 3\n")
+        assert main(["lowdeg", "--config", str(cfg), "--trials", "0"]) == 2
+
+    def test_lowdeg_scientific_notation_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG + "\n[lowdeg]\nv_max = 3e0\ndegree_cap = 3\ntrials = 2e4\n")
+        assert main(["lowdeg", "--config", str(cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["v_max"], out["degree_cap"], out["trials"]) == (3, 3, 20_000)
 
     def test_scientific_notation_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

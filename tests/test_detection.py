@@ -154,9 +154,7 @@ class TestEstimateErrors:
         spec = make_test_spec("global-triangle", ModelParams(n=30, p=0.5, d=8, k=15))
         a = estimate_errors(spec, 60, Seed(9))
         b = estimate_errors(spec, 60, Seed(9))
-        c = estimate_errors(spec, 60, Seed(9), workers=4)
         assert (a.type1, a.type2, a.excluded) == (b.type1, b.type2, b.excluded)
-        assert (a.type1, a.type2, a.excluded) == (c.type1, c.type2, c.excluded)
 
     def test_half_width_formula(self):
         spec = make_test_spec("global-triangle", ModelParams(n=20, p=0.5, d=8, k=10))

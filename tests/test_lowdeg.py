@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geodetect import lowdeg
-from geodetect.graphs import ModelParams, Seed
+from geodetect.graphs import ModelParams, Seed, _unit_gram
 from geodetect.lowdeg import (
     FourierEstimate,
     _edge_indicators,
@@ -18,9 +18,13 @@ from geodetect.lowdeg import (
     rgg_fourier_bound,
     small_graph_from_edges,
 )
-from geodetect.sphere import signed_cycle_expectation
+from geodetect.sphere import signed_cycle_expectation, solve_threshold
 
-from oracles import automorphisms_by_permutation, canonical_code_by_permutation
+from oracles import (
+    automorphisms_by_permutation,
+    canonical_code_by_permutation,
+    edge_indicators_with_membership,
+)
 
 EDGE = small_graph_from_edges(2, [(0, 1)])
 PATH3 = small_graph_from_edges(3, [(0, 1), (1, 2)])
@@ -30,6 +34,7 @@ TRIANGLE = small_graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
 TWO_EDGES = small_graph_from_edges(4, [(0, 1), (2, 3)])
 FOUR_CYCLE = small_graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 PENTAGON = small_graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+HOUSE = small_graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
 
 
 def iso_classes_by_permutation(v):
@@ -209,6 +214,50 @@ class TestFourierMc:
         params = ModelParams(n=3, p=0.5, d=8, k=2)
         with pytest.raises(ValueError):
             fourier_coefficient_mc(FOUR_CYCLE, params, 10, Seed(0))
+
+
+class TestGeometryOnly:
+    """The estimator simulates the geometry alone and applies (k/n)^v exactly."""
+
+    @pytest.mark.parametrize("p, d", [(0.3, 16), (0.7, 4)])
+    @pytest.mark.parametrize("graph", [TRIANGLE, FOUR_CYCLE, HOUSE], ids=["C3", "C4", "house"])
+    def test_agrees_with_membership_and_coin_oracle(self, p, d, graph):
+        # k < n, so the oracle's membership bits and p-coins really are drawn;
+        # d = 4 puts the v = 5 graph on the latent route
+        params = ModelParams(n=40, p=p, d=d, k=20)
+        trials = 100_000
+        est = fourier_coefficient_mc(graph, params, trials, Seed(61))
+        ind = edge_indicators_with_membership(
+            graph.v, graph.edges, params, np.random.default_rng(62), trials
+        )
+        signed = (ind - p).prod(axis=1) / (p * (1 - p)) ** (graph.e / 2)
+        oracle, oracle_se = signed.mean(), signed.std() / math.sqrt(trials)
+        assert abs(est.phi - oracle) <= 3 * math.hypot(est.stderr, oracle_se)
+
+    @pytest.mark.parametrize("d", [16, 4])
+    def test_indicators_draw_only_the_gram_block(self, d):
+        params = ModelParams(n=40, p=0.3, d=d, k=20)
+        got_rng, want_rng = np.random.default_rng(63), np.random.default_rng(63)
+        got = _edge_indicators(HOUSE.v, HOUSE.edges, params, got_rng, 500)
+        gram, _ = _unit_gram(HOUSE.v, d, want_rng, shape=(500,))
+        tau = solve_threshold(0.3, d).tau
+        want = np.stack([gram[:, i, j] >= tau for i, j in HOUSE.edges], axis=1)
+        assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()  # nothing drawn after the block
+
+    def test_isolated_vertices_need_no_membership(self):
+        params = ModelParams(n=40, p=0.3, d=16, k=20)
+        padded = small_graph_from_edges(4, TRIANGLE.edges)
+        a = fourier_coefficient_mc(TRIANGLE, params, 100_000, Seed(65))
+        b = fourier_coefficient_mc(padded, params, 100_000, Seed(66))
+        assert abs(a.phi - b.phi) <= 3 * math.hypot(a.stderr, b.stderr)
+        empty = fourier_coefficient_mc(small_graph_from_edges(2, []), params, 10, Seed(67))
+        assert (empty.phi, empty.stderr) == (1.0, 0.0)
+
+    def test_vanishing_community_gives_zero(self):
+        params = ModelParams(n=40, p=0.3, d=16, k=1e-300)
+        est = fourier_coefficient_mc(TRIANGLE, params, 1_000, Seed(64))
+        assert est.phi == 0.0 and est.stderr == 0.0
 
 
 class TestAdvantage:
