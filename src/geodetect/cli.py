@@ -1,16 +1,16 @@
 """Command-line front end: tau, cycle-expectation, test, sweep, lowdeg, wishart, sample.
 
-Configs are flat key = value text with one section per concern; unknown
-sections or keys are rejected outright so that a typo in p vs d cannot
-silently ruin an experiment.  Exit codes: 0 success, 2 config error,
-3 numerical failure under --strict.
+Configs are flat key = value text with one section per concern.  _SCHEMA names
+every section and key with the reader that converts and range-checks its value,
+so that a typo in p vs d, or a value out of range, is a config error rather
+than a ruined experiment.  Exit codes: 0 success, 2 config error, 3 numerical
+failure under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import json
 import math
@@ -38,82 +38,171 @@ from .graphs import (
 )
 from .lowdeg import V_MAX, low_degree_advantage
 from .sphere import basis_for_density, signed_cycle_expectation, solve_threshold
-from .stats import signed_triangle_count
+from .stats import _ENUM_MAX_ELL, ScanConfig, signed_triangle_count
 
 CSV_COLUMNS = [
     "n", "p", "d", "k", "test", "threshold", "type1", "type1_hw",
     "type2", "type2_hw", "excluded", "trials", "seed", "version", "wall_ms",
 ]
 
-_SECTION_KEYS = {
-    "model": {"n", "p", "d", "k"},
-    "run": {"trials", "seed", "workers", "out"},
-    "sweep": {"n", "p", "d", "k"},
-    "test.global-triangle": set(),
-    "test.scan": {"mode", "restarts"},
-    "test.constrained-scan": {"mode", "restarts", "cycle_constant"},
-    "test.cycle": {"ell"},
-    "lowdeg": {"v_max", "degree_cap", "trials"},
-    "wishart": {"k", "d", "trials", "n", "community_size", "p"},
-}
-
 
 class ConfigError(Exception):
     pass
 
 
-@contextlib.contextmanager
-def _section_values(section: str):
-    """Report a non-numeric or out-of-range value read in the block as a config error."""
+def _integer(lo=-math.inf, hi=math.inf):
+    """Reader of an integer in [lo, hi]; scientific notation such as 2e4 is accepted."""
+    def read(text: str) -> int:
+        value = float(text)
+        if not (value.is_integer() and lo <= value <= hi):
+            raise ValueError(f"want an integer in [{lo}, {hi}]")
+        return int(value)
+    return read
+
+
+def _real(lo=-math.inf):
+    """Reader of a finite number >= lo."""
+    def read(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value >= lo):
+            raise ValueError(f"want a finite number >= {lo}")
+        return value
+    return read
+
+
+def _seed(text: str) -> int:
+    seed = int(text)  # exact: through float, 2**64 - 1 would become 2**64
+    if not 0 <= seed < 2**64:
+        raise ValueError("want an integer in [0, 2**64)")
+    return seed
+
+
+def _scan_mode(text: str) -> str:
+    return ScanConfig(k_minus=0, mode=text).mode  # ScanConfig checks the mode
+
+
+def _cycle_constant(text: str) -> float | None:
+    """None for auto: make_test_spec then calibrates it from the ell = 3 and 4 series."""
+    return None if text == "auto" else _real(0)(text)
+
+
+def _axis(text: str) -> list[float]:
+    """A comma list, or logrange:lo:hi:count for count geometric steps."""
+    if text.startswith("logrange:"):
+        _, lo, hi, count = text.split(":")
+        values = np.geomspace(_real()(lo), _real()(hi), int(count))
+    else:
+        values = [_real()(v) for v in text.split(",") if v.strip()]
+    if len(values) == 0:
+        raise ValueError("want at least one value")
+    return [float(v) for v in values]
+
+
+_REQUIRED = object()
+_SCAN = {"mode": (_scan_mode, "planted-oracle"), "restarts": (_integer(1), 8)}
+
+# section -> key -> (reader, default); ModelParams checks [model] as a whole
+_SCHEMA = {
+    "model": {
+        "n": (_integer(), _REQUIRED), "p": (_real(), _REQUIRED),
+        "d": (_integer(), _REQUIRED), "k": (_real(), _REQUIRED),
+    },
+    "run": {
+        "trials": (_integer(1), 200), "seed": (_seed, 0),
+        "workers": (_integer(1), 1), "out": (str, None),
+    },
+    "sweep": dict.fromkeys(("n", "p", "d", "k"), (_axis, None)),
+    "test.global-triangle": {},
+    "test.scan": _SCAN,
+    "test.constrained-scan": {**_SCAN, "cycle_constant": (_cycle_constant, None)},
+    "test.cycle": {"ell": (_integer(3, _ENUM_MAX_ELL), _REQUIRED)},
+    "lowdeg": {
+        "v_max": (_integer(1, V_MAX), 4), "degree_cap": (_integer(1), 10),
+        "trials": (_integer(1), 20000),
+    },
+    "wishart": {
+        "k": (_integer(1), 20), "d": (_integer(1), 2000), "trials": (_integer(1), 200),
+        "n": (_integer(1), None), "community_size": (_integer(0), None), "p": (_real(), 0.5),
+    },
+}
+
+
+def _convert(where: str, reader, text: str):
     try:
-        yield
+        return reader(text)
     except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} = {text!r}: {exc}") from None
+
+
+def _read_section(section: str, raw: dict) -> dict:
+    """Typed values of one section from its raw text, defaults filled in."""
+    schema = _SCHEMA.get(section)
+    if schema is None:
+        raise ConfigError(f"unknown section [{section}]")
+    for key in raw:
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    missing = [key for key, (_, default) in schema.items()
+               if default is _REQUIRED and key not in raw]
+    if missing:
+        raise ConfigError(f"[{section}] is missing keys {missing}")
+    return {
+        key: _convert(f"[{section}] {key}", reader, raw[key]) if key in raw else default
+        for key, (reader, default) in schema.items()
+    }
+
+
+def _model(section: str, **values) -> ModelParams:
+    try:
+        return ModelParams(**values)
+    except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _parse_axis(text: str) -> list[float]:
-    text = text.strip()
-    if text.startswith("logrange:"):
-        _, lo, hi, count = text.split(":")
-        return [float(v) for v in np.geomspace(float(lo), float(hi), int(count))]
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 def load_config(path: str) -> dict:
+    """Every section of the file as typed values; [model] as a ModelParams."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    cfg: dict = {}
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        allowed = _SECTION_KEYS[section]
-        body = {}
-        for key, value in parser.items(section):
-            if key not in allowed:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            body[key] = value
-        cfg[section] = body
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        raw = {section: dict(parser.items(section)) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from None
+    cfg = {section: _read_section(section, body) for section, body in raw.items()}
     if "model" in cfg:
-        missing = {"n", "p", "d", "k"} - set(cfg["model"])
-        if missing:
-            raise ConfigError(f"[model] is missing keys {sorted(missing)}")
+        cfg["model"] = _model("model", **cfg["model"])
     return cfg
+
+
+def _settings(cfg: dict, section: str, args, *flags) -> dict:
+    """A section's typed values (its defaults if absent), with the given flags over them."""
+    values = dict(cfg[section]) if section in cfg else _read_section(section, {})
+    for key in flags:
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _convert(f"[{section}] {key}", _SCHEMA[section][key][0], text)
+    return values
+
+
+def _flag(args, key: str):
+    """--seed or --workers of a command that reads no [run], by the [run] reader."""
+    reader, default = _SCHEMA["run"][key]
+    text = getattr(args, key)
+    return default if text is None else _convert(f"--{key}", reader, text)
 
 
 def _model_from(cfg: dict) -> ModelParams:
     if "model" not in cfg:
         raise ConfigError("config needs a [model] section")
-    m = cfg["model"]
-    with _section_values("model"):
-        return ModelParams(
-            n=int(float(m["n"])), p=float(m["p"]), d=int(float(m["d"])), k=float(m["k"])
-        )
+    return cfg["model"]
 
 
 def _test_sections(cfg: dict) -> list[tuple[str, dict]]:
-    found = [(s.split(".", 1)[1], body) for s, body in cfg.items() if s.startswith("test.")]
+    """(kind, make_test_spec keyword arguments) of each [test.*] section."""
+    found = [
+        (s.split(".", 1)[1], {("scan_mode" if k == "mode" else k): v for k, v in body.items()})
+        for s, body in cfg.items() if s.startswith("test.")
+    ]
     if not found:
         raise ConfigError("config defines no [test.*] section")
     return found
@@ -121,56 +210,22 @@ def _test_sections(cfg: dict) -> list[tuple[str, dict]]:
 
 def _grid_points(cfg: dict, base: ModelParams) -> list[ModelParams]:
     sweep = cfg.get("sweep", {})
-    axes = {
-        "n": [base.n], "p": [base.p], "d": [base.d], "k": [base.k],
-    }
-    points = []
-    with _section_values("sweep"):
-        for key, text in sweep.items():
-            axes[key] = _parse_axis(text)
-        for n in axes["n"]:
-            for p in axes["p"]:
-                for d in axes["d"]:
-                    for k in axes["k"]:
-                        points.append(ModelParams(
-                            n=int(round(n)), p=float(p), d=int(round(d)), k=float(k)
-                        ))
-    if len(points) > 10_000:
-        raise ConfigError(f"sweep grid has {len(points)} points; the cap is 10000")
-    return points
-
-
-def _build_spec(kind: str, options: dict, params: ModelParams):
-    if kind == "global-triangle":
-        return make_test_spec("global-triangle", params)
-    if kind == "scan":
-        return make_test_spec(
-            "scan",
-            params,
-            scan_mode=options.get("mode", "planted-oracle"),
-            restarts=int(options.get("restarts", 8)),
-        )
-    if kind == "constrained-scan":
-        raw = options.get("cycle_constant", "auto")
-        constant = None if raw == "auto" else float(raw)
-        return make_test_spec(
-            "constrained-scan",
-            params,
-            cycle_constant=constant,
-            scan_mode=options.get("mode", "planted-oracle"),
-            restarts=int(options.get("restarts", 8)),
-        )
-    if kind == "cycle":
-        return make_test_spec("cycle", params, ell=int(options["ell"]))
-    raise ConfigError(f"unknown test kind {kind!r}")
+    axes = [sweep.get(key) or [getattr(base, key)] for key in ("n", "p", "d", "k")]
+    size = math.prod(len(axis) for axis in axes)
+    if size > 10_000:
+        raise ConfigError(f"sweep grid has {size} points; the cap is 10000")
+    return [
+        _model("sweep", n=round(n), p=float(p), d=round(d), k=float(k))
+        for n in axes[0] for p in axes[1] for d in axes[2] for k in axes[3]
+    ]
 
 
 def _threshold_series(kind: str, options: dict, params: ModelParams) -> list:
     """The cycle-expectation series a test's threshold and constraints rest on."""
     if kind == "cycle":
-        return [signed_cycle_expectation(int(options["ell"]), params.p, params.d)]
+        return [signed_cycle_expectation(options["ell"], params.p, params.d)]
     series = [signed_cycle_expectation(3, params.p, params.d)]
-    if kind == "constrained-scan" and options.get("cycle_constant", "auto") == "auto":
+    if kind == "constrained-scan" and options["cycle_constant"] is None:
         # the calibrated constant comes from the ell = 3 and ell = 4 series
         series.append(signed_cycle_expectation(4, params.p, params.d))
     return series
@@ -186,7 +241,7 @@ def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed:
     start = time.monotonic()
     try:
         series = _threshold_series(kind, options, params)
-        spec = _build_spec(kind, options, params)
+        spec = make_test_spec(kind, params, **options)
         est = estimate_errors(spec, trials, Seed(seed))
         failed = any(_series_failed(s) for s in series)
         row = {
@@ -211,46 +266,30 @@ def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed:
     }, failed
 
 
-def _seed(args, default=0) -> int:
-    """The master seed: --seed, else the config's; a U64 or a config error."""
-    raw = args.seed if args.seed is not None else default
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ConfigError(f"seed must be an integer, got {raw!r}") from None
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
-
-
-def _emit_rows(cfg, args, resume: bool):
+def cmd_rows(args) -> int:
+    """test and sweep: one CSV row per grid point and [test.*] section."""
+    cfg = load_config(args.config)
     base = _model_from(cfg)
-    run = cfg.get("run", {})
-    trials = int(args.trials if args.trials is not None else run.get("trials", 200))
-    seed = _seed(args, run.get("seed", 0))
-    workers = int(args.workers if args.workers is not None else run.get("workers", 1))
-    out_path = args.out or run.get("out")
+    run = _settings(cfg, "run", args, "trials", "seed", "workers", "out")
+    trials, seed, out_path = run["trials"], run["seed"], run["out"]
     if out_path is None:
-        raise ConfigError("no output path: pass --out or set out in [run]")
+        raise ConfigError("[run] no output path: pass --out or set out in [run]")
 
     points = _grid_points(cfg, base)
     kinds = _test_sections(cfg)
-    jobs = [(pt, kind, options) for pt in points for kind, options in kinds]
 
     done_keys = set()
-    if resume:
+    if args.resume:
         try:
             with open(out_path, newline="") as fh:
-                for row in csv.DictReader(fh):
-                    done_keys.add((row["n"], row["p"], row["d"], row["k"], row["test"]))
+                rows = csv.DictReader(fh)
+                done_keys = {(r["n"], r["p"], r["d"], r["k"], r["test"]) for r in rows}
         except FileNotFoundError:
             pass
-    mode = "a" if resume and done_keys else "w"
-
+    mode = "a" if done_keys else "w"
     pending = [
-        job for job in jobs
-        if (str(job[0].n), repr(job[0].p), str(job[0].d), repr(job[0].k), job[1])
-        not in done_keys
+        (pt, kind, options) for pt in points for kind, options in kinds
+        if (str(pt.n), repr(pt.p), str(pt.d), repr(pt.k), kind) not in done_keys
     ]
 
     any_failed = False
@@ -259,24 +298,24 @@ def _emit_rows(cfg, args, resume: bool):
         if mode == "w":
             writer.writeheader()
             fh.flush()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_point_row, pt, kind, options, trials, seed)
-                    for pt, kind, options in pending
-                ]
-                for fut in futures:  # submission order keeps output deterministic
-                    row, failed = fut.result()
-                    any_failed |= failed
-                    writer.writerow(row)
-                    fh.flush()
-        else:
-            for pt, kind, options in pending:
-                row, failed = _point_row(pt, kind, options, trials, seed)
+        with ThreadPoolExecutor(max_workers=run["workers"]) as pool:
+            # map yields in submission order, which keeps the output deterministic
+            for row, failed in pool.map(lambda job: _point_row(*job, trials, seed), pending):
                 any_failed |= failed
                 writer.writerow(row)
                 fh.flush()
-    return any_failed
+    return 3 if (args.strict and any_failed) else 0
+
+
+def _write_json(report: dict, path) -> int:
+    """The report as indented JSON, to path if one is given, else to stdout."""
+    text = json.dumps(report, indent=2)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return 0
 
 
 def cmd_tau(args) -> int:
@@ -303,42 +342,26 @@ def cmd_cycle_expectation(args) -> int:
     return 3 if (args.strict and _series_failed(res)) else 0
 
 
-def cmd_test(args) -> int:
-    cfg = load_config(args.config)
-    failed = _emit_rows(cfg, args, resume=False)
-    return 3 if (args.strict and failed) else 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    failed = _emit_rows(cfg, args, resume=args.resume)
-    return 3 if (args.strict and failed) else 0
-
-
 def cmd_lowdeg(args) -> int:
     cfg = load_config(args.config)
     params = _model_from(cfg)
-    section = cfg.get("lowdeg", {})
-    with _section_values("lowdeg"):
-        v_max = int(float(section.get("v_max", 4)))
-        degree_cap = int(float(section.get("degree_cap", 10)))
-        trials = int(float(args.trials if args.trials is not None else section.get("trials", 20000)))
-        cap = min(V_MAX, params.n)  # the enumeration cap; an embedding needs v <= n
-        if trials < 1 or v_max > cap:
-            raise ValueError(f"need trials >= 1 and v_max <= {cap}, got {trials} and {v_max}")
-    seed = _seed(args)
+    section = _settings(cfg, "lowdeg", args, "trials")
+    v_max, degree_cap, trials = section["v_max"], section["degree_cap"], section["trials"]
+    if v_max > params.n:  # an embedding needs v <= n
+        raise ConfigError(f"[lowdeg] v_max = {v_max} exceeds n = {params.n}")
+    seed = _flag(args, "seed")
+    _flag(args, "workers")  # checked, but the command runs serially
 
     report = low_degree_advantage(params, v_max, degree_cap, trials, Seed(seed))
     rows = []
     triangle_row = None
     for graph, phi, stderr, skipped in report.rows:
-        entry = {
+        rows.append({
             "v": graph.v, "e": graph.e, "code": graph.canonical_code,
             "is_forest": graph.is_forest,
             "tree_component": graph.has_tree_component,
             "phi": phi, "stderr": stderr, "skipped_analytic_zero": skipped,
-        }
-        rows.append(entry)
+        })
         if graph.v == 3 and graph.e == 3:
             series = signed_cycle_expectation(3, params.p, params.d)
             predicted = (
@@ -346,32 +369,26 @@ def cmd_lowdeg(args) -> int:
                 / (params.p * (1 - params.p)) ** 1.5
             )
             triangle_row = {"phi": phi, "stderr": stderr, "series_predicted": predicted}
-    out = {
+    return _write_json({
         "version": __version__,
         "model": {"n": params.n, "p": params.p, "d": params.d, "k": params.k},
         "v_max": v_max, "degree_cap": degree_cap, "trials": trials, "seed": seed,
         "advantage": report.value, "advantage_error": report.error,
         "rows": rows, "triangle_crosscheck": triangle_row,
-    }
-    text = json.dumps(out, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    }, args.out)
 
 
 def cmd_wishart(args) -> int:
     cfg = load_config(args.config)
-    section = cfg.get("wishart", {})
-    with _section_values("wishart"):
-        k = int(float(section.get("k", 20)))
-        d = int(float(section.get("d", 2000)))
-        trials = int(float(args.trials if args.trials is not None else section.get("trials", 200)))
-        if min(k, d, trials) < 1:
-            raise ValueError(f"k, d and trials must be >= 1, got {k}, {d} and {trials}")
-    seed = Seed(_seed(args))
+    section = _settings(cfg, "wishart", args, "trials")
+    k, d, trials, n = section["k"], section["d"], section["trials"], section["n"]
+    if n is not None:
+        size = n // 2 if section["community_size"] is None else section["community_size"]
+        if size > n:
+            raise ConfigError(f"[wishart] community_size = {size} exceeds n = {n}")
+        params = _model("wishart", n=n, p=section["p"], d=d, k=max(size, 1))
+    seed = Seed(_flag(args, "seed"))
+    _flag(args, "workers")  # checked, but the command runs serially
 
     deviations = [
         spectral_deviation(sample_spherical_wishart(k, d, seed.stream(t, arm=5)))
@@ -388,45 +405,31 @@ def cmd_wishart(args) -> int:
     k1 = spectral_deviation(sample_spherical_wishart(1, d, seed.stream(0, arm=6)))
 
     route = None
-    if "n" in section:
-        with _section_values("wishart"):
-            n = int(float(section["n"]))
-            size = int(float(section.get("community_size", n // 2)))
-            if not 0 <= size <= n:
-                raise ValueError(f"community_size must lie in [0, n], got {size} with n={n}")
-            p = float(section.get("p", 0.5))
-            params = ModelParams(n=n, p=p, d=d, k=max(size, 1))
+    if n is not None:
         community = np.arange(size)
         comp_edges, comp_tri, dir_edges, dir_tri = 0.0, 0.0, 0.0, 0.0
         m = n * (n - 1) // 2
         for t in range(trials):
             g1 = composite_planted_graph(community, params, seed.stream(t, arm=7))
             comp_edges += g1.edge_count / m
-            comp_tri += signed_triangle_count(g1, p)
+            comp_tri += signed_triangle_count(g1, params.p)
             s2 = sample_planted_fixed_community(community, params, seed.stream(t, arm=8))
             dir_edges += s2.graph.edge_count / m
-            dir_tri += signed_triangle_count(s2.graph, p)
+            dir_tri += signed_triangle_count(s2.graph, params.p)
         route = {
-            "n": n, "community_size": size, "p": p, "d": d, "trials": trials,
+            "n": n, "community_size": size, "p": params.p, "d": d, "trials": trials,
             "edge_marginal": {"composite": comp_edges / trials, "direct": dir_edges / trials},
             "f_tri_mean": {"composite": comp_tri / trials, "direct": dir_tri / trials},
         }
 
-    out = {
+    return _write_json({
         "version": __version__, "seed": seed.master,
         "spectral": spectral, "k1_deviation": k1, "route_check": route,
-    }
-    text = json.dumps(out, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    }, args.out)
 
 
 def cmd_sample(args) -> int:
-    rng = Seed(_seed(args)).stream(0, arm=9)
+    rng = Seed(_flag(args, "seed")).stream(0, arm=9)
     if args.model == "null":
         graph = sample_null(args.n, args.p, rng)
     elif args.model == "geometric":
@@ -469,21 +472,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cyc.add_argument("--d", type=int, required=True)
     p_cyc.set_defaults(func=cmd_cycle_expectation)
 
-    for name, fn, extra in (
-        ("test", cmd_test, ()),
-        ("sweep", cmd_sweep, ("resume",)),
-        ("lowdeg", cmd_lowdeg, ()),
-        ("wishart", cmd_wishart, ()),
+    # --seed, --workers and --trials stay text here: the _SCHEMA readers convert them
+    for name, fn in (
+        ("test", cmd_rows), ("sweep", cmd_rows), ("lowdeg", cmd_lowdeg), ("wishart", cmd_wishart),
     ):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        if "resume" in extra:
+        for flag in ("--seed", "--workers", "--trials", "--out"):
+            sp.add_argument(flag, default=None)
+        if name == "sweep":
             sp.add_argument("--resume", action="store_true")
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=fn, resume=False)
 
     p_samp = sub.add_parser("sample", help="dump a sampled graph to disk")
     p_samp.add_argument("--model", choices=("null", "geometric", "planted"), required=True)
@@ -492,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_samp.add_argument("--d", type=int, default=8)
     p_samp.add_argument("--k", type=float, default=1.0)
     p_samp.add_argument("--community-size", type=int, default=None)
-    p_samp.add_argument("--seed", type=int, default=None)
+    p_samp.add_argument("--seed", default=None)
     p_samp.add_argument("--format", choices=("edgelist", "bits"), default="edgelist")
     p_samp.add_argument("--out", required=True)
     p_samp.set_defaults(func=cmd_sample)
@@ -504,10 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

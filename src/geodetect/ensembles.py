@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -21,8 +20,10 @@ from .graphs import (
     Graph,
     ModelParams,
     _bartlett_wishart,
+    _community_members,
     _tau,
     _unit_gram,
+    _upper_pairs,
     pair_index,
     symmetric_matrix,
 )
@@ -103,15 +104,6 @@ def sample_spherical_wishart(k: int, d: int, rng: np.random.Generator) -> Ensemb
     return EnsembleDraw(kind="spherical-wishart", matrix=gram, d=d, latents=u)
 
 
-@lru_cache(maxsize=8)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, k=1), built once per order and shared read-only."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
 def _as_matrix(m) -> np.ndarray:
     if isinstance(m, EnsembleDraw):
         return m.matrix
@@ -156,9 +148,7 @@ def composite_planted_graph(
     has exactly the law of the planted model with community S.
     """
     n = params.n
-    members = np.asarray(sorted(set(int(v) for v in np.asarray(community).ravel())), dtype=int)
-    if members.size and (members[0] < 0 or members[-1] >= n):
-        raise ValueError("community vertices must lie in [0, n)")
+    members = _community_members(community, n)
     goe = sample_goe_shifted(n, params.d, rng)
     edges_graph = threshold_map_alpha(goe, params.p, params.d)
     edges = np.array(edges_graph.edges)  # writable copy

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,10 +77,22 @@ def pair_index(i, j, n: int):
     return i * n - (i * (i + 1)) // 2 + (j - i - 1)
 
 
+@lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), the (i, j) of each flat pair index, built once per order.
+
+    The arrays are shared between callers, so they are read-only.
+    """
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def symmetric_matrix(values, n: int, dtype=float) -> np.ndarray:
     """n x n symmetric matrix carrying flat pair values off the diagonal, 0 on it."""
     a = np.zeros((n, n), dtype=dtype)
-    iu = np.triu_indices(n, k=1)
+    iu = _upper_pairs(n)
     a[iu] = values
     a[iu[::-1]] = values
     return a
@@ -144,7 +157,7 @@ class Graph:
 
     def to_edgelist_text(self) -> str:
         """Text format: first line n, second line m, then one '<i> <j>' per edge."""
-        iu, ju = np.triu_indices(self.n, k=1)
+        iu, ju = _upper_pairs(self.n)
         sel = self._edges
         buf = io.StringIO()
         buf.write(f"{self.n}\n{int(sel.sum())}\n")
@@ -276,9 +289,7 @@ def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph(n, rng.random(m) < p)
 
 
-def _unit_gram(
-    s: int, d: int, rng: np.random.Generator, shape=(), latent: bool | None = None
-):
+def _unit_gram(s: int, d: int, rng: np.random.Generator, shape=()):
     """Gram matrices of s i.i.d. uniform unit vectors on S^{d-1}, batched over shape.
 
     Returns (gram, latents) with shapes shape + (s, s) and shape + (s, d).  The
@@ -286,13 +297,11 @@ def _unit_gram(
     only where the Bartlett decomposition does not exist.  For d >= s the
     normalized W_ij / sqrt(W_ii W_jj) of a Bartlett Wishart draw (see
     _bartlett_wishart) equals <Z_i, Z_j>/(|Z_i||Z_j|) in law, at O(s^2) draws
-    whatever d is; latents are None there.  latent=True forces the latent
-    route.  Only off-diagonal entries are meaningful.
+    whatever d is; latents are None there.  Only off-diagonal entries are
+    meaningful.
     """
     shape = tuple(shape)
-    if latent is None:
-        latent = d < s
-    if latent:
+    if d < s:
         u = sample_uniform_sphere(d, rng, size=(*shape, s))
         return u @ u.swapaxes(-1, -2), u
     w = _bartlett_wishart(s, d, rng, shape)
@@ -329,8 +338,15 @@ def sample_full_geometric(
     n = int(n)
     tau = _tau(p, d)
     gram, latents = _unit_gram(n, d, rng)
-    iu = np.triu_indices(n, k=1)
-    return Graph(n, gram[iu] >= tau), latents
+    return Graph(n, gram[_upper_pairs(n)] >= tau), latents
+
+
+def _community_members(community, n: int) -> np.ndarray:
+    """The distinct vertices of a community, ascending; each must lie in [0, n)."""
+    members = np.asarray(sorted(set(int(v) for v in np.asarray(community).ravel())), dtype=int)
+    if members.size and (members[0] < 0 or members[-1] >= n):
+        raise ValueError("community vertices must lie in [0, n)")
+    return members
 
 
 def sample_planted_fixed_community(
@@ -338,10 +354,8 @@ def sample_planted_fixed_community(
 ) -> PlantedSample:
     """Planted draw conditioned on the community being exactly the given set."""
     n = params.n
+    members = _community_members(community, n)
     mask = np.zeros(n, dtype=bool)
-    members = np.asarray(sorted(set(int(v) for v in np.asarray(community).ravel())), dtype=int)
-    if members.size and (members[0] < 0 or members[-1] >= n):
-        raise ValueError("community vertices must lie in [0, n)")
     mask[members] = True
 
     edges = rng.random(n * (n - 1) // 2) < params.p

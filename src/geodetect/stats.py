@@ -28,7 +28,7 @@ from itertools import chain, combinations, islice, permutations
 
 import numpy as np
 
-from .graphs import Graph, symmetric_matrix
+from .graphs import Graph, _upper_pairs, symmetric_matrix
 
 __all__ = [
     "ScanConfig",
@@ -216,7 +216,7 @@ def subset_signed_triangles(graph: Graph, p: float, subset) -> float:
 def _feasible(sub_signed: np.ndarray, sigma_sq: float, bound: float):
     """Wedge constraints of one subset block, or of each block in a stack."""
     w = _wedge_matrix(sub_signed)
-    iu = np.triu_indices(w.shape[-1], k=1)
+    iu = _upper_pairs(w.shape[-1])
     vals = w[..., iu[0], iu[1]]
     # a dot product per block, summed as vals @ vals sums a single one
     sum_sq = (vals[..., None, :] @ vals[..., :, None])[..., 0, 0]
@@ -245,6 +245,8 @@ class ScanConfig:
             raise ValueError(f"k_minus must be >= 0, got {self.k_minus}")
         if self.mode not in self._MODES:
             raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
     def check_exhaustive(self, n: int):
         if math.comb(n, self.k_minus) > self._EXHAUSTIVE_LIMIT:
@@ -283,7 +285,7 @@ def _local_search(
     # off by about 1e-16 k^4 m^3: far below tol for any k_minus under 1e6
     tol = 1e-9 * k_minus**3 * float(np.abs(a).max(initial=0.0)) ** 3
     best_val, best_set = -math.inf, None
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         current = np.sort(rng.permutation(n)[:k_minus])
         val = _triangle_sum(a[current[:, None], current])
         improved = True

@@ -6,7 +6,7 @@ from itertools import combinations, islice, permutations
 import numpy as np
 
 from geodetect.graphs import _unit_gram
-from geodetect.sphere import solve_threshold
+from geodetect.sphere import sample_uniform_sphere, solve_threshold
 from geodetect.stats import _triangle_sum, centered_adjacency, cycle_vertex_orders
 
 
@@ -42,6 +42,15 @@ def signed_cycle_count_enumerated(graph, p: float, ell: int) -> float:
             return total
         sub = block.reshape(-1, ell)
         total += float(a[sub[:, orders], sub[:, successors]].prod(axis=2).sum())
+
+
+def unit_gram_latent(s: int, d: int, rng, shape=()):
+    """graphs._unit_gram's latent route at any d: s uniform unit vectors, then their Gram.
+
+    For d < s it makes the same draws as _unit_gram, in the same order.
+    """
+    u = sample_uniform_sphere(d, rng, size=(*tuple(shape), s))
+    return u @ u.swapaxes(-1, -2), u
 
 
 def local_search_swap_loop(a, n, k_minus, restarts, rng, constraint=None):

@@ -34,6 +34,11 @@ seed = 7
 """
 
 
+def with_test(section):
+    """BASE_CONFIG running the given [test.*] section instead of the global triangle test."""
+    return BASE_CONFIG.replace("[test.global-triangle]", section)
+
+
 class TestTauCommand:
     def test_symmetric_point(self, capsys):
         assert main(["tau", "--p", "0.5", "--d", "32"]) == 0
@@ -289,6 +294,17 @@ class TestConfigValidation:
                 + "\n[lowdeg]\nv_max = 5\n",
                 id="lowdeg-v-max-above-n",
             ),
+            pytest.param("test", with_test("[test.cycle]\nell = x"), id="cycle-ell-text"),
+            pytest.param("test", with_test("[test.cycle]\nell = 8"), id="cycle-ell-8"),
+            pytest.param("test", with_test("[test.cycle]"), id="cycle-ell-missing"),
+            pytest.param("test", with_test("[test.scan]\nmode = bogus"), id="scan-mode"),
+            pytest.param("test", with_test("[test.scan]\nrestarts = x"), id="scan-restarts"),
+            pytest.param(
+                "test", with_test("[test.constrained-scan]\ncycle_constant = x"),
+                id="constrained-cycle-constant",
+            ),
+            pytest.param("test", BASE_CONFIG.replace("seed = 7", "workers = 0"), id="run-workers"),
+            pytest.param("test", BASE_CONFIG.replace("trials = 40", "trials = x"), id="run-trials"),
         ],
     )
     def test_bad_value_rejected(self, tmp_path, capsys, command, text):
@@ -297,6 +313,25 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: [")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"), ("--trials", "x"), ("--workers", "0"), ("--workers", "-3"),
+    ])
+    def test_bad_row_flag_rejected(self, tmp_path, capsys, flag, value):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG)
+        out = tmp_path / "rows.csv"
+        assert main(["test", "--config", str(cfg), "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: [run] {flag[2:]} = ")
+        assert not out.exists()
+
+    def test_run_trials_scientific_notation_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG.replace("trials = 40", "trials = 2e1"))
+        out = tmp_path / "rows.csv"
+        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_rows(out)[0]["trials"] == "20"
 
     def test_wishart_trials_flag_checked(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

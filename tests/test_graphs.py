@@ -23,6 +23,7 @@ from geodetect.graphs import (
 from geodetect.lowdeg import fourier_coefficient_mc, small_graph_from_edges
 from geodetect.sphere import solve_threshold
 from geodetect.stats import signed_triangle_count
+from oracles import unit_gram_latent
 
 
 class TestModelParams:
@@ -230,14 +231,17 @@ class TestFullGeometric:
         assert abs(count / total - p) <= 3 * se
 
 
+def unit_gram(s, d, rng, shape=(), latent=False):
+    """The library's Gram route at d >= s, or the latent route forced through the oracle."""
+    return (unit_gram_latent if latent else graphs_mod._unit_gram)(s, d, rng, shape)
+
+
 class TestUnitGram:
     @pytest.mark.parametrize("latent", [True, False])
     def test_batch_of_one_matches_unbatched(self, latent):
         s, d = 5, 40
-        gram, lat = graphs_mod._unit_gram(s, d, np.random.default_rng(3), latent=latent)
-        gram1, lat1 = graphs_mod._unit_gram(
-            s, d, np.random.default_rng(3), shape=(1,), latent=latent
-        )
+        gram, lat = unit_gram(s, d, np.random.default_rng(3), latent=latent)
+        gram1, lat1 = unit_gram(s, d, np.random.default_rng(3), shape=(1,), latent=latent)
         assert gram1.shape == (1, s, s)
         iu = np.triu_indices(s, k=1)
         assert np.max(np.abs(gram1[0][iu] - gram[iu])) <= 1e-12
@@ -264,14 +268,22 @@ class TestUnitGram:
         # variance 1/d and fourth moment 3/(d(d+2)); distinct entries are
         # uncorrelated, and so are their squares
         s, d, batch = 6, 8, 40_000
-        gram, _ = graphs_mod._unit_gram(
-            s, d, np.random.default_rng(11), shape=(batch,), latent=latent
-        )
+        gram, _ = unit_gram(s, d, np.random.default_rng(11), shape=(batch,), latent=latent)
         iu = np.triu_indices(s, k=1)
         x = gram[:, iu[0], iu[1]].ravel()
         assert abs(x.mean()) <= 3 * math.sqrt(1 / d / x.size)
         var_se = math.sqrt((3 / (d * (d + 2)) - 1 / d**2) / x.size)
         assert abs(np.mean(x**2) - 1 / d) <= 3 * var_se
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_latent_route_is_the_oracle_draw_for_draw(self, shape):
+        # so the oracle's law checks at d >= s speak for the library's d < s route
+        s, d = 6, 4
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        gram, lat = graphs_mod._unit_gram(s, d, rng, shape)
+        gram_ref, lat_ref = unit_gram_latent(s, d, ref, shape)
+        assert np.array_equal(gram, gram_ref) and np.array_equal(lat, lat_ref)
+        assert rng.random() == ref.random()
 
     def test_bartlett_route_draws_only_lower_normals(self):
         # s chi-squares, then s(s-1)/2 normals: the generator's next draw

@@ -395,6 +395,12 @@ class TestScan:
             cfg = ScanConfig(k_minus=6, mode=mode, sigma_sq=1.0, B=1.0)
             assert constrained_scan_statistic(g, 0.5, cfg) == (None, None)
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_rejected(self, restarts):
+        # a local search with no restart would return no subset at all
+        with pytest.raises(ValueError, match="restarts"):
+            ScanConfig(k_minus=3, mode="local-search", restarts=restarts)
+
     def test_exhaustive_size_guard(self):
         cfg = ScanConfig(k_minus=20, mode="exhaustive")
         with pytest.raises(ValueError):
