@@ -38,7 +38,7 @@ from .graphs import (
 )
 from .lowdeg import V_MAX, low_degree_advantage
 from .sphere import basis_for_density, signed_cycle_expectation, solve_threshold
-from .stats import _ENUM_MAX_ELL, ScanConfig, signed_triangle_count
+from .stats import _ENUM_MAX_ELL, ScanConfig, _cycle_max_n, signed_triangle_count
 
 CSV_COLUMNS = [
     "n", "p", "d", "k", "test", "threshold", "type1", "type1_hw",
@@ -184,13 +184,6 @@ def _settings(cfg: dict, section: str, args, *flags) -> dict:
     return values
 
 
-def _flag(args, key: str):
-    """--seed or --workers of a command that reads no [run], by the [run] reader."""
-    reader, default = _SCHEMA["run"][key]
-    text = getattr(args, key)
-    return default if text is None else _convert(f"--{key}", reader, text)
-
-
 def _model_from(cfg: dict) -> ModelParams:
     if "model" not in cfg:
         raise ConfigError("config needs a [model] section")
@@ -218,6 +211,20 @@ def _grid_points(cfg: dict, base: ModelParams) -> list[ModelParams]:
         _model("sweep", n=round(n), p=float(p), d=round(d), k=float(k))
         for n in axes[0] for p in axes[1] for d in axes[2] for k in axes[3]
     ]
+
+
+def _check_cycle_sizes(kinds: list, points: list[ModelParams]):
+    """Refuse a [test.cycle] length that signed_cycle_count cannot count at the grid's n.
+
+    ell = 6 and 7 are enumerated, up to n = 64 only; past that every row would be nan.
+    """
+    n = max(pt.n for pt in points)
+    for kind, options in kinds:
+        if kind == "cycle" and n > _cycle_max_n(options["ell"]):
+            raise ConfigError(
+                f"[test.cycle] ell = {options['ell']} counts cycles by enumeration, which "
+                f"needs n <= {_cycle_max_n(options['ell'])}; the grid reaches n = {n}"
+            )
 
 
 def _threshold_series(kind: str, options: dict, params: ModelParams) -> list:
@@ -277,6 +284,7 @@ def cmd_rows(args) -> int:
 
     points = _grid_points(cfg, base)
     kinds = _test_sections(cfg)
+    _check_cycle_sizes(kinds, points)
 
     done_keys = set()
     if args.resume:
@@ -349,8 +357,7 @@ def cmd_lowdeg(args) -> int:
     v_max, degree_cap, trials = section["v_max"], section["degree_cap"], section["trials"]
     if v_max > params.n:  # an embedding needs v <= n
         raise ConfigError(f"[lowdeg] v_max = {v_max} exceeds n = {params.n}")
-    seed = _flag(args, "seed")
-    _flag(args, "workers")  # checked, but the command runs serially
+    seed = _settings(cfg, "run", args, "seed", "workers")["seed"]  # workers: checked only
 
     report = low_degree_advantage(params, v_max, degree_cap, trials, Seed(seed))
     rows = []
@@ -387,8 +394,7 @@ def cmd_wishart(args) -> int:
         if size > n:
             raise ConfigError(f"[wishart] community_size = {size} exceeds n = {n}")
         params = _model("wishart", n=n, p=section["p"], d=d, k=max(size, 1))
-    seed = Seed(_flag(args, "seed"))
-    _flag(args, "workers")  # checked, but the command runs serially
+    seed = Seed(_settings(cfg, "run", args, "seed", "workers")["seed"])  # workers: checked only
 
     deviations = [
         spectral_deviation(sample_spherical_wishart(k, d, seed.stream(t, arm=5)))
@@ -429,7 +435,7 @@ def cmd_wishart(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    rng = Seed(_flag(args, "seed")).stream(0, arm=9)
+    rng = Seed(_settings({}, "run", args, "seed")["seed"]).stream(0, arm=9)  # no config
     if args.model == "null":
         graph = sample_null(args.n, args.p, rng)
     elif args.model == "geometric":

@@ -289,21 +289,33 @@ def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph(n, rng.random(m) < p)
 
 
-def _unit_gram(s: int, d: int, rng: np.random.Generator, shape=()):
+def _unit_gram(s: int, d: int, rng: np.random.Generator, shape=(), pairs=None):
     """Gram matrices of s i.i.d. uniform unit vectors on S^{d-1}, batched over shape.
 
     Returns (gram, latents) with shapes shape + (s, s) and shape + (s, d).  The
     route rule is latents iff d < s: the latent route materializes the latents
     only where the Bartlett decomposition does not exist.  For d >= s the
-    normalized W_ij / sqrt(W_ii W_jj) of a Bartlett Wishart draw (see
+    normalized W_ij / (sqrt(W_ii) sqrt(W_jj)) of a Bartlett Wishart draw (see
     _bartlett_wishart) equals <Z_i, Z_j>/(|Z_i||Z_j|) in law, at O(s^2) draws
     whatever d is; latents are None there.  Only off-diagonal entries are
     meaningful.
+
+    With pairs, a sequence of (i, j), gram is shape + (len(pairs),): the
+    normalized inner products of those pairs only, from the same draws in the
+    same order.  The latent route gathers them from the dense Gram; the
+    Bartlett route computes them from the factor's entries (see
+    _bartlett_cosines) and never assembles an s x s matrix.
     """
     shape = tuple(shape)
     if d < s:
         u = sample_uniform_sphere(d, rng, size=(*shape, s))
-        return u @ u.swapaxes(-1, -2), u
+        gram = u @ u.swapaxes(-1, -2)
+        if pairs is not None:
+            rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+            gram = gram[..., rows, cols]
+        return gram, u
+    if pairs is not None:
+        return _bartlett_cosines(s, d, rng, shape, pairs), None
     w = _bartlett_wishart(s, d, rng, shape)
     idx = np.arange(s)
     norms = np.sqrt(w[..., idx, idx])
@@ -311,20 +323,68 @@ def _unit_gram(s: int, d: int, rng: np.random.Generator, shape=()):
     return w, None
 
 
+def _bartlett_factor(s: int, d: int, rng: np.random.Generator, shape=()):
+    """The Bartlett factor L of a Wishart(I_s, d) draw; needs d >= s.
+
+    The one statement of the draw order: s chi-squares L_ii^2 ~ chi^2_{d-i},
+    i = 0..s-1, then the s(s-1)/2 strictly-lower L_ij ~ N(0,1) in row-major
+    order (L_10, L_20, L_21, L_30, ...).  Returns (diag, lower) with shapes
+    shape + (s,) and shape + (s(s-1)/2,); L_ij for j < i is
+    lower[..., i(i-1)/2 + j].
+    """
+    diag = rng.chisquare(np.broadcast_to(d - np.arange(s), (*shape, s)))
+    np.sqrt(diag, out=diag)
+    lower = rng.standard_normal((*shape, s * (s - 1) // 2))
+    return diag, lower
+
+
 def _bartlett_wishart(s: int, d: int, rng: np.random.Generator, shape=()) -> np.ndarray:
     """Wishart(I_s, d) draws W = L L^T from the Bartlett factor; needs d >= s.
 
     W has exactly the law of Z Z^T for an s x d standard Gaussian Z, at O(s^2)
-    draws whatever d is: s chi-squares L_ii^2 ~ chi^2_{d-i+1}, then the
-    s(s-1)/2 strictly-lower L_ij ~ N(0,1).  Returns shape + (s, s).
+    draws whatever d is (see _bartlett_factor).  Returns shape + (s, s).
     """
-    diag = np.sqrt(rng.chisquare(np.broadcast_to(d - np.arange(s), (*shape, s))))
-    strict_lower = np.tri(s, k=-1, dtype=bool)  # filled in row-major order
+    diag, lower = _bartlett_factor(s, d, rng, shape)
     low = np.zeros((*shape, s, s))
-    low[..., strict_lower] = rng.standard_normal((*shape, s * (s - 1) // 2))
+    low[..., np.tri(s, k=-1, dtype=bool)] = lower  # a mask fills in row-major order
     idx = np.arange(s)
     low[..., idx, idx] = diag
     return low @ low.swapaxes(-1, -2)
+
+
+def _bartlett_cosines(s: int, d: int, rng: np.random.Generator, shape, pairs) -> np.ndarray:
+    """W_ij / (sqrt(W_ii) sqrt(W_jj)) of one Bartlett draw per sample, for the given pairs only.
+
+    Returns shape + (len(pairs),).  Each W_ij = sum of L_ik L_jk is accumulated
+    over k <= min(i, j) in ascending k, and only the diagonal entries the
+    pairs touch are formed.  The arithmetic runs in place on two scratch
+    arrays: at lowdeg's chunk sizes, fresh pages for each temporary cost more
+    than the products themselves.
+    """
+    diag, lower = _bartlett_factor(s, d, rng, shape)
+    # sample axes last, so that each factor entry below is one contiguous array
+    diag = np.moveaxis(diag, -1, 0).copy()
+    lower = np.moveaxis(lower, -1, 0).copy()
+    acc, tmp = np.empty(shape), np.empty(shape)
+
+    def entry(i, k):
+        return diag[i] if k == i else lower[i * (i - 1) // 2 + k]
+
+    def inner(i, j, out):
+        np.multiply(entry(i, 0), entry(j, 0), out=out)
+        for k in range(1, min(i, j) + 1):
+            out += np.multiply(entry(i, k), entry(j, k), out=tmp)
+        return out
+
+    norms = {}
+    for x in {x for pair in pairs for x in pair}:
+        w = inner(x, x, np.empty(shape))
+        norms[x] = np.sqrt(w, out=w)
+    out = np.empty((*shape, len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        w = inner(i, j, acc)
+        np.divide(w, np.multiply(norms[i], norms[j], out=tmp), out=out[..., col])
+    return out
 
 
 def sample_full_geometric(

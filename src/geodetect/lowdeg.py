@@ -173,17 +173,17 @@ def _edge_indicators(
 ) -> np.ndarray:
     """Geometric edge indicators 1{<u_i, u_j> >= tau}, shape (batch, len(pairs)).
 
-    Only a v x v Gram block of the embedding vertices' latents is drawn: from
-    the Bartlett route (v chi-squares and v(v-1)/2 normals per sample)
-    whenever d >= v; only d < v draws, and briefly holds, the batch's v*d
-    latent coordinates.  Community membership and the p-coins off the
-    community are never simulated; fourier_coefficient_mc applies their exact
-    effect, the factor (k/n)^v.
+    Only the normalized inner products of the given pairs are formed, from one
+    v x v Gram draw per sample: whenever d >= v straight from the Bartlett
+    factor (v chi-squares and v(v-1)/2 normals per sample), with no
+    (batch, v, v) array; only d < v draws, and briefly holds, the batch's v*d
+    latent coordinates and their dense Gram.  Community membership and the
+    p-coins off the community are never simulated; fourier_coefficient_mc
+    applies their exact effect, the factor (k/n)^v.
     """
     tau = solve_threshold(params.p, params.d).tau
-    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,))
-    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return gram[:, rows, cols] >= tau
+    cosines, _ = _unit_gram(v, params.d, rng, shape=(batch,), pairs=pairs)
+    return cosines >= tau
 
 
 def fourier_coefficient_mc(

@@ -50,6 +50,11 @@ _ENUM_MAX_ELL = 7
 _CHUNK_BYTES = 2**20  # per gathered block of the cycle enumeration and the exhaustive scan
 
 
+def _cycle_max_n(ell: int) -> float:
+    """Largest n signed_cycle_count takes at this length: enumerated lengths stop at 64."""
+    return _ENUM_MAX_N if ell > 5 else math.inf
+
+
 def centered_adjacency(graph: Graph, p: float) -> np.ndarray:
     """Symmetric matrix with entries G_ij - p off the diagonal and 0 on it."""
     return symmetric_matrix(graph.edges - p, graph.n)
@@ -148,7 +153,7 @@ def signed_cycle_count(graph: Graph, p: float, ell: int) -> float:
     if not 3 <= ell <= _ENUM_MAX_ELL:
         raise ValueError(f"cycle length must lie in [3, {_ENUM_MAX_ELL}], got {ell}")
     n = graph.n
-    if ell > 5 and n > _ENUM_MAX_N:
+    if n > _cycle_max_n(ell):
         raise ValueError(
             f"cycle enumeration (ell = {ell}) is limited to n <= {_ENUM_MAX_N}, got n = {n}"
         )

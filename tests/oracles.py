@@ -135,3 +135,14 @@ def edge_indicators_with_membership(v: int, pairs, params, rng, batch: int) -> n
         coin = rng.random(batch) < params.p
         out[:, col] = np.where(both, gram[:, i, j] >= tau, coin)
     return out
+
+
+def edge_indicators_dense(v: int, pairs, params, rng, batch: int) -> np.ndarray:
+    """lowdeg._edge_indicators through the dense Gram: the batch's v x v blocks, then one gather.
+
+    Makes the same draws in the same order as the library on both routes.
+    """
+    tau = solve_threshold(params.p, params.d).tau
+    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,))
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return gram[:, rows, cols] >= tau

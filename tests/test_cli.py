@@ -358,6 +358,67 @@ class TestConfigValidation:
         assert read_rows(out)[0]["d"] == "100"
 
 
+class TestCycleLength:
+    @pytest.mark.parametrize("ell, sweep", [(6, ""), (7, ""), (6, "[sweep]\nn = 40,70\n")])
+    def test_enumerated_length_beyond_64_vertices_rejected(self, tmp_path, capsys, ell, sweep):
+        # ell = 6 and 7 are counted by enumeration, which stops at n = 64
+        cfg = tmp_path / "cfg.ini"
+        text = with_test(f"[test.cycle]\nell = {ell}\n") + sweep
+        cfg.write_text(text if sweep else text.replace("n = 40", "n = 70"))
+        out = tmp_path / "rows.csv"
+        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: [test.cycle] ell = {ell} ")
+        assert not out.exists()
+
+    def test_enumerated_length_at_64_vertices_runs(self, tmp_path, monkeypatch):
+        # a real 6-cycle enumeration at n = 64 takes minutes; stub the sum to
+        # check that the point passes the config check and reaches the count
+        import geodetect.detection as detection_mod
+        import geodetect.stats as stats_mod
+
+        seen = []
+
+        def enumerated_sum(a, ell):
+            seen.append((a.shape[0], ell))
+            return 0.0
+
+        monkeypatch.setattr(stats_mod, "_cycle_enumerated_sum", enumerated_sum)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(with_test("[test.cycle]\nell = 6\n").replace("n = 40", "n = 64"))
+        out = tmp_path / "rows.csv"
+        # the null memo must neither serve nor keep a stubbed statistic
+        detection_mod._null_statistic.cache_clear()
+        try:
+            assert main(["test", "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 0
+        finally:
+            detection_mod._null_statistic.cache_clear()
+        (row,) = read_rows(out)
+        assert (row["n"], row["test"]) == ("64", "cycle") and row["threshold"] != "nan"
+        assert seen and set(seen) == {(64, 6)}
+
+
+class TestRunSeed:
+    LOWDEG = "[model]\nn = 30\np = 0.5\nd = 8\nk = 15\n[lowdeg]\nv_max = 3\ndegree_cap = 3\ntrials = 500\n"
+    WISHART = "[wishart]\nk = 4\nd = 40\ntrials = 20\nn = 12\n"
+
+    @pytest.mark.parametrize("command, body", [("lowdeg", LOWDEG), ("wishart", WISHART)])
+    def test_run_seed_read_and_flag_overrides(self, tmp_path, capsys, command, body):
+        keyed, plain = tmp_path / "keyed.ini", tmp_path / "plain.ini"
+        keyed.write_text(body + "[run]\nseed = 7\n")
+        plain.write_text(body)
+
+        def report(*argv):
+            assert main([command, *argv]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        from_key = report("--config", str(keyed))
+        assert from_key["seed"] == 7
+        assert from_key == report("--config", str(plain), "--seed", "7")
+        overridden = report("--config", str(keyed), "--seed", "3")
+        assert overridden["seed"] == 3
+        assert overridden == report("--config", str(plain), "--seed", "3") != from_key
+
+
 class TestLowdegCommand:
     def test_report_shape(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

@@ -23,6 +23,7 @@ from geodetect.sphere import signed_cycle_expectation, solve_threshold
 from oracles import (
     automorphisms_by_permutation,
     canonical_code_by_permutation,
+    edge_indicators_dense,
     edge_indicators_with_membership,
 )
 
@@ -210,6 +211,20 @@ class TestFourierMc:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_full_chunk_memory_budget(self):
+        # one 65,536-sample chunk of a 7-edge v = 5 graph at the lowdeg
+        # workload's d; a dense (65,536, 5, 5) factor or Gram is 12.5 MiB alone
+        params = ModelParams(n=200, p=0.3, d=64, k=100)
+        graph = small_graph_from_edges(5, [*HOUSE.edges, (0, 2)])
+        solve_threshold(0.3, 64)  # the cached solve is not part of the chunk
+        tracemalloc.start()
+        try:
+            fourier_coefficient_mc(graph, params, 65_536, Seed(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
     def test_embedding_size_guard(self):
         params = ModelParams(n=3, p=0.5, d=8, k=2)
         with pytest.raises(ValueError):
@@ -258,6 +273,34 @@ class TestGeometryOnly:
         params = ModelParams(n=40, p=0.3, d=16, k=1e-300)
         est = fourier_coefficient_mc(TRIANGLE, params, 1_000, Seed(64))
         assert est.phi == 0.0 and est.stderr == 0.0
+
+
+class TestEdgeIndicators:
+    """_edge_indicators reads the pairs straight from the Bartlett factor; the
+    dense gather of the full Gram is the oracle, draw for draw."""
+
+    @staticmethod
+    def assert_dense_equal(graph, params, seed, batch=65_536):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _edge_indicators(graph.v, graph.edges, params, got_rng, batch)
+        want = edge_indicators_dense(graph.v, graph.edges, params, want_rng, batch)
+        assert got.shape == (batch, graph.e) and np.array_equal(got, want), graph
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [64, 4])
+    def test_every_estimated_graph_matches_the_dense_gather(self, d):
+        # d = 64 is the lowdeg workload's Bartlett route; d = 4 puts v = 5 on latents
+        params = ModelParams(n=200, p=0.3, d=d, k=100)
+        report = low_degree_advantage(params, v_max=5, degree_cap=7, trials=1, seed=Seed(0))
+        estimated = [graph for graph, _, _, skipped in report.rows if not skipped]
+        assert len(estimated) == 19
+        for idx, graph in enumerate(estimated):
+            self.assert_dense_equal(graph, params, seed=1000 + idx)
+
+    @pytest.mark.parametrize("v, d", [(2, 64), (5, 64), (5, 4)])
+    def test_edgeless_graph_matches_the_dense_gather(self, v, d):
+        params = ModelParams(n=200, p=0.3, d=d, k=100)
+        self.assert_dense_equal(small_graph_from_edges(v, []), params, seed=v + d, batch=1000)
 
 
 class TestAdvantage:
