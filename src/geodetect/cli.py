@@ -38,7 +38,7 @@ from .graphs import (
 )
 from .lowdeg import V_MAX, low_degree_advantage
 from .sphere import basis_for_density, signed_cycle_expectation, solve_threshold
-from .stats import _ENUM_MAX_ELL, ScanConfig, _cycle_max_n, signed_triangle_count
+from .stats import MAX_CYCLE_LENGTH, ScanConfig, signed_triangle_count
 
 CSV_COLUMNS = [
     "n", "p", "d", "k", "test", "threshold", "type1", "type1_hw",
@@ -108,14 +108,14 @@ _SCHEMA = {
         "d": (_integer(), _REQUIRED), "k": (_real(), _REQUIRED),
     },
     "run": {
-        "trials": (_integer(1), 200), "seed": (_seed, 0),
+        "trials": (_integer(1), None), "seed": (_seed, 0),  # trials: 200 for test and sweep
         "workers": (_integer(1), 1), "out": (str, None),
     },
     "sweep": dict.fromkeys(("n", "p", "d", "k"), (_axis, None)),
     "test.global-triangle": {},
     "test.scan": _SCAN,
     "test.constrained-scan": {**_SCAN, "cycle_constant": (_cycle_constant, None)},
-    "test.cycle": {"ell": (_integer(3, _ENUM_MAX_ELL), _REQUIRED)},
+    "test.cycle": {"ell": (_integer(3, MAX_CYCLE_LENGTH), _REQUIRED)},
     "lowdeg": {
         "v_max": (_integer(1, V_MAX), 4), "degree_cap": (_integer(1), 10),
         "trials": (_integer(1), 20000),
@@ -184,6 +184,14 @@ def _settings(cfg: dict, section: str, args, *flags) -> dict:
     return values
 
 
+def _json_run(cfg: dict, args, command: str) -> tuple[Seed, str | None]:
+    """[run] seed and out of lowdeg and wishart, flags over them; trials is [command]'s."""
+    if cfg.get("run", {}).get("trials") is not None:
+        raise ConfigError(f"[run] trials is not read by {command}: set [{command}] trials")
+    run = _settings(cfg, "run", args, "seed", "workers", "out")  # workers: checked only
+    return Seed(run["seed"]), run["out"]
+
+
 def _model_from(cfg: dict) -> ModelParams:
     if "model" not in cfg:
         raise ConfigError("config needs a [model] section")
@@ -211,20 +219,6 @@ def _grid_points(cfg: dict, base: ModelParams) -> list[ModelParams]:
         _model("sweep", n=round(n), p=float(p), d=round(d), k=float(k))
         for n in axes[0] for p in axes[1] for d in axes[2] for k in axes[3]
     ]
-
-
-def _check_cycle_sizes(kinds: list, points: list[ModelParams]):
-    """Refuse a [test.cycle] length that signed_cycle_count cannot count at the grid's n.
-
-    ell = 6 and 7 are enumerated, up to n = 64 only; past that every row would be nan.
-    """
-    n = max(pt.n for pt in points)
-    for kind, options in kinds:
-        if kind == "cycle" and n > _cycle_max_n(options["ell"]):
-            raise ConfigError(
-                f"[test.cycle] ell = {options['ell']} counts cycles by enumeration, which "
-                f"needs n <= {_cycle_max_n(options['ell'])}; the grid reaches n = {n}"
-            )
 
 
 def _threshold_series(kind: str, options: dict, params: ModelParams) -> list:
@@ -278,13 +272,12 @@ def cmd_rows(args) -> int:
     cfg = load_config(args.config)
     base = _model_from(cfg)
     run = _settings(cfg, "run", args, "trials", "seed", "workers", "out")
-    trials, seed, out_path = run["trials"], run["seed"], run["out"]
+    trials, seed, out_path = run["trials"] or 200, run["seed"], run["out"]
     if out_path is None:
         raise ConfigError("[run] no output path: pass --out or set out in [run]")
 
     points = _grid_points(cfg, base)
     kinds = _test_sections(cfg)
-    _check_cycle_sizes(kinds, points)
 
     done_keys = set()
     if args.resume:
@@ -357,9 +350,9 @@ def cmd_lowdeg(args) -> int:
     v_max, degree_cap, trials = section["v_max"], section["degree_cap"], section["trials"]
     if v_max > params.n:  # an embedding needs v <= n
         raise ConfigError(f"[lowdeg] v_max = {v_max} exceeds n = {params.n}")
-    seed = _settings(cfg, "run", args, "seed", "workers")["seed"]  # workers: checked only
+    seed, out = _json_run(cfg, args, "lowdeg")
 
-    report = low_degree_advantage(params, v_max, degree_cap, trials, Seed(seed))
+    report = low_degree_advantage(params, v_max, degree_cap, trials, seed)
     rows = []
     triangle_row = None
     for graph, phi, stderr, skipped in report.rows:
@@ -379,10 +372,10 @@ def cmd_lowdeg(args) -> int:
     return _write_json({
         "version": __version__,
         "model": {"n": params.n, "p": params.p, "d": params.d, "k": params.k},
-        "v_max": v_max, "degree_cap": degree_cap, "trials": trials, "seed": seed,
+        "v_max": v_max, "degree_cap": degree_cap, "trials": trials, "seed": seed.master,
         "advantage": report.value, "advantage_error": report.error,
         "rows": rows, "triangle_crosscheck": triangle_row,
-    }, args.out)
+    }, out)
 
 
 def cmd_wishart(args) -> int:
@@ -394,7 +387,7 @@ def cmd_wishart(args) -> int:
         if size > n:
             raise ConfigError(f"[wishart] community_size = {size} exceeds n = {n}")
         params = _model("wishart", n=n, p=section["p"], d=d, k=max(size, 1))
-    seed = Seed(_settings(cfg, "run", args, "seed", "workers")["seed"])  # workers: checked only
+    seed, out = _json_run(cfg, args, "wishart")
 
     deviations = [
         spectral_deviation(sample_spherical_wishart(k, d, seed.stream(t, arm=5)))
@@ -431,7 +424,7 @@ def cmd_wishart(args) -> int:
     return _write_json({
         "version": __version__, "seed": seed.master,
         "spectral": spectral, "k1_deviation": k1, "route_check": route,
-    }, args.out)
+    }, out)
 
 
 def cmd_sample(args) -> int:

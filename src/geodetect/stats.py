@@ -7,24 +7,22 @@ every triangle count, global, per subset, or over a stack of subsets inside a
 scan, is Tr(Abar^3)/6 of the relevant block.  The tests cross-check it against
 an explicit pair loop kept in tests/oracles.py.
 
-Cycles of length 4 and 5 are trace polynomials as well (the cycle-counting
-identities of Alon, Yuster and Zwick, re-derived for the weighted matrix
-Abar).  With A2 = Abar @ Abar, A3 = A2 @ Abar and s_i = (A2)_ii:
-
-    8 C4  = sum(A2 o A2) - 2 sum_i s_i^2 + sum(Abar o^4)
-    10 C5 = sum(A3 o A2) - 5 sum_i (A3)_ii s_i + 5 sum(Abar o^3 o A2)
-
-where o is the entrywise product and o^k the entrywise power.  The first term
-of each is Tr(Abar^4) or Tr(Abar^5); the others remove the closed walks that
-revisit a vertex.  Lengths 6 and 7 are enumerated.
+Every cycle count, ell = 3 to 7, comes from one engine.  Moebius inversion over
+the set partitions pi of the ell cycle positions (Alon, Yuster and Zwick) turns
+the sum over distinct vertex tuples into sum_pi mu(pi) W(C_ell / pi), W the walk
+sum of the quotient multigraph, whose m-fold edges carry Abar o^m.  An Eulerian
+multigraph with a K4 minor has >= 8 edges, so for ell <= 7 each quotient contracts
+by series-parallel elimination in O(n^3) time and O(n^2) memory.  Lengths stop at
+7 because ell = 8 brings the first O(n^4) term.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -35,7 +33,6 @@ __all__ = [
     "centered_adjacency",
     "signed_triangle_count",
     "signed_cycle_count",
-    "cycle_vertex_orders",
     "wedge_sums",
     "wedge_sums_symmetric",
     "subset_signed_triangles",
@@ -45,14 +42,9 @@ __all__ = [
 ]
 
 
-_ENUM_MAX_N = 64
-_ENUM_MAX_ELL = 7
-_CHUNK_BYTES = 2**20  # per gathered block of the cycle enumeration and the exhaustive scan
-
-
-def _cycle_max_n(ell: int) -> float:
-    """Largest n signed_cycle_count takes at this length: enumerated lengths stop at 64."""
-    return _ENUM_MAX_N if ell > 5 else math.inf
+MAX_CYCLE_LENGTH = 7
+_CHUNK_BYTES = 2**20  # per gathered block of the exhaustive scan
+_A, _ONE = ("A",), ("one",)  # Abar and the all-ones vertex weight
 
 
 def centered_adjacency(graph: Graph, p: float) -> np.ndarray:
@@ -74,31 +66,6 @@ def signed_triangle_count(graph: Graph, p: float) -> float:
     return _triangle_sum(centered_adjacency(graph, p))
 
 
-def cycle_vertex_orders(ell: int) -> list[tuple[int, ...]]:
-    """Distinct cyclic orders of ell labeled vertices, each unordered cycle once.
-
-    Fixing position 0 and requiring the second entry to be smaller than the
-    last kills the 2*ell symmetries, leaving (ell-1)!/2 orders.
-    """
-    orders = []
-    for perm in permutations(range(1, ell)):
-        if perm[0] < perm[-1]:
-            orders.append((0,) + perm)
-    return orders
-
-
-@lru_cache(maxsize=32)
-def _cycle_pair_slots(ell: int) -> np.ndarray:
-    """For each cyclic order, the ell consecutive position pairs (as sorted slots)."""
-    orders = cycle_vertex_orders(ell)
-    slots = np.empty((len(orders), ell, 2), dtype=np.int64)
-    for r, order in enumerate(orders):
-        for e in range(ell):
-            u, v = order[e], order[(e + 1) % ell]
-            slots[r, e] = (min(u, v), max(u, v))
-    return slots
-
-
 def _subset_blocks(n: int, size: int, per_subset: int):
     """The size-subsets of range(n) in lexicographic order, as (B, size) index blocks.
 
@@ -111,58 +78,98 @@ def _subset_blocks(n: int, size: int, per_subset: int):
         yield flat.reshape(len(block), size)
 
 
-def _cycle_trace_sum(a: np.ndarray, ell: int) -> float:
-    """Signed 4- or 5-cycle count of a centered matrix from its traces."""
-    a2 = a @ a
-    s = np.diagonal(a2)
-    sq = a * a
-    if ell == 4:
-        return float((a2 * a2).sum() - 2.0 * (s @ s) + (sq * sq).sum()) / 8.0
-    a3 = a2 @ a
-    return float(
-        (a3 * a2).sum() - 5.0 * (np.diagonal(a3) @ s) + 5.0 * (sq * a * a2).sum()
-    ) / 10.0
+def _t(x):
+    """Transpose of a matrix expression (see _cycle_plan)."""
+    if x[0] == "chain":
+        return ("chain", *(f if i % 2 else _t(f) for i, f in enumerate(x[:0:-1])))
+    return _had(*map(_t, x[1:])) if x[0] == "had" else x
 
 
-def _cycle_enumerated_sum(a: np.ndarray, ell: int) -> float:
-    """Signed ell-cycle count by streaming over all C(n, ell) * (ell-1)!/2 cycles."""
-    slots = _cycle_pair_slots(ell)
-    total = 0.0
-    for sub in _subset_blocks(a.shape[0], ell, slots.shape[0] * ell):
-        vals = a[sub[:, slots[:, :, 0]], sub[:, slots[:, :, 1]]]
-        total += float(vals.prod(axis=2).sum())
-    return total
+def _had(*xs):
+    """Entrywise product, flattened and sorted; the factors Abar lead, a shared prefix."""
+    flat = [f for x in xs for f in (x[1:] if x[0] == "had" else (x,)) if f != _ONE]
+    return ("had", *sorted(flat, key=repr)) if len(flat) > 1 else (flat or [_ONE])[0]
+
+
+def _walk_sum(labels: tuple, built: set):
+    """Walk sum of the quotient of C_ell by these block labels, by series-parallel elimination.
+
+    A leaf, unweighted ones first, folds into its neighbour's weight; else the degree-2
+    vertex v whose L diag(w_v) R makes fewest matmuls not in built goes.
+    """
+    edges, weights = {}, dict.fromkeys(labels, _ONE)
+
+    def join(u, v, x):  # x is indexed [x_u, x_v]; a parallel edge multiplies in
+        x = _had(edges[u, v], x) if (u, v) in edges else x
+        edges[u, v], edges[v, u] = x, _t(x)
+    for i, u in enumerate(labels):
+        join(u, labels[i - 1], _A)
+    while len(weights) > 1:
+        if len(weights) == 2 and {*weights.values()} == {_ONE}:  # the entry sum of the edge
+            return ("sum", min(edges.values(), key=repr))
+        nbrs = {v: [u for s, u in edges if s == v] for v in weights}
+        v = min(weights, key=lambda v: (len(nbrs[v]), weights[v] != _ONE, v))
+        if len(nbrs[v]) == 1:
+            (u,) = nbrs[v]
+            weights[u] = _had(weights[u], ("matmul", edges[u, v], weights.pop(v)))
+            del edges[u, v], edges[v, u]
+            continue
+        options = []  # treewidth <= 2: some vertex has two neighbours
+        for v, (a, b) in ((v, ns) for v, ns in nbrs.items() if len(ns) == 2):
+            xs = (edges[a, v], weights[v], edges[v, b])  # a chain, flattened
+            c = ("chain", *(f for x in xs for f in (x[1:] if x[0] == "chain" else (x,))))
+            options.append((sum(c[:k] not in built for k in range(4, len(c) + 1, 2)), v, a, b, c))
+        _, v, a, b, c = min(options)
+        built.update(c[:k] for k in range(4, len(c) + 1, 2))
+        del weights[v], edges[a, v], edges[v, a], edges[b, v], edges[v, b]
+        join(a, b, c)
+    return ("sum", *weights.values())
+
+
+@lru_cache(maxsize=None)
+def _cycle_plan(ell: int) -> tuple:
+    """Terms (x, mu) of 2 ell C_ell = sum over pi of mu(pi) W(C_ell / pi), equal x merged.
+
+    pi keeps neighbouring positions apart (Abar_ii = 0 zeroes the rest); many blocks go
+    first.  Expressions: _A, _ONE, ("had", ...) entrywise, ("chain", X0, w1, X1, ...)
+    for X0 diag(w1) X1 ..., ("matmul", X, w) for X @ w, and ("sum", x).
+    """
+    parts = [(0,)]
+    for _ in range(ell - 1):  # block labels in order of first appearance
+        parts = [q + (b,) for q in parts for b in range(max(q) + 2) if b != q[-1]]
+    terms, built = Counter(), set()
+    for q in sorted((q for q in parts if q[-1] != 0), key=max, reverse=True):
+        mu = math.prod((-1) ** (s - 1) * math.factorial(s - 1) for s in map(q.count, set(q)))
+        terms[_walk_sum(q, built)] += mu
+    return tuple((x, mu) for x, mu in terms.items() if mu)
+
+
+def _value(x, memo: dict):
+    """Value of an expression on memo's Abar; each product is formed once per memo."""
+    if x not in memo:
+        y = x[1] if x[0] == "sum" else x
+        if x[0] == "chain":
+            left = _value(x[1] if len(x) == 4 else x[:-2], memo)
+            left = left if x[-2] == _ONE else left * _value(x[-2], memo)
+            memo[x] = left @ _value(x[-1], memo)
+        elif y[0] == "had":  # Abar o^m first, as repeated products; a sum is one vdot
+            op = np.vdot if x[0] == "sum" else np.multiply
+            memo[x] = op(_value(_had(*y[1:-1]), memo), _value(y[-1], memo))
+        else:  # ("matmul", X, w) and ("sum", x) name their numpy function
+            memo[x] = getattr(np, x[0])(*(_value(z, memo) for z in x[1:]))
+    return memo[x]
 
 
 def signed_cycle_count(graph: Graph, p: float, ell: int) -> float:
-    """Sum of the signed edge product over all distinct length-ell cycles.
-
-    ell = 3 is the triangle count Tr(Abar^3)/6.  ell = 4 and 5 use the trace
-    identities, with A2 = Abar @ Abar, A3 = A2 @ Abar and s_i = (A2)_ii:
-
-        8 C4  = sum(A2 o A2) - 2 sum_i s_i^2 + sum(Abar o^4)
-        10 C5 = sum(A3 o A2) - 5 sum_i (A3)_ii s_i + 5 sum(Abar o^3 o A2)
-
-    (o the entrywise product).  These three work at any n.  ell = 6 and 7
-    enumerate all C(n, ell) * (ell-1)!/2 cycles and refuse n > 64; longer
-    cycles are refused.
-    """
+    """Sum of the signed edge product over all distinct length-ell cycles, 3 <= ell <= 7."""
     ell = int(ell)
-    if ell == 3:
-        return signed_triangle_count(graph, p)
-    if not 3 <= ell <= _ENUM_MAX_ELL:
-        raise ValueError(f"cycle length must lie in [3, {_ENUM_MAX_ELL}], got {ell}")
+    if not 3 <= ell <= MAX_CYCLE_LENGTH:
+        raise ValueError(f"cycle length must lie in [3, {MAX_CYCLE_LENGTH}], got {ell}")
     n = graph.n
-    if n > _cycle_max_n(ell):
-        raise ValueError(
-            f"cycle enumeration (ell = {ell}) is limited to n <= {_ENUM_MAX_N}, got n = {n}"
-        )
     if n < ell:
         return 0.0
-    a = centered_adjacency(graph, p)
-    if ell <= 5:
-        return _cycle_trace_sum(a, ell)
-    return _cycle_enumerated_sum(a, ell)
+    memo = {_A: centered_adjacency(graph, p), _ONE: np.ones(n)}
+    return sum(mu * float(_value(x, memo)) for x, mu in _cycle_plan(ell)) / (2 * ell)
 
 
 def _wedge_matrix(sub_signed: np.ndarray) -> np.ndarray:

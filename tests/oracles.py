@@ -7,7 +7,7 @@ import numpy as np
 
 from geodetect.graphs import _unit_gram
 from geodetect.sphere import sample_uniform_sphere, solve_threshold
-from geodetect.stats import _triangle_sum, centered_adjacency, cycle_vertex_orders
+from geodetect.stats import _triangle_sum, centered_adjacency
 
 
 def signed_triangle_count_direct(graph, p: float) -> float:
@@ -22,11 +22,20 @@ def signed_triangle_count_direct(graph, p: float) -> float:
     return total
 
 
+def cycle_vertex_orders(ell: int) -> list[tuple[int, ...]]:
+    """Distinct cyclic orders of ell labeled vertices, each unordered cycle once.
+
+    Fixing position 0 and requiring the second entry to be smaller than the
+    last kills the 2*ell symmetries, leaving (ell-1)!/2 orders.
+    """
+    return [(0,) + perm for perm in permutations(range(1, ell)) if perm[0] < perm[-1]]
+
+
 def signed_cycle_count_enumerated(graph, p: float, ell: int) -> float:
     """Sum of the signed edge product over all C(n, ell) * (ell-1)!/2 cycles.
 
     Streams the vertex subsets in blocks and gathers every cyclic order of
-    each one, so it also runs at n > 64 for short cycles.
+    each one.
     """
     a = centered_adjacency(graph, p)
     orders = np.asarray(cycle_vertex_orders(ell))
@@ -42,6 +51,32 @@ def signed_cycle_count_enumerated(graph, p: float, ell: int) -> float:
             return total
         sub = block.reshape(-1, ell)
         total += float(a[sub[:, orders], sub[:, successors]].prod(axis=2).sum())
+
+
+def signed_cycle_count_traces(graph, p: float, ell: int) -> float:
+    """Signed 4- or 5-cycle count from the trace identities of Alon, Yuster and Zwick.
+
+    Re-derived for the weighted matrix Abar, with A2 = Abar @ Abar, A3 = A2 @ Abar,
+    s_i = (A2)_ii, o the entrywise product and o^k the entrywise power:
+
+        8 C4  = sum(A2 o A2) - 2 sum_i s_i^2 + sum(Abar o^4)
+        10 C5 = sum(A3 o A2) - 5 sum_i (A3)_ii s_i + 5 sum(Abar o^3 o A2)
+
+    The first term of each is Tr(Abar^4) or Tr(Abar^5); the others remove the
+    closed walks that revisit a vertex.
+    """
+    a = centered_adjacency(graph, p)
+    a2 = a @ a
+    s = np.diagonal(a2)
+    sq = a * a
+    if ell == 4:
+        return float((a2 * a2).sum() - 2.0 * (s @ s) + (sq * sq).sum()) / 8.0
+    if ell != 5:
+        raise ValueError(f"the trace identities cover ell = 4 and 5, got {ell}")
+    a3 = a2 @ a
+    return float(
+        (a3 * a2).sum() - 5.0 * (np.diagonal(a3) @ s) + 5.0 * (sq * a * a2).sum()
+    ) / 10.0
 
 
 def unit_gram_latent(s: int, d: int, rng, shape=()):

@@ -34,6 +34,10 @@ seed = 7
 """
 
 
+# lowdeg refuses [run] trials (its count is [lowdeg] trials), so its configs leave it out
+LOWDEG_CONFIG = BASE_CONFIG.replace("trials = 40\n", "")
+
+
 def with_test(section):
     """BASE_CONFIG running the given [test.*] section instead of the global triangle test."""
     return BASE_CONFIG.replace("[test.global-triangle]", section)
@@ -280,17 +284,21 @@ class TestConfigValidation:
             ),
             pytest.param("wishart", "[wishart]\nk = four\n", id="wishart-non-numeric"),
             pytest.param("test", BASE_CONFIG.replace("d = 8", "d = 0"), id="model-d"),
-            pytest.param("lowdeg", BASE_CONFIG.replace("d = 8", "d = 0"), id="lowdeg-model-d"),
+            pytest.param("lowdeg", LOWDEG_CONFIG.replace("d = 8", "d = 0"), id="lowdeg-model-d"),
             pytest.param("test", BASE_CONFIG.replace("p = 0.5", "p = x"), id="model-non-numeric"),
             pytest.param("test", BASE_CONFIG.replace("n = 40", "n = inf"), id="model-infinite"),
             pytest.param("sweep", BASE_CONFIG + "\n[sweep]\nd = 0,8\n", id="sweep-d"),
             pytest.param("sweep", BASE_CONFIG + "\n[sweep]\nd = logrange:4:64\n", id="sweep-axis"),
-            pytest.param("lowdeg", BASE_CONFIG + "\n[lowdeg]\ntrials = 0\n", id="lowdeg-trials"),
-            pytest.param("lowdeg", BASE_CONFIG + "\n[lowdeg]\nv_max = 6\n", id="lowdeg-v-max-cap"),
-            pytest.param("lowdeg", BASE_CONFIG + "\n[lowdeg]\nv_max = x\n", id="lowdeg-v-max-text"),
+            pytest.param("lowdeg", LOWDEG_CONFIG + "\n[lowdeg]\ntrials = 0\n", id="lowdeg-trials"),
+            pytest.param(
+                "lowdeg", LOWDEG_CONFIG + "\n[lowdeg]\nv_max = 6\n", id="lowdeg-v-max-cap"
+            ),
+            pytest.param(
+                "lowdeg", LOWDEG_CONFIG + "\n[lowdeg]\nv_max = x\n", id="lowdeg-v-max-text"
+            ),
             pytest.param(
                 "lowdeg",
-                BASE_CONFIG.replace("n = 40", "n = 4").replace("k = 20", "k = 2")
+                LOWDEG_CONFIG.replace("n = 40", "n = 4").replace("k = 20", "k = 2")
                 + "\n[lowdeg]\nv_max = 5\n",
                 id="lowdeg-v-max-above-n",
             ),
@@ -340,12 +348,12 @@ class TestConfigValidation:
 
     def test_lowdeg_trials_flag_checked(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text(BASE_CONFIG + "\n[lowdeg]\nv_max = 3\n")
+        cfg.write_text(LOWDEG_CONFIG + "\n[lowdeg]\nv_max = 3\n")
         assert main(["lowdeg", "--config", str(cfg), "--trials", "0"]) == 2
 
     def test_lowdeg_scientific_notation_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text(BASE_CONFIG + "\n[lowdeg]\nv_max = 3e0\ndegree_cap = 3\ntrials = 2e4\n")
+        cfg.write_text(LOWDEG_CONFIG + "\n[lowdeg]\nv_max = 3e0\ndegree_cap = 3\ntrials = 2e4\n")
         assert main(["lowdeg", "--config", str(cfg)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert (out["v_max"], out["degree_cap"], out["trials"]) == (3, 3, 20_000)
@@ -359,42 +367,30 @@ class TestConfigValidation:
 
 
 class TestCycleLength:
-    @pytest.mark.parametrize("ell, sweep", [(6, ""), (7, ""), (6, "[sweep]\nn = 40,70\n")])
-    def test_enumerated_length_beyond_64_vertices_rejected(self, tmp_path, capsys, ell, sweep):
-        # ell = 6 and 7 are counted by enumeration, which stops at n = 64
+    @pytest.mark.parametrize(
+        "ell, sweep", [(6, ""), (7, ""), (6, "[sweep]\nn = 40,70\n")], ids=["6", "7", "6-sweep"]
+    )
+    def test_long_cycles_beyond_64_vertices_run(self, tmp_path, ell, sweep):
+        # every length in [3, 7] is counted in O(n^3) at any n
         cfg = tmp_path / "cfg.ini"
         text = with_test(f"[test.cycle]\nell = {ell}\n") + sweep
         cfg.write_text(text if sweep else text.replace("n = 40", "n = 70"))
         out = tmp_path / "rows.csv"
-        assert main(["test", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: [test.cycle] ell = {ell} ")
-        assert not out.exists()
+        assert main(["--strict", "test", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [r["n"] for r in rows] == (["40", "70"] if sweep else ["70"])
+        for row in rows:
+            assert row["test"] == "cycle"
+            assert all(math.isfinite(float(row[key])) for key in ("threshold", "type1", "type2"))
 
-    def test_enumerated_length_at_64_vertices_runs(self, tmp_path, monkeypatch):
-        # a real 6-cycle enumeration at n = 64 takes minutes; stub the sum to
-        # check that the point passes the config check and reaches the count
-        import geodetect.detection as detection_mod
-        import geodetect.stats as stats_mod
-
-        seen = []
-
-        def enumerated_sum(a, ell):
-            seen.append((a.shape[0], ell))
-            return 0.0
-
-        monkeypatch.setattr(stats_mod, "_cycle_enumerated_sum", enumerated_sum)
+    def test_enumerated_length_at_64_vertices_runs(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(with_test("[test.cycle]\nell = 6\n").replace("n = 40", "n = 64"))
         out = tmp_path / "rows.csv"
-        # the null memo must neither serve nor keep a stubbed statistic
-        detection_mod._null_statistic.cache_clear()
-        try:
-            assert main(["test", "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 0
-        finally:
-            detection_mod._null_statistic.cache_clear()
+        assert main(["test", "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 0
         (row,) = read_rows(out)
-        assert (row["n"], row["test"]) == ("64", "cycle") and row["threshold"] != "nan"
-        assert seen and set(seen) == {(64, 6)}
+        assert (row["n"], row["test"], row["trials"]) == ("64", "cycle", "2")
+        assert math.isfinite(float(row["threshold"])) and row["type1"] != "nan"
 
 
 class TestRunSeed:
@@ -417,6 +413,32 @@ class TestRunSeed:
         overridden = report("--config", str(keyed), "--seed", "3")
         assert overridden["seed"] == 3
         assert overridden == report("--config", str(plain), "--seed", "3") != from_key
+
+
+class TestJsonRunKeys:
+    LOWDEG, WISHART = TestRunSeed.LOWDEG, TestRunSeed.WISHART
+
+    @pytest.mark.parametrize("command, body", [("lowdeg", LOWDEG), ("wishart", WISHART)])
+    def test_run_out_read_and_flag_overrides(self, tmp_path, capsys, command, body):
+        keyed, flagged = tmp_path / "keyed.json", tmp_path / "flagged.json"
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(body + f"[run]\nout = {keyed}\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        report = json.loads(keyed.read_text())
+        keyed.unlink()
+        assert main([command, "--config", str(cfg), "--out", str(flagged)]) == 0
+        assert json.loads(flagged.read_text()) == report and not keyed.exists()
+
+    @pytest.mark.parametrize("command, body", [("lowdeg", LOWDEG), ("wishart", WISHART)])
+    def test_run_trials_rejected(self, tmp_path, capsys, command, body):
+        cfg = tmp_path / "cfg.ini"
+        out = tmp_path / "report.json"
+        cfg.write_text(body + f"[run]\ntrials = 50\nout = {out}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [run] trials ") and f"[{command}] trials" in err
+        assert not out.exists()
 
 
 class TestLowdegCommand:

@@ -14,7 +14,6 @@ from geodetect.stats import (
     ScanConfig,
     centered_adjacency,
     constrained_scan_statistic,
-    cycle_vertex_orders,
     scan_statistic,
     signed_cycle_count,
     signed_embedding_product,
@@ -25,8 +24,10 @@ from geodetect.stats import (
 )
 
 from oracles import (
+    cycle_vertex_orders,
     local_search_swap_loop,
     signed_cycle_count_enumerated,
+    signed_cycle_count_traces,
     signed_triangle_count_direct,
 )
 
@@ -106,7 +107,7 @@ class TestSignedTriangles:
 
 class TestSignedCycles:
     def test_term_census(self):
-        # C(6,4) * 3!/2 = 45 summands for n=6, ell=4
+        # the enumeration oracle's cyclic orders: C(6,4) * 3!/2 = 45 summands for n=6, ell=4
         assert len(cycle_vertex_orders(4)) == 3
         assert math.comb(6, 4) * len(cycle_vertex_orders(4)) == 45
         for ell in (3, 4, 5, 6, 7):
@@ -123,42 +124,51 @@ class TestSignedCycles:
         assert signed_cycle_count(g, 0.5, 4) == pytest.approx(expected, abs=1e-15)
         assert expected == 3 / 16
 
-    @pytest.mark.parametrize("ell", [3, 4, 5, 6])
+    @pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
     def test_against_permutation_oracle(self, ell):
-        g = sample_null(8, 0.45, Seed(102).stream(ell))
-        assert signed_cycle_count(g, 0.3, ell) == pytest.approx(
-            brute_cycles(g, 0.3, ell), abs=1e-10
-        )
+        for t, p in enumerate((0.1, 0.3, 0.7)):
+            g = sample_null(8, p, Seed(102).stream(10 * ell + t))
+            assert signed_cycle_count(g, p, ell) == pytest.approx(
+                brute_cycles(g, p, ell), abs=1e-10
+            )
 
     @pytest.mark.parametrize("ell", [4, 5])
     def test_trace_identities_match_enumeration(self, ell):
+        # the trace-identity oracle and the engine, both against the enumeration
         seed = Seed(103)
         for t, (n, p) in enumerate(
             (n, p) for n in (5, 8, 12, 16) for p in (0.1, 0.3, 0.45, 0.7)
         ):
             g = sample_null(n, p, seed.stream(10 * ell + t))
-            assert signed_cycle_count(g, 0.3, ell) == pytest.approx(
-                signed_cycle_count_enumerated(g, 0.3, ell), abs=1e-10
-            )
+            expected = signed_cycle_count_enumerated(g, 0.3, ell)
+            assert signed_cycle_count_traces(g, 0.3, ell) == pytest.approx(expected, abs=1e-10)
+            assert signed_cycle_count(g, 0.3, ell) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("ell", [4, 5])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_trace_identities_match_permutation_oracle(self, ell, p):
         g = sample_null(7, p, Seed(103).stream(100 + ell))
-        assert signed_cycle_count(g, 0.35, ell) == pytest.approx(
-            brute_cycles(g, 0.35, ell), abs=1e-10
-        )
+        expected = brute_cycles(g, 0.35, ell)
+        assert signed_cycle_count_traces(g, 0.35, ell) == pytest.approx(expected, abs=1e-10)
+        assert signed_cycle_count(g, 0.35, ell) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("ell", [4, 5])
+    def test_engine_matches_trace_identities_at_300_vertices(self, ell):
+        g = sample_null(300, 0.3, Seed(103).stream(500 + ell))
+        assert signed_cycle_count(g, 0.3, ell) == pytest.approx(
+            signed_cycle_count_traces(g, 0.3, ell), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
     def test_fewer_vertices_than_cycle_length(self, ell):
         for n in range(1, ell):
             g = sample_null(n, 0.5, Seed(103).stream(200 + n))
             assert signed_cycle_count(g, 0.3, ell) == 0.0
 
-    @pytest.mark.parametrize("ell", [4, 5])
+    @pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
     def test_empty_and_complete_graphs(self, ell):
         p = 0.3
-        for n in range(ell, 10):
+        for n in (*range(ell, 10), 33, 64, 120):
             cycles = math.comb(n, ell) * math.factorial(ell - 1) // 2
             empty = graph_from_edges(n, [])
             complete = graph_from_edges(n, list(combinations(range(n), 2)))
@@ -175,25 +185,21 @@ class TestSignedCycles:
             signed_cycle_count_enumerated(g, 0.3, 4), abs=1e-8
         )
 
-    @pytest.mark.parametrize("ell, n", [(6, 14), (7, 10)])
+    @pytest.mark.parametrize("ell, n", [(3, 14), (4, 14), (5, 14), (6, 14), (7, 10)])
     def test_enumerated_lengths_match_oracle(self, ell, n):
-        # C(14, 6) six-cycle subsets fill several gathered blocks
-        g = sample_null(n, 0.4, Seed(103).stream(400 + ell))
-        assert signed_cycle_count(g, 0.4, ell) == pytest.approx(
-            signed_cycle_count_enumerated(g, 0.4, ell), abs=1e-10
-        )
+        # C(14, 6) six-cycle subsets fill several of the oracle's gathered blocks
+        for t, p in enumerate((0.1, 0.3, 0.7)):
+            g = sample_null(n, p, Seed(103).stream(400 + 10 * ell + t))
+            assert signed_cycle_count(g, p, ell) == pytest.approx(
+                signed_cycle_count_enumerated(g, p, ell), abs=1e-10
+            )
 
     def test_enumeration_refusals(self):
-        g = sample_null(65, 0.5, Seed(104).stream(0))
-        with pytest.raises(ValueError):
-            signed_cycle_count(g, 0.5, 6)
+        # only lengths outside [3, 7] are refused, at any n
         small = sample_null(10, 0.5, Seed(104).stream(1))
-        with pytest.raises(ValueError):
-            signed_cycle_count(small, 0.5, 8)
-        # ell = 3, 4 and 5 are trace polynomials and work at any n
-        big = sample_null(65, 0.5, Seed(104).stream(2))
-        for ell in (3, 4, 5):
-            assert isinstance(signed_cycle_count(big, 0.5, ell), float)
+        for ell in (-1, 0, 2, 8, 9):
+            with pytest.raises(ValueError, match=r"cycle length must lie in \[3, 7\]"):
+                signed_cycle_count(small, 0.5, ell)
 
 
 class TestWedgeSums:
