@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .graphs import (
     Graph,
@@ -114,10 +114,16 @@ def threshold_map_alpha(m, p: float, d: float) -> Graph:
     """Entrywise threshold X_ij >= sqrt(d) * quantile(1 - p) of the standard normal.
 
     Applied to a shifted GOE draw this produces exactly the Erdos-Renyi law.
+    The upper quantile is taken as minus the lower one, -quantile(p), which
+    keeps full relative precision at small p, where 1 - p would round.
     """
     x = _as_matrix(m)
     n = x.shape[0]
-    cut = math.sqrt(d) * float(ndtri(1.0 - p))
+    if 0.0 < p < 1.0:
+        z = -NormalDist().inv_cdf(p)
+    else:  # the limits: every pair at p = 1, none at p = 0
+        z = -math.inf if p >= 1.0 else math.inf
+    cut = math.sqrt(d) * z
     return Graph(n, x[_upper_pairs(n)] >= cut)
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, gammaln, roots_legendre
 
 __all__ = [
     "InnerProductLaw",
@@ -53,6 +52,18 @@ _QUAD_RTOL = 1e-10
 _QUAD_ATOL = 1e-15
 _QUAD_ORDER = 64
 _QUAD_PANELS = (4, 8, 16, 32, 64, 128, 256)
+# The cap tail is one fixed rule: four 64-point panels from the cap edge to the
+# angle where the integrand has fallen by e^-40.  Four panels rather than one
+# keep the rule's last-bit weight errors (largest at the panel ends) below
+# 1e-14 of the tail.  Past 45 degrees the angle is measured from the pole.
+_TAIL_PANELS = 4
+_TAIL_LOG_CUT = 40.0
+_POLAR_SWITCH = math.sqrt(0.5)
+_NEWTON_MAX_STEPS = 200
+# coefficients of z^-1, z^-3, ..., z^-11 in log(Gamma(z + 1/2) / Gamma(z)) - (1/2) log z
+_HALF_RATIO_SERIES = (
+    -1.0 / 8.0, 1.0 / 192.0, -1.0 / 640.0, 17.0 / 14336.0, -31.0 / 18432.0, 691.0 / 180224.0
+)
 _NORM_BLOCK_ELEMENTS = 1_000_000  # per row block of sample_uniform_sphere
 
 
@@ -68,17 +79,24 @@ def _check_dimension(d) -> int:
 
 
 def _log_gamma_half_ratio(z: float) -> float:
-    """log(Gamma(z + 1/2) / Gamma(z)) without cancellation for large z.
+    """log(Gamma(z + 1/2) / Gamma(z)) to about 1e-15 for every z >= 1.
 
-    Direct gammaln differences lose ~9 digits near z = 5e7; the asymptotic
-    expansion sqrt(z) * (1 - 1/(8z) + 1/(128 z^2) + 5/(1024 z^3) - ...) is
-    exact to double precision once z >= 1e4.
+    A difference of log-gamma values loses digits in proportion to their size
+    (about 4e-12 at z = 3000, 9 digits near z = 5e7).  For z >= 12 this uses the
+    asymptotic series (1/2) log z + sum_n (-1)^n (B_n(1/2) - B_n) / (n (n-1)
+    z^(n-1)), whose terms n = 2, 4, ..., 12 are _HALF_RATIO_SERIES and whose
+    first omitted one is below 1e-16 there; smaller z climb to 12 by
+    Gamma(z + 3/2) / Gamma(z + 1) = Gamma(z + 1/2) / Gamma(z) * (z + 1/2) / z.
     """
-    if z < 1e4:
-        return float(gammaln(z + 0.5) - gammaln(z))
-    u = 1.0 / z
-    corr = u * (-1.0 / 8.0 + u * (1.0 / 128.0 + u * (5.0 / 1024.0 - u * 21.0 / 32768.0)))
-    return 0.5 * math.log(z) + math.log1p(corr)
+    shift = max(0, math.ceil(12.0 - z))
+    ratio = 1.0
+    for j in range(shift):
+        ratio *= (z + j) / (z + j + 0.5)
+    z += shift
+    series = 0.0
+    for coeff in reversed(_HALF_RATIO_SERIES):  # Horner in 1/z^2
+        series = series / (z * z) + coeff
+    return 0.5 * math.log(z) + series / z + math.log(ratio)
 
 
 def _mu_log_normalizer(d: int) -> float:
@@ -114,19 +132,47 @@ class InnerProductLaw:
         return inner_product_tail(t, self.d)
 
 
+def _log_cos(theta):
+    """log cos(theta) via log1p(-2 sin^2(theta/2)).
+
+    Full relative precision even when (d - 2) amplifies a 1-ulp error in cos
+    by 1e8.
+    """
+    with np.errstate(divide="ignore"):
+        return np.log1p(-2.0 * np.sin(0.5 * theta) ** 2)
+
+
 def inner_product_tail(t: float, d: int) -> float:
     """P(<U1, U2> >= t) for independent uniform points on S^{d-1}.
 
-    Uses the Beta representation: (X + 1)/2 ~ Beta((d-1)/2, (d-1)/2), so the
-    tail equals the regularized incomplete beta I_{(1-t)/2}(a, a), which is
-    accurate to ~1e-13 even for d ~ 1e8 and avoids cancellation for t > 0.
+    With x = sin(phi) the law is c_d cos^(d-2)(phi) dphi, so the tail is
+    c_d times the integral of cos^(d-2) over [asin t, pi/2], an entire
+    integrand for every integer d.  The panels cover only the O(1/sqrt(d))
+    bulk past the cap edge, where the integrand is largest, and stop once it
+    has fallen by e^-40.  Past t = 1/sqrt(2) the angle psi = pi/2 - phi from the
+    pole is used instead, with the cap's polar radius 2 asin(sqrt((1 - t)/2)),
+    since asin(t) loses digits as t -> 1.  For t < 0 the tail is 1 - tail(-t).
+    Accurate to about 1e-14 relative for 3 <= d <= 1e9.
     """
     d = _check_dimension(d)
     t = float(t)
     if not -1.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [-1, 1], got {t}")
-    a = (d - 1) / 2.0
-    return float(betainc(a, a, (1.0 - t) / 2.0))
+    if t < 0.0:
+        return 1.0 - inner_product_tail(-t, d)
+    if t == 1.0:
+        return 0.0
+    # cos(phi) (or sin(psi)) at the cap edge, and where its (d-2)th power is e^-40 of that
+    edge = math.sqrt((1.0 - t) * (1.0 + t))
+    cut = edge * math.exp(-_TAIL_LOG_CUT / (d - 2))
+    if t <= _POLAR_SWITCH:
+        theta, w = _panel_nodes(math.asin(t), math.acos(cut), _TAIL_PANELS)
+        log_g = _log_cos(theta)
+    else:
+        radius = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - t)))
+        theta, w = _panel_nodes(math.asin(cut), radius, _TAIL_PANELS)
+        log_g = np.log(np.sin(theta))
+    return float(w @ np.exp(_mu_log_normalizer(d) + (d - 2.0) * log_g))
 
 
 @dataclass(frozen=True)
@@ -141,11 +187,14 @@ class ThresholdResult:
 
 @lru_cache(maxsize=1024)
 def solve_threshold(p: float, d: int) -> ThresholdResult:
-    """Solve inner_product_tail(tau, d) = p by bisection, cached per (p, d).
+    """Solve inner_product_tail(tau, d) = p by safeguarded Newton, cached per (p, d).
 
-    The tail is continuous and strictly decreasing, so bisection on [0, 1)
-    for p <= 1/2 (and on (-1, 0] otherwise) is robust even when the law is
-    extremely steep at large d.  Terminates at residual <= 1e-10.
+    p > 1/2 is solved as -tau(1 - p, d); 1 - p is exact there.  For q < 1/2
+    the root lies in (0, 1), where the tail is convex and strictly decreasing
+    with derivative -pdf, so Newton steps from 0 climb to it from below.  A
+    step that leaves the bracket falls back to bisection.  Stops once the
+    tail is within 4 ulp of q or a step moves tau by at most 4 ulp, and
+    requires residual <= 1e-10.
     """
     d = _check_dimension(d)
     p = float(p)
@@ -154,21 +203,27 @@ def solve_threshold(p: float, d: int) -> ThresholdResult:
     if abs(inner_product_tail(0.0, d) - p) <= 1e-13:
         # exact symmetry point; the common p = 1/2 case
         return ThresholdResult(p=p, d=d, tau=0.0, residual=abs(0.5 - p))
-    if p <= 0.5:
-        lo, hi = 0.0, 1.0
-    else:
-        lo, hi = -1.0, 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if inner_product_tail(mid, d) >= p:
-            lo = mid
+    q, sign = (p, 1.0) if p < 0.5 else (1.0 - p, -1.0)
+    law = InnerProductLaw(d)
+    lo, hi, t = 0.0, 1.0, 0.0
+    for _ in range(_NEWTON_MAX_STEPS):
+        excess = inner_product_tail(t, d) - q
+        if abs(excess) <= 4.0 * math.ulp(q):
+            break
+        if excess > 0.0:
+            lo = t
         else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
+            hi = t
+        slope = float(law.pdf(t))
+        step = excess / slope if slope > 0.0 else math.inf
+        if abs(step) <= 4.0 * math.ulp(t):
+            break
+        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+    tau = sign * t
     residual = abs(inner_product_tail(tau, d) - p)
     if residual > 1e-10:
         raise ArithmeticError(
-            f"threshold bisection stalled: p={p}, d={d}, residual={residual:.3e}"
+            f"threshold solve stalled: p={p}, d={d}, residual={residual:.3e}"
         )
     return ThresholdResult(p=p, d=d, tau=tau, residual=residual)
 
@@ -217,12 +272,12 @@ def log_multiplicity(m: int, d: int) -> float:
     if m == 1:
         return math.log(d)
     # N_m = (d + 2m - 2)/m * binom(d + m - 3, m - 1)
-    return float(
+    return (
         math.log(d + 2 * m - 2)
         - math.log(m)
-        + gammaln(d + m - 2)
-        - gammaln(m)
-        - gammaln(d - 1)
+        + math.lgamma(d + m - 2)
+        - math.lgamma(m)
+        - math.lgamma(d - 1)
     )
 
 
@@ -250,7 +305,7 @@ def multiplicity(m: int, d: int) -> float:
 
 @lru_cache(maxsize=8)
 def _panel_rule(order: int):
-    return roots_legendre(order)
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_nodes(lo: float, hi: float, panels: int):
@@ -273,12 +328,7 @@ def _coeffs_on_nodes(theta, w, d: int, max_m: int):
     materializes.
     """
     x = np.sin(theta)
-    # log cos(theta) via log1p(-2 sin^2(theta/2)): full relative precision even
-    # when (d - 2) amplifies a 1-ulp error in cos by 1e8
-    with np.errstate(divide="ignore"):
-        log_cos = np.log1p(-2.0 * np.sin(0.5 * theta) ** 2)
-        log_w = _mu_log_normalizer(d) + (d - 2.0) * log_cos
-    weight = np.exp(log_w)
+    weight = np.exp(_mu_log_normalizer(d) + (d - 2.0) * _log_cos(theta))
     coeffs = np.empty(max_m + 1)
     r_prev = weight
     coeffs[0] = w @ r_prev

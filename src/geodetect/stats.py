@@ -126,7 +126,6 @@ def _walk_sum(labels: tuple, built: set):
     return ("sum", *weights.values())
 
 
-@lru_cache(maxsize=None)
 def _cycle_plan(ell: int) -> tuple:
     """Terms (x, mu) of 2 ell C_ell = sum over pi of mu(pi) W(C_ell / pi), equal x merged.
 
@@ -144,20 +143,52 @@ def _cycle_plan(ell: int) -> tuple:
     return tuple((x, mu) for x, mu in terms.items() if mu)
 
 
-def _value(x, memo: dict):
-    """Value of an expression on memo's Abar; each product is formed once per memo."""
-    if x not in memo:
-        y = x[1] if x[0] == "sum" else x
-        if x[0] == "chain":
-            left = _value(x[1] if len(x) == 4 else x[:-2], memo)
-            left = left if x[-2] == _ONE else left * _value(x[-2], memo)
-            memo[x] = left @ _value(x[-1], memo)
-        elif y[0] == "had":  # Abar o^m first, as repeated products; a sum is one vdot
-            op = np.vdot if x[0] == "sum" else np.multiply
-            memo[x] = op(_value(_had(*y[1:-1]), memo), _value(y[-1], memo))
-        else:  # ("matmul", X, w) and ("sum", x) name their numpy function
-            memo[x] = getattr(np, x[0])(*(_value(z, memo) for z in x[1:]))
-    return memo[x]
+def _inputs(x) -> tuple:
+    """The expressions _apply reads to form x, in the order it reads them."""
+    y = x[1] if x[0] == "sum" else x
+    if x[0] == "chain":  # X0 diag(w1) X1 ... Xk as (X0 ... X(k-1)) diag(wk) Xk
+        left = x[1] if len(x) == 4 else x[:-2]
+        return (left, x[-1]) if x[-2] == _ONE else (left, x[-2], x[-1])
+    if y[0] == "had":  # Abar o^m first, as repeated products
+        return (_had(*y[1:-1]), y[-1])
+    return x[1:]
+
+
+def _apply(x, args: list):
+    """Value of x from the values of _inputs(x)."""
+    if x[0] == "chain":
+        left = args[0] if len(args) == 2 else args[0] * args[1]
+        return left @ args[-1]
+    if (x[1] if x[0] == "sum" else x)[0] == "had":  # a sum is one vdot
+        return (np.vdot if x[0] == "sum" else np.multiply)(*args)
+    return getattr(np, x[0])(*args)  # ("matmul", X, w) and ("sum", x) name their function
+
+
+@lru_cache(maxsize=None)
+def _cycle_program(ell: int) -> tuple:
+    """_cycle_plan(ell) as steps (x, inputs, frees, mu), each product formed once.
+
+    The steps form the products in the order a depth-first walk of the terms
+    meets them.  `frees` lists the inputs whose last reader is this step, so a
+    count drops each array once nothing later reads it; mu is nonzero on the
+    step that forms a term.
+    """
+    order, done, mus = [], {_A, _ONE}, dict(_cycle_plan(ell))
+
+    def visit(x):
+        if x not in done:
+            for z in _inputs(x):
+                visit(z)
+            done.add(x)
+            order.append(x)
+    for x in mus:
+        visit(x)
+    steps = [(x, _inputs(x)) for x in order]
+    last = {z: i for i, (_, inputs) in enumerate(steps) for z in inputs}
+    return tuple(
+        (x, inputs, tuple(z for z in dict.fromkeys(inputs) if last[z] == i), mus.get(x, 0))
+        for i, (x, inputs) in enumerate(steps)
+    )
 
 
 def signed_cycle_count(graph: Graph, p: float, ell: int) -> float:
@@ -168,8 +199,15 @@ def signed_cycle_count(graph: Graph, p: float, ell: int) -> float:
     n = graph.n
     if n < ell:
         return 0.0
-    memo = {_A: centered_adjacency(graph, p), _ONE: np.ones(n)}
-    return sum(mu * float(_value(x, memo)) for x, mu in _cycle_plan(ell)) / (2 * ell)
+    values = {_A: centered_adjacency(graph, p), _ONE: np.ones(n)}
+    total = 0
+    for x, inputs, frees, mu in _cycle_program(ell):
+        values[x] = _apply(x, [values[z] for z in inputs])
+        for z in frees:
+            del values[z]
+        if mu:
+            total += mu * float(values.pop(x))
+    return total / (2 * ell)
 
 
 def _wedge_matrix(sub_signed: np.ndarray) -> np.ndarray:

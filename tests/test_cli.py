@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geodetect
 from geodetect.cli import main
 from geodetect.graphs import Graph
 
@@ -512,3 +517,50 @@ class TestSampleCommand:
         assert Graph.from_edgelist_text(a.read_text()) == Graph.from_bitfield_bytes(
             b.read_bytes()
         )
+
+
+# Runs `main` on each argument list given as JSON in argv[1] with every scipy
+# import made to fail, and exits with the largest return code.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None
+from geodetect.cli import main
+codes = [main(args) for args in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])
+print("scipy modules:", loaded)
+sys.exit(max(codes) or bool(loaded))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_commands_run_without_scipy(self, tmp_path):
+        configs = {
+            "sweep.ini": "[model]\nn = 40\np = 0.3\nd = 16\nk = 30\n[sweep]\nd = 16,64\n"
+            "[run]\ntrials = 20\n[test.global-triangle]\n",
+            "wishart.ini": "[wishart]\nk = 20\nd = 12\nn = 16\ncommunity_size = 8\n"
+            "p = 0.5\ntrials = 50\n",
+            "lowdeg.ini": "[model]\nn = 40\np = 0.3\nd = 4\nk = 20\n"
+            "[lowdeg]\nv_max = 4\ndegree_cap = 10\ntrials = 500\n",
+        }
+        for name, text in configs.items():
+            (tmp_path / name).write_text(text)
+        runs = [
+            ["--strict", "sweep", "--config", str(tmp_path / "sweep.ini"),
+             "--out", str(tmp_path / "sweep.csv")],
+            ["wishart", "--config", str(tmp_path / "wishart.ini"),
+             "--out", str(tmp_path / "wishart.json")],
+            ["lowdeg", "--config", str(tmp_path / "lowdeg.ini"),
+             "--out", str(tmp_path / "lowdeg.json")],
+        ]
+        src = Path(geodetect.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(runs)],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "scipy modules: []" in proc.stdout
+        assert [r["d"] for r in read_rows(tmp_path / "sweep.csv")] == ["16", "64"]
+        assert json.loads((tmp_path / "wishart.json").read_text())["spectral"]["draws"] == 50
+        assert json.loads((tmp_path / "lowdeg.json").read_text())["rows"]
+

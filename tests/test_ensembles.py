@@ -1,6 +1,7 @@
 """Tests for the GOE / Wishart constructions and the threshold maps."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ class TestWishartSphericalConvergence:
 
 
 class TestThresholdMaps:
+    @pytest.mark.parametrize("p", [1e-17, 1e-13, 1e-6, 0.3, 0.7])
+    def test_alpha_cut_is_the_upper_quantile(self, p):
+        # at d = 1 the cut is the standard normal upper p-quantile z: an entry at z
+        # is an edge and the next double below it is not, and P(N(0, 1) >= z) = p
+        z = -NormalDist().inv_cdf(p)
+        below = np.nextafter(z, -np.inf)
+        m = np.array([[0.0, z, z], [z, 0.0, below], [z, below, 0.0]])
+        g = threshold_map_alpha(m, p, 1.0)
+        assert g.has_edge(0, 1) and g.has_edge(0, 2) and not g.has_edge(1, 2)
+        assert ndtr(-z) == pytest.approx(p, rel=1e-12)
+
     def test_alpha_zero_cut_at_half(self):
         m = np.array([[0.0, 0.1, -0.2], [0.1, 0.0, 0.0], [-0.2, 0.0, 0.0]])
         g = threshold_map_alpha(m, 0.5, 4.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -19,12 +20,18 @@ from geodetect.sphere import (
     signed_cycle_expectation,
     solve_threshold,
 )
+from geodetect.sphere import _log_gamma_half_ratio
+from oracles import inner_product_tail_betainc, inner_product_tail_mpmath
 
 # frozen against a 40-digit mpmath bisection of the regularized incomplete beta
 TAU_P01_D16 = 0.32710130942171891666
 TAU_P03_D100 = 0.052800604353223766049
 # frozen against 40-digit mpmath quadrature of sqrt(d) x mu(x) over [tau, 1]
 C1_P01_D16 = 0.17341822081029897006
+
+# the README envelope of the cap tail: p from 1e-6 to 1 - 1e-6, d from 3 to 1e9
+TAIL_PS = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.49, 0.51, 0.7, 1 - 1e-6)
+TAIL_DS = (3, 4, 5, 16, 64, 10**3, 6001, 10**4, 10**5, 10**6, 10**8, 10**9)
 
 
 class TestInnerProductLaw:
@@ -83,6 +90,36 @@ class TestInnerProductTail:
         with pytest.raises(ValueError):
             inner_product_tail(0.0, 2)
 
+    @pytest.mark.parametrize("d", TAIL_DS)
+    def test_against_mpmath_angle_integral(self, d):
+        # 1e-13 relative at +-tau(p, d), on both sides of the polar switch at t = 1/sqrt(2)
+        for p in TAIL_PS:
+            tau = solve_threshold(p, d).tau
+            for t in (tau, -tau):
+                exact = inner_product_tail_mpmath(t, d)
+                assert inner_product_tail(t, d) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("d", [d for d in TAIL_DS if d <= 10**4])
+    def test_against_incomplete_beta(self, d):
+        for p in TAIL_PS:
+            tau = solve_threshold(p, d).tau
+            for t in (tau, -tau):
+                exact = inner_product_tail_betainc(t, d)
+                assert inner_product_tail(t, d) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_references_agree_where_both_hold(self):
+        # the incomplete-beta reference is within 6e-14 of the angle integral up to d = 1e4
+        for d in (3, 64, 6001, 10**4):
+            for t in (0.5 / math.sqrt(d), 2.0 / math.sqrt(d), 0.9):
+                beta = inner_product_tail_betainc(t, d)
+                if beta > 1e-300:
+                    assert beta == pytest.approx(inner_product_tail_mpmath(t, d), rel=1e-13)
+
+    def test_near_one_in_the_polar_angle(self):
+        # d = 3 is the uniform law: the tail is exactly (1 - t)/2, down to t = 1 - 2^-52
+        for t in (0.7, 0.75, 0.99, 1.0 - 2e-6, 1.0 - 2.0**-52):
+            assert inner_product_tail(t, 3) == pytest.approx((1.0 - t) / 2.0, rel=1e-14)
+
 
 class TestSolveThreshold:
     def test_half_density_is_zero(self):
@@ -106,6 +143,28 @@ class TestSolveThreshold:
             for d in (3, 10, 333, 10**6):
                 assert solve_threshold(p, d).residual <= 1e-10
 
+    def test_residual_over_the_envelope(self):
+        for p in TAIL_PS + (1e-12, 0.5 + 1e-9):
+            for d in TAIL_DS:
+                res = solve_threshold(p, d)
+                assert res.residual <= 1e-10
+                assert inner_product_tail(res.tau, d) == pytest.approx(p, rel=1e-12)
+
+    def test_newton_steps_per_solve(self, monkeypatch):
+        # Newton from 0 with the exact pdf: tens of tail evaluations, not 200 bisections
+        import geodetect.sphere as sphere_mod
+
+        calls = []
+        tail = sphere_mod.inner_product_tail
+        monkeypatch.setattr(
+            sphere_mod, "inner_product_tail", lambda t, d: calls.append(t) or tail(t, d)
+        )
+        for p in TAIL_PS:
+            for d in TAIL_DS:
+                calls.clear()
+                solve_threshold.__wrapped__(p, d)
+                assert len(calls) <= 25, (p, d, len(calls))
+
     def test_strictly_decreasing_in_p(self):
         for d in (5, 64, 2048):
             taus = [solve_threshold(p, d).tau for p in np.linspace(0.05, 0.95, 10)]
@@ -116,6 +175,19 @@ class TestSolveThreshold:
             solve_threshold(0.0, 16)
         with pytest.raises(ValueError):
             solve_threshold(1.0, 16)
+
+
+class TestMuNormalizer:
+    def test_against_mpmath(self):
+        # Gamma(z + 1/2) / Gamma(z) at z = (d - 1)/2, both sides of the switch at z = 12
+        ds = [3, 4, 5, 8, 16, 23, 24, 25, 26, 27, 64, 500, 1001, 6001, 10**4]
+        ds += [2 * 10**4 + 1, 10**5, 10**6, 10**7, 10**8, 10**9]
+        with mpmath.workdps(40):
+            for d in ds:
+                z = mpmath.mpf(d - 1) / 2
+                exact = mpmath.exp(mpmath.loggamma(z + mpmath.mpf(0.5)) - mpmath.loggamma(z))
+                ratio = math.exp(_log_gamma_half_ratio((d - 1) / 2.0))
+                assert abs(ratio / exact - 1) <= 1e-14, d
 
 
 class TestGegenbauerEval:
@@ -227,9 +299,11 @@ class TestGegenbauerCoefficient:
         import geodetect.sphere as sphere_mod
         from geodetect.sphere import QuadratureWarning
 
-        monkeypatch.setattr(sphere_mod, "_QUAD_PANELS", (4, 8))
+        # 64 and 128 nodes cannot integrate q_256: an error estimate far above
+        # tolerance, not one within a rounding of it
+        monkeypatch.setattr(sphere_mod, "_QUAD_PANELS", (1, 2))
         with pytest.warns(QuadratureWarning, match="error estimate"):
-            basis = GegenbauerBasis.build(4, 0.0, max_m=32)
+            basis = GegenbauerBasis.build(4, 0.0, max_m=256)
         assert not basis.quad_converged
         assert math.isfinite(basis.quad_error)
 

@@ -1,6 +1,7 @@
 """Tests for signed subgraph statistics against independently coded oracles."""
 
 import math
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -193,6 +194,19 @@ class TestSignedCycles:
             assert signed_cycle_count(g, p, ell) == pytest.approx(
                 signed_cycle_count_enumerated(g, p, ell), abs=1e-10
             )
+
+    def test_products_freed_after_last_use(self):
+        # a 7-cycle count would hold 21 n x n products if it kept them all
+        n = 400
+        g = sample_null(n, 0.3, Seed(103).stream(600))
+        signed_cycle_count(g, 0.3, 7)  # builds the plan outside the measurement
+        tracemalloc.start()
+        try:
+            signed_cycle_count(g, 0.3, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n * n * 8
 
     def test_enumeration_refusals(self):
         # only lengths outside [3, 7] are refused, at any n
