@@ -77,24 +77,42 @@ def pair_index(i, j, n: int):
     return i * n - (i * (i + 1)) // 2 + (j - i - 1)
 
 
-@lru_cache(maxsize=8)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, k=1), the (i, j) of each flat pair index, built once per order.
+_MIRROR_ROWS = 64  # rows per block of symmetric_matrix's transposed add
 
-    The arrays are shared between callers, so they are read-only.
+
+@lru_cache(maxsize=8)
+def _pair_order(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The canonical pair order of order n, built once: (mask, (rows, cols)).
+
+    mask is the n x n strict upper-triangle boolean mask, and (rows, cols) its
+    nonzero positions in row-major order, np.triu_indices(n, k=1): the (i, j)
+    of each flat pair index.  A boolean mask fills in that same order.  The
+    arrays are shared between callers, so they are read-only.
     """
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    rows, cols = np.nonzero(mask)
+    for x in (mask, rows, cols):
+        x.flags.writeable = False
+    return mask, (rows, cols)
+
+
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1) from the cached pair order (see _pair_order)."""
+    return _pair_order(n)[1]
 
 
 def symmetric_matrix(values, n: int, dtype=float) -> np.ndarray:
-    """n x n symmetric matrix carrying flat pair values off the diagonal, 0 on it."""
+    """n x n symmetric matrix carrying flat pair values off the diagonal, 0 on it.
+
+    The mask fills the upper triangle; adding the transpose, whose upper
+    triangle is 0, mirrors it.  The add runs a block of rows at a time, since
+    one whole-matrix a += a.T reads columns out of cache from n ~ 200.
+    """
     a = np.zeros((n, n), dtype=dtype)
-    iu = _upper_pairs(n)
-    a[iu] = values
-    a[iu[::-1]] = values
+    a[_pair_order(n)[0]] = values
+    for i in range(0, n, _MIRROR_ROWS):
+        j = i + _MIRROR_ROWS
+        a[i:j, :j] += a[:j, i:j].T
     return a
 
 

@@ -2,10 +2,14 @@
 
 A signed count replaces each edge indicator G_ij by the centered value
 G_ij - p, so every statistic here has mean zero under the Erdos-Renyi null.
-Every statistic reads the centered adjacency Abar (centered_adjacency), and
-every triangle count, global, per subset, or over a stack of subsets inside a
-scan, is Tr(Abar^3)/6 of the relevant block.  The tests cross-check it against
-an explicit pair loop kept in tests/oracles.py.
+The global triangle count comes from integer counts of G itself: with T
+triangles, W wedges and E edges it is T - p W + p^2 (n-2) E - p^3 C(n, 3),
+exact from one float32 product of the 0/1 adjacency and rounded once
+(signed_triangle_count).  Every other statistic reads the centered adjacency
+Abar (centered_adjacency); the triangle count of a subset, or of each subset of
+a stack inside a scan, is Tr(Abar^3)/6 of its block.  The tests check the global
+count against exact rational arithmetic and an explicit pair loop, both kept in
+tests/oracles.py.
 
 Every cycle count, ell = 3 to 7, comes from one engine.  Moebius inversion over
 the set partitions pi of the ell cycle positions (Alon, Yuster and Zwick) turns
@@ -62,8 +66,28 @@ def _triangle_sum(a: np.ndarray):
 
 
 def signed_triangle_count(graph: Graph, p: float) -> float:
-    """Global signed triangle count, sum over i < j < l of (G_ij-p)(G_jl-p)(G_il-p)."""
-    return _triangle_sum(centered_adjacency(graph, p))
+    """Global signed triangle count, sum over i < j < l of (G_ij-p)(G_jl-p)(G_il-p).
+
+    Expanding the product gives S = T - p W + p^2 (n-2) E - p^3 C(n, 3) in
+    integer counts: triangles T, wedges W = sum_i C(deg_i, 2) and edges E.
+    T = Tr(G^3)/6 comes from one float32 product of the 0/1 adjacency G.  Its
+    entries and partial sums are integers below n < 2^24, so the product is
+    exact in any BLAS order; the float64 sums are exact while n^3 < 2^53.
+    With p = a/b exactly, S is one int / int, which Python rounds correctly:
+    the result is the float nearest the exact value.
+    """
+    n = graph.n
+    g = graph.adjacency_matrix(np.float32)
+    walks = g @ g
+    deg = walks.diagonal().astype(np.float64)  # (G^2)_ii = deg_i
+    walks *= g  # 6 T = sum of (G^2 o G)
+    t = int(walks.sum(dtype=np.float64)) // 6
+    two_e = int(deg.sum())
+    w = (int(deg @ deg) - two_e) // 2  # sum of deg_i (deg_i - 1) / 2
+    e = two_e // 2
+    a, b = float(p).as_integer_ratio()
+    num = ((t * b - w * a) * b + (n - 2) * e * a * a) * b - math.comb(n, 3) * a**3
+    return num / b**3
 
 
 def _subset_blocks(n: int, size: int, per_subset: int):

@@ -1,6 +1,7 @@
 """Independently coded reference kernels the tests check the library against."""
 
 import math
+from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import mpmath
@@ -59,6 +60,36 @@ def signed_triangle_count_direct(graph, p: float) -> float:
         for j in range(i + 1, n - 1):
             total += row_i[j] * float(row_i[j + 1 :] @ a[j, j + 1 :])
     return total
+
+
+def signed_triangle_count_exact(graph, p: float) -> float:
+    """The signed triangle count from Python-int counts and Fraction(p), rounded once.
+
+    Sum over i < j < l of (G_ij-p)(G_jl-p)(G_il-p) = T - p W + p^2 (n-2) E - p^3 C(n, 3),
+    with T the triangles (each edge's common neighbours, each triangle met on its
+    three edges), W = sum_i C(deg_i, 2) the wedges and E the edges, all read off
+    the edge list.  float() of the exact Fraction is the nearest float.
+    """
+    n = graph.n
+    rows, cols = np.triu_indices(n, k=1)
+    edges = [(int(i), int(j)) for i, j in zip(rows[graph.edges], cols[graph.edges])]
+    nbrs = [set() for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    t = sum(len(nbrs[i] & nbrs[j]) for i, j in edges) // 3
+    w = sum(math.comb(len(s), 2) for s in nbrs)
+    q = Fraction(p)
+    return float(t - q * w + q**2 * (n - 2) * len(edges) - q**3 * math.comb(n, 3))
+
+
+def symmetric_matrix_fancy(values, n: int, dtype=float) -> np.ndarray:
+    """graphs.symmetric_matrix by fancy indexing: the pair values written to (i, j) and to (j, i)."""
+    a = np.zeros((n, n), dtype=dtype)
+    rows, cols = np.triu_indices(n, k=1)
+    a[rows, cols] = values
+    a[cols, rows] = values
+    return a
 
 
 def cycle_vertex_orders(ell: int) -> list[tuple[int, ...]]:

@@ -23,7 +23,7 @@ from geodetect.graphs import (
 from geodetect.lowdeg import fourier_coefficient_mc, small_graph_from_edges
 from geodetect.sphere import solve_threshold
 from geodetect.stats import signed_triangle_count
-from oracles import unit_gram_latent
+from oracles import symmetric_matrix_fancy, unit_gram_latent
 
 
 class TestModelParams:
@@ -73,6 +73,32 @@ class TestGraph:
         assert np.all(np.diag(a) == 0)
         assert np.array_equal(a, a.T)
         assert g.has_edge(3, 1) and not g.has_edge(0, 1)
+
+    def test_symmetric_matrix_matches_fancy_index(self):
+        # 65 and 128 sit on the edges of the row blocks the mirror runs over
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 64, 65, 128, 300):
+            m = n * (n - 1) // 2
+            for dtype in (bool, np.float32, np.float64):
+                values = rng.random(m) < 0.4 if dtype is bool else rng.standard_normal(m)
+                built = graphs_mod.symmetric_matrix(values, n, dtype)
+                assert built.dtype == dtype and built.flags.c_contiguous
+                assert np.array_equal(built, symmetric_matrix_fancy(values, n, dtype)), (n, dtype)
+
+    def test_pair_order_is_one_cached_rule(self):
+        for n in (1, 2, 3, 64, 300):
+            mask, pairs = graphs_mod._pair_order(n)
+            assert graphs_mod._upper_pairs(n) is pairs
+            assert mask.dtype == bool and mask.shape == (n, n)
+            for x in (mask, *pairs):
+                assert not x.flags.writeable
+            # a boolean mask fills in the order of its nonzero positions
+            for got, want in zip(np.nonzero(mask), pairs):
+                assert np.array_equal(got, want)
+            for got, want in zip(pairs, np.triu_indices(n, k=1)):
+                assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
 
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

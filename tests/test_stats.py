@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodetect import stats as stats_mod
-from geodetect.graphs import Graph, Seed, pair_index, sample_null
+from geodetect.graphs import Graph, ModelParams, Seed, pair_index, sample_null, sample_planted
 from geodetect.stats import (
     ScanConfig,
     centered_adjacency,
@@ -30,6 +30,7 @@ from oracles import (
     signed_cycle_count_enumerated,
     signed_cycle_count_traces,
     signed_triangle_count_direct,
+    signed_triangle_count_exact,
 )
 
 
@@ -104,6 +105,35 @@ class TestSignedTriangles:
             expected = brute_triangles(g, 0.37)
             assert signed_triangle_count_direct(g, 0.37) == pytest.approx(expected, abs=1e-10)
             assert signed_triangle_count(g, 0.37) == pytest.approx(expected, abs=1e-10)
+
+    def test_equals_exact_value(self):
+        # the nearest float to the exact value, on null, planted, empty and complete graphs
+        seed = Seed(106)
+        for n in (1, 2, 3, 7, 64, 300):
+            m = n * (n - 1) // 2
+            empty, complete = Graph(n, np.zeros(m, bool)), Graph(n, np.ones(m, bool))
+            for t, p in enumerate((0.1, 0.3, 0.37, 0.5, 1.0)):
+                graphs = [empty, complete, sample_null(n, p, seed.stream(t, arm=n))]
+                if n >= 7:
+                    params = ModelParams(n=n, p=p, d=8, k=n / 2)
+                    graphs.append(sample_planted(params, seed.stream(t, arm=n + 1)).graph)
+                for g in graphs:
+                    value = signed_triangle_count(g, p)
+                    assert type(value) is float
+                    assert value == signed_triangle_count_exact(g, p), (n, p, g)
+
+    def test_peak_memory(self):
+        # two n x n float32 arrays, the adjacency and its square, plus small buffers
+        n = 300
+        g = sample_null(n, 0.5, Seed(107).stream(0))
+        signed_triangle_count(g, 0.5)
+        tracemalloc.start()
+        try:
+            signed_triangle_count(g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 4
 
 
 class TestSignedCycles:
