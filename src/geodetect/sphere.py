@@ -261,24 +261,28 @@ def gegenbauer_eval(m: int, d: int, x):
     return q_cur if q_cur.ndim else float(q_cur)
 
 
+def _log_multiplicities(d: int, max_m: int) -> np.ndarray:
+    """log N_m for m = 0..max_m, to a few ulp at any d.
+
+    N_m = (d + 2m - 2)/m * C(d + m - 3, m - 1), and the binomial is the product
+    over 1 <= j < m of 1 + (d - 2)/j.  So log N_m is log((d + 2m - 2)/m) plus
+    one cumulative sum of log1p((d - 2)/j): no difference of log-gammas of
+    size d log d, which loses about 1e-7 of log N_2 at d = 1e9.
+    """
+    m = np.arange(1, max_m + 1)
+    out = np.zeros(max_m + 1)
+    out[1:] = np.log((d + 2.0 * m - 2.0) / m)
+    out[2:] += np.cumsum(np.log1p((d - 2.0) / m[:-1]))
+    return out
+
+
 def log_multiplicity(m: int, d: int) -> float:
     """log N_m where N_m is the number of distinct degree-m spherical harmonics."""
     m = int(m)
     d = _check_dimension(d)
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
-    if m == 0:
-        return 0.0
-    if m == 1:
-        return math.log(d)
-    # N_m = (d + 2m - 2)/m * binom(d + m - 3, m - 1)
-    return (
-        math.log(d + 2 * m - 2)
-        - math.log(m)
-        + math.lgamma(d + m - 2)
-        - math.lgamma(m)
-        - math.lgamma(d - 1)
-    )
+    return float(_log_multiplicities(d, m)[m])
 
 
 def multiplicity(m: int, d: int) -> float:
@@ -413,7 +417,7 @@ class GegenbauerBasis:
                 QuadratureWarning,
                 stacklevel=2,
             )
-        log_mults = np.array([log_multiplicity(m, d) for m in range(max_m + 1)])
+        log_mults = _log_multiplicities(d, max_m)
         return cls(
             d=d,
             tau=tau,

@@ -50,6 +50,13 @@ def inner_product_tail_mpmath(t: float, d: int, dps: int = 50) -> float:
         return float(tail if x >= 0 else 1 - tail)
 
 
+def log_multiplicity_mpmath(m: int, d: int, dps: int = 40) -> float:
+    """log N_m from the exact integer N_m = C(d+m-1, m) - C(d+m-3, m-2), by dps-digit mpmath."""
+    exact = math.comb(d + m - 1, m) - (math.comb(d + m - 3, m - 2) if m >= 2 else 0)
+    with mpmath.workdps(dps):
+        return float(mpmath.log(exact))
+
+
 def signed_triangle_count_direct(graph, p: float) -> float:
     """Sum over i < j < l of (G_ij-p)(G_jl-p)(G_il-p), explicit pair loop."""
     a = centered_adjacency(graph, p)

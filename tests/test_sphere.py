@@ -21,7 +21,7 @@ from geodetect.sphere import (
     solve_threshold,
 )
 from geodetect.sphere import _log_gamma_half_ratio
-from oracles import inner_product_tail_betainc, inner_product_tail_mpmath
+from oracles import inner_product_tail_betainc, inner_product_tail_mpmath, log_multiplicity_mpmath
 
 # frozen against a 40-digit mpmath bisection of the regularized incomplete beta
 TAU_P01_D16 = 0.32710130942171891666
@@ -250,6 +250,19 @@ class TestMultiplicity:
                 assert log_multiplicity(m, d) == pytest.approx(
                     math.log(multiplicity(m, d)), rel=1e-12
                 )
+
+    def test_log_accurate_at_large_dimension(self):
+        # a difference of log-gammas of size d log d lost 1e-7 of log N_2 at d = 1e9
+        for d in (10**6, 10**8, 10**9):
+            for m in (2, 3, 8, 200):
+                assert log_multiplicity(m, d) == pytest.approx(
+                    log_multiplicity_mpmath(m, d), rel=1e-14
+                )
+
+    def test_basis_reads_the_same_log_multiplicities(self):
+        for d in (3, 20, 10**9):
+            basis = GegenbauerBasis.build(d, 0.1, max_m=40)
+            assert [log_multiplicity(m, d) for m in range(41)] == basis.log_mults.tolist()
 
     def test_overflow_is_loud(self):
         with pytest.raises(OverflowError):
