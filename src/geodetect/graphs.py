@@ -77,9 +77,6 @@ def pair_index(i, j, n: int):
     return i * n - (i * (i + 1)) // 2 + (j - i - 1)
 
 
-_MIRROR_ROWS = 64  # rows per block of symmetric_matrix's transposed add
-
-
 @lru_cache(maxsize=8)
 def _pair_order(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The canonical pair order of order n, built once: (mask, (rows, cols)).
@@ -102,17 +99,10 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def symmetric_matrix(values, n: int, dtype=float) -> np.ndarray:
-    """n x n symmetric matrix carrying flat pair values off the diagonal, 0 on it.
-
-    The mask fills the upper triangle; adding the transpose, whose upper
-    triangle is 0, mirrors it.  The add runs a block of rows at a time, since
-    one whole-matrix a += a.T reads columns out of cache from n ~ 200.
-    """
+    """n x n symmetric matrix carrying flat pair values off the diagonal, 0 on it."""
     a = np.zeros((n, n), dtype=dtype)
     a[_pair_order(n)[0]] = values
-    for i in range(0, n, _MIRROR_ROWS):
-        j = i + _MIRROR_ROWS
-        a[i:j, :j] += a[:j, i:j].T
+    a += a.T  # the lower triangle is 0, so this mirrors the upper one
     return a
 
 
