@@ -37,7 +37,7 @@ from .graphs import (
     sample_planted_fixed_size,
 )
 from .lowdeg import V_MAX, low_degree_advantage
-from .sphere import basis_for_density, signed_cycle_expectation, solve_threshold
+from .sphere import signed_cycle_expectation, solve_threshold
 from .stats import MAX_CYCLE_LENGTH, ScanConfig, signed_triangle_count
 
 CSV_COLUMNS = [
@@ -221,30 +221,13 @@ def _grid_points(cfg: dict, base: ModelParams) -> list[ModelParams]:
     ]
 
 
-def _threshold_series(kind: str, options: dict, params: ModelParams) -> list:
-    """The cycle-expectation series a test's threshold and constraints rest on."""
-    if kind == "cycle":
-        return [signed_cycle_expectation(options["ell"], params.p, params.d)]
-    series = [signed_cycle_expectation(3, params.p, params.d)]
-    if kind == "constrained-scan" and options["cycle_constant"] is None:
-        # the calibrated constant comes from the ell = 3 and ell = 4 series
-        series.append(signed_cycle_expectation(4, params.p, params.d))
-    return series
-
-
-def _series_failed(res) -> bool:
-    """A series whose truncation rule or coefficient quadrature failed."""
-    return res.truncation_failed or not basis_for_density(res.p, res.d).quad_converged
-
-
 def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed: int):
     """One ResultRow; numerical failures are recorded in-row as NaNs."""
     start = time.monotonic()
     try:
-        series = _threshold_series(kind, options, params)
         spec = make_test_spec(kind, params, **options)
         est = estimate_errors(spec, trials, Seed(seed))
-        failed = any(_series_failed(s) for s in series)
+        failed = any(series.failed for series in spec.series)
         row = {
             "threshold": repr(spec.threshold),
             "type1": repr(est.type1), "type1_hw": repr(est.type1_half_width),
@@ -340,7 +323,7 @@ def cmd_cycle_expectation(args) -> int:
         "below_dimension_guard": res.below_dimension_guard,
         "version": __version__,
     }))
-    return 3 if (args.strict and _series_failed(res)) else 0
+    return 3 if (args.strict and res.failed) else 0
 
 
 def cmd_lowdeg(args) -> int:
@@ -350,11 +333,13 @@ def cmd_lowdeg(args) -> int:
     v_max, degree_cap, trials = section["v_max"], section["degree_cap"], section["trials"]
     if v_max > params.n:  # an embedding needs v <= n
         raise ConfigError(f"[lowdeg] v_max = {v_max} exceeds n = {params.n}")
+    if params.p == 1.0:  # no randomness, and the normaliser p (1 - p) is 0
+        raise ConfigError("[model] p = 1 is refused by lowdeg: want p < 1")
     seed, out = _json_run(cfg, args, "lowdeg")
 
     report = low_degree_advantage(params, v_max, degree_cap, trials, seed)
     rows = []
-    triangle_row = None
+    triangle_row, failed = None, False
     for graph, phi, stderr, skipped in report.rows:
         rows.append({
             "v": graph.v, "e": graph.e, "code": graph.canonical_code,
@@ -362,20 +347,23 @@ def cmd_lowdeg(args) -> int:
             "tree_component": graph.has_tree_component,
             "phi": phi, "stderr": stderr, "skipped_analytic_zero": skipped,
         })
-        if graph.v == 3 and graph.e == 3:
+        # the cross-check is null where the series is undefined: p > 1/2 or d = 3
+        if graph.v == 3 and graph.e == 3 and params.p <= 0.5 and params.d >= 4:
             series = signed_cycle_expectation(3, params.p, params.d)
             predicted = (
                 (params.k / params.n) ** 3 * series.value
                 / (params.p * (1 - params.p)) ** 1.5
             )
             triangle_row = {"phi": phi, "stderr": stderr, "series_predicted": predicted}
-    return _write_json({
+            failed = series.failed
+    _write_json({
         "version": __version__,
         "model": {"n": params.n, "p": params.p, "d": params.d, "k": params.k},
         "v_max": v_max, "degree_cap": degree_cap, "trials": trials, "seed": seed.master,
         "advantage": report.value, "advantage_error": report.error,
         "rows": rows, "triangle_crosscheck": triangle_row,
     }, out)
+    return 3 if (args.strict and failed) else 0
 
 
 def cmd_wishart(args) -> int:

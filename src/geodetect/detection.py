@@ -54,33 +54,32 @@ TEST_KINDS = ("global-triangle", "scan", "constrained-scan", "cycle")
 THRESHOLD_FRACTION = 0.5
 
 
+def _global_threshold(params: ModelParams, series) -> float:
+    """Half the planted-model mean of the global signed cycle count of the series' length."""
+    ell = series.ell
+    n_cycles = math.comb(params.n, ell) * math.factorial(ell - 1) // 2
+    return THRESHOLD_FRACTION * n_cycles * (params.k / params.n) ** ell * series.value
+
+
+def _scan_threshold(params: ModelParams, triangles) -> float:
+    """Half the within-community triangle mean on a size-k_minus subset; 0 below 3."""
+    km = params.k_minus
+    return THRESHOLD_FRACTION * math.comb(km, 3) * triangles.value if km >= 3 else 0.0
+
+
 def gamma_tri(params: ModelParams) -> float:
-    """Global-test threshold: half the planted-model mean of the triangle count."""
-    series = signed_cycle_expectation(3, params.p, params.d)
-    return (
-        THRESHOLD_FRACTION
-        * math.comb(params.n, 3)
-        * (params.k / params.n) ** 3
-        * series.value
-    )
+    """Global-test threshold: the ell = 3 cycle threshold, the same statistic."""
+    return gamma_cycle(params, 3)
 
 
 def gamma_scan(params: ModelParams) -> float:
     """Scan-test threshold: half the within-community mean on a size-k_minus subset."""
-    km = params.k_minus
-    if km < 3:
-        return 0.0
-    series = signed_cycle_expectation(3, params.p, params.d)
-    return THRESHOLD_FRACTION * math.comb(km, 3) * series.value
+    return _scan_threshold(params, signed_cycle_expectation(3, params.p, params.d))
 
 
 def gamma_cycle(params: ModelParams, ell: int) -> float:
     """Threshold for the global signed length-ell cycle test."""
-    series = signed_cycle_expectation(ell, params.p, params.d)
-    n_cycles = math.comb(params.n, ell) * math.factorial(ell - 1) // 2
-    return (
-        THRESHOLD_FRACTION * n_cycles * (params.k / params.n) ** ell * series.value
-    )
+    return _global_threshold(params, signed_cycle_expectation(ell, params.p, params.d))
 
 
 def constraint_params(params: ModelParams, cycle_constant: float) -> tuple[float, float]:
@@ -113,6 +112,11 @@ class CycleConstantCalibration:
     ratios: tuple[tuple[float, float, int, float], ...]  # (p, d, ell, ratio)
 
 
+def _sandwich_constant(results) -> float:
+    """Smallest C >= 1 with every series' ratio in [C^-ell, C^ell]."""
+    return max([1.0] + [max(r.ratio, 1.0 / r.ratio) ** (1.0 / r.ell) for r in results])
+
+
 def calibrate_cycle_constant(p, d_grid, ell_list) -> CycleConstantCalibration:
     """Calibrate the sandwich constant over a (p, d, ell) grid.
 
@@ -124,21 +128,24 @@ def calibrate_cycle_constant(p, d_grid, ell_list) -> CycleConstantCalibration:
     ells = [int(v) for v in ell_list]
     if not p_values or not d_values or not ells:
         raise ValueError("calibration grids must be non-empty")
-    constant = 1.0
-    rows = []
-    for pv in p_values:
-        for dv in d_values:
-            for ell in ells:
-                res = signed_cycle_expectation(ell, pv, dv)
-                ratio = res.ratio
-                rows.append((pv, dv, ell, ratio))
-                constant = max(constant, max(ratio, 1.0 / ratio) ** (1.0 / ell))
-    return CycleConstantCalibration(constant=constant, ratios=tuple(rows))
+    results = [
+        signed_cycle_expectation(ell, pv, dv)
+        for pv in p_values for dv in d_values for ell in ells
+    ]
+    return CycleConstantCalibration(
+        constant=_sandwich_constant(results),
+        ratios=tuple((r.p, r.d, r.ell, r.ratio) for r in results),
+    )
 
 
 @dataclass(frozen=True)
 class TestSpec:
-    """A fully pinned test: kind, parameters, threshold, and scan options."""
+    """A fully pinned test: kind, parameters, threshold, and scan options.
+
+    series holds every CycleExpectationResult the threshold and the constraint
+    calibration read (make_test_spec fills it), so their failure flags are one
+    read away.
+    """
 
     __test__ = False  # not a pytest collection target
 
@@ -151,6 +158,7 @@ class TestSpec:
     ell: int | None = None
     scan_mode: str = "planted-oracle"
     restarts: int = 8
+    series: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.kind not in TEST_KINDS:
@@ -176,40 +184,40 @@ def make_test_spec(
     scan_mode: str = "planted-oracle",
     restarts: int = 8,
 ) -> TestSpec:
-    """Build a TestSpec with its threshold (and constraints) computed from params."""
-    if kind == "global-triangle":
-        return TestSpec(kind=kind, params=params, threshold=gamma_tri(params))
-    if kind == "scan":
+    """Build a TestSpec with its threshold (and constraints) computed from params.
+
+    The global triangle test is the ell = 3 cycle test under its own name: the
+    same statistic and the same threshold.  An auto cycle_constant is
+    calibrated from the ell = 3 and 4 series at params.d.
+    """
+    if kind not in TEST_KINDS:
+        raise ValueError(f"unknown test kind {kind!r}")
+    if kind != "cycle":
+        ell = None  # only the cycle test reads a length
+    elif ell is None:
+        raise ValueError("cycle tests need ell")
+    series = (signed_cycle_expectation(3 if ell is None else ell, params.p, params.d),)
+    if kind in ("global-triangle", "cycle"):
         return TestSpec(
-            kind=kind,
-            params=params,
-            threshold=gamma_scan(params),
-            scan_mode=scan_mode,
-            restarts=restarts,
+            kind=kind, params=params, threshold=_global_threshold(params, series[0]),
+            ell=ell, series=series,
         )
+    constraints = {}
     if kind == "constrained-scan":
         if cycle_constant is None:
-            cycle_constant = calibrate_cycle_constant(
-                params.p, [max(4, params.d)], [3, 4]
-            ).constant
+            series += (signed_cycle_expectation(4, params.p, params.d),)
+            cycle_constant = _sandwich_constant(series)
         sigma_sq, bound = constraint_params(params, cycle_constant)
-        return TestSpec(
-            kind=kind,
-            params=params,
-            threshold=gamma_scan(params),
-            sigma_sq=sigma_sq,
-            B=bound,
-            cycle_constant=cycle_constant,
-            scan_mode=scan_mode,
-            restarts=restarts,
-        )
-    if kind == "cycle":
-        if ell is None:
-            raise ValueError("cycle tests need ell")
-        return TestSpec(
-            kind=kind, params=params, threshold=gamma_cycle(params, ell), ell=ell
-        )
-    raise ValueError(f"unknown test kind {kind!r}")
+        constraints = {"sigma_sq": sigma_sq, "B": bound, "cycle_constant": cycle_constant}
+    return TestSpec(
+        kind=kind,
+        params=params,
+        threshold=_scan_threshold(params, series[0]),
+        scan_mode=scan_mode,
+        restarts=restarts,
+        series=series,
+        **constraints,
+    )
 
 
 def _scan_config(spec: TestSpec) -> ScanConfig:

@@ -40,8 +40,6 @@ __all__ = [
     "lkj_log_kernel",
 ]
 
-ENSEMBLE_KINDS = ("goe-shifted", "wishart", "spherical-wishart")
-
 
 @dataclass(frozen=True)
 class EnsembleDraw:
@@ -55,10 +53,6 @@ class EnsembleDraw:
     matrix: np.ndarray
     d: int
     latents: np.ndarray | None = field(repr=False, default=None)
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
 
 
 def sample_goe_shifted(n: int, d: float, rng: np.random.Generator) -> EnsembleDraw:

@@ -244,9 +244,6 @@ class AdvantageReport:
     degree_cap: int
     rows: tuple
 
-    def __iter__(self):
-        return iter((self.value, self.error))
-
 
 def low_degree_advantage(
     params: ModelParams,

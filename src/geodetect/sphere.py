@@ -368,12 +368,6 @@ class GegenbauerBasis:
     quad_nodes: int
     quad_converged: bool
 
-    @property
-    def mults(self) -> np.ndarray:
-        """N_m as floats (inf where a double overflows; see log_mults)."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_mults)
-
     @classmethod
     def build(cls, d: int, tau: float, max_m: int | None = None) -> "GegenbauerBasis":
         d = _check_dimension(d)
@@ -460,6 +454,7 @@ class CycleExpectationResult:
     scale          reference p^ell log^(ell/2)(1/p) / d^(ell/2 - 1)
     truncation_failed   hard cap hit with tail_bound > 1e-12 |value|
     below_dimension_guard   d < (5 log(1/p))^4, outside the warranted regime
+    quad_converged      the coefficient quadrature of the basis reached its tolerance
     """
 
     ell: int
@@ -471,11 +466,17 @@ class CycleExpectationResult:
     scale: float
     truncation_failed: bool
     below_dimension_guard: bool
+    quad_converged: bool
 
     @property
     def ratio(self) -> float:
         """value / scale; bracketed by C^{-ell}, C^ell for the calibrated C."""
         return self.value / self.scale
+
+    @property
+    def failed(self) -> bool:
+        """The truncation rule or the coefficient quadrature failed: --strict exits 3."""
+        return self.truncation_failed or not self.quad_converged
 
 
 def signed_cycle_expectation(
@@ -542,6 +543,7 @@ def signed_cycle_expectation(
         scale=scale,
         truncation_failed=failed,
         below_dimension_guard=d < (5.0 * math.log(1.0 / p)) ** 4,
+        quad_converged=basis.quad_converged,
     )
 
 

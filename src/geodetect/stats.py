@@ -11,7 +11,8 @@ a stack inside a scan, is Tr(Abar^3)/6 of its block.  The tests check the global
 count against exact rational arithmetic and an explicit pair loop, both kept in
 tests/oracles.py.
 
-Every cycle count, ell = 3 to 7, comes from one engine.  Moebius inversion over
+The ell = 3 cycle count is that global triangle count.  Every longer cycle
+count, ell = 4 to 7, comes from one engine.  Moebius inversion over
 the set partitions pi of the ell cycle positions (Alon, Yuster and Zwick) turns
 the sum over distinct vertex tuples into sum_pi mu(pi) W(C_ell / pi), W the walk
 sum of the quotient multigraph, whose m-fold edges carry Abar o^m.  An Eulerian
@@ -216,10 +217,15 @@ def _cycle_program(ell: int) -> tuple:
 
 
 def signed_cycle_count(graph: Graph, p: float, ell: int) -> float:
-    """Sum of the signed edge product over all distinct length-ell cycles, 3 <= ell <= 7."""
+    """Sum of the signed edge product over all distinct length-ell cycles, 3 <= ell <= 7.
+
+    ell = 3 is signed_triangle_count, exact and correctly rounded.
+    """
     ell = int(ell)
     if not 3 <= ell <= MAX_CYCLE_LENGTH:
         raise ValueError(f"cycle length must lie in [3, {MAX_CYCLE_LENGTH}], got {ell}")
+    if ell == 3:
+        return signed_triangle_count(graph, p)
     n = graph.n
     if n < ell:
         return 0.0

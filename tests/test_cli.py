@@ -115,12 +115,13 @@ class TestTestCommand:
         assert main(["--strict", "test", "--config", str(cfg), "--out", str(out)]) == 3
 
     def test_strict_reads_every_series_of_the_threshold(self, tmp_path, monkeypatch):
-        # the constrained-scan calibration uses ell = 3 and 4, a cycle test its ell
+        # the constrained-scan calibration uses ell = 3 and 4, a cycle test its ell;
+        # the failure is injected where make_test_spec reads the series
         import dataclasses
 
-        import geodetect.cli as cli_mod
+        import geodetect.detection as detection_mod
 
-        real = cli_mod.signed_cycle_expectation
+        real = detection_mod.signed_cycle_expectation
 
         def fail_ell4(ell, p, d):
             res = real(ell, p, d)
@@ -138,22 +139,22 @@ class TestTestCommand:
         for section in sections:
             cfg.write_text(BASE_CONFIG.replace("[test.global-triangle]", section))
             assert main(args) == 0
-        monkeypatch.setattr(cli_mod, "signed_cycle_expectation", fail_ell4)
+        monkeypatch.setattr(detection_mod, "signed_cycle_expectation", fail_ell4)
         for section, code in sections.items():
             cfg.write_text(BASE_CONFIG.replace("[test.global-triangle]", section))
             assert main(args) == code, section
 
-
     def test_strict_reads_quadrature_convergence(self, tmp_path, monkeypatch, capsys):
+        # the failure is injected in the basis the series is summed from
         import dataclasses
 
-        import geodetect.cli as cli_mod
+        import geodetect.sphere as sphere_mod
 
-        real = cli_mod.basis_for_density
+        real = sphere_mod.basis_for_density
         monkeypatch.setattr(
-            cli_mod,
+            sphere_mod,
             "basis_for_density",
-            lambda p, d: dataclasses.replace(real(p, d), quad_converged=False),
+            lambda p, d, max_m=None: dataclasses.replace(real(p, d, max_m), quad_converged=False),
         )
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG)
@@ -168,6 +169,17 @@ class TestTestCommand:
         keys = set(json.loads(capsys.readouterr().out))
         assert main(["--strict", *cyc]) == 3
         assert set(json.loads(capsys.readouterr().out)) == keys
+
+    def test_three_cycle_row_is_the_global_triangle_row(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG + "\n[test.cycle]\nell = 3\n[sweep]\nd = 8,64\n")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [row["test"] for row in rows] == ["global-triangle", "cycle"] * 2
+        other = lambda row: {k: v for k, v in row.items() if k not in ("test", "wall_ms")}  # noqa: E731
+        for triangle, cycle in zip(rows[::2], rows[1::2]):
+            assert other(triangle) == other(cycle)
 
 
 class TestSweepCommand:
@@ -471,6 +483,52 @@ class TestLowdegCommand:
         out = tmp_path / "report.json"
         assert main(["lowdeg", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["v_max"] == 2
+
+    @pytest.mark.parametrize("p, d", [(0.6, 16), (0.3, 3)])
+    def test_crosscheck_null_outside_the_series(self, tmp_path, p, d):
+        # the series needs p <= 1/2 and d >= 4; the Monte Carlo does not
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            f"[model]\nn = 20\np = {p}\nd = {d}\nk = 10\n"
+            "[lowdeg]\nv_max = 3\ndegree_cap = 3\ntrials = 200\n"
+        )
+        out = tmp_path / "report.json"
+        assert main(["--strict", "lowdeg", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["triangle_crosscheck"] is None
+        assert all(math.isfinite(row["phi"]) for row in report["rows"])
+
+    def test_p_one_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[model]\nn = 20\np = 1\nd = 16\nk = 10\n[lowdeg]\nv_max = 3\n")
+        out = tmp_path / "report.json"
+        assert main(["lowdeg", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: [model] p = 1")
+        assert not out.exists()
+
+    def test_strict_reads_the_crosscheck_series(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import geodetect.sphere as sphere_mod
+
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[model]\nn = 20\np = 0.3\nd = 16\nk = 10\n"
+            "[lowdeg]\nv_max = 3\ndegree_cap = 3\ntrials = 200\n"
+        )
+        out = tmp_path / "report.json"
+        args = ["lowdeg", "--config", str(cfg), "--out", str(out)]
+        assert main(["--strict", *args]) == 0
+        real = sphere_mod.basis_for_density
+        monkeypatch.setattr(
+            sphere_mod,
+            "basis_for_density",
+            lambda p, d, max_m=None: dataclasses.replace(real(p, d, max_m), quad_converged=False),
+        )
+        assert main(args) == 0
+        report = out.read_text()
+        assert main(["--strict", *args]) == 3
+        assert out.read_text() == report
 
 
 class TestWishartCommand:

@@ -11,6 +11,7 @@ from geodetect.detection import (
     constraint_params,
     cycle_test_snr,
     estimate_errors,
+    gamma_cycle,
     gamma_scan,
     gamma_tri,
     make_test_spec,
@@ -44,6 +45,16 @@ class TestGammaTri:
             for d in (8, 32, 128, 512, 2048)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+    def test_equals_three_cycle_threshold(self):
+        # the global triangle test is the ell = 3 cycle test: one threshold, bit for bit
+        for n in (3, 40, 300, 1000):
+            for p in (0.05, 0.1, 0.3, 0.37, 0.5):
+                for d in (4, 16, 256, 10**6):
+                    for k in (1.0, n / 3, n):
+                        params = ModelParams(n=n, p=p, d=d, k=k)
+                        assert gamma_tri(params) == gamma_cycle(params, 3), params
 
 
 class TestGammaScan:
@@ -271,6 +282,28 @@ class TestDiagnostics:
         series = signed_cycle_expectation(3, 0.3, 64).value
         assert val == pytest.approx(series / 0.3**3, rel=1e-12)
         assert val > 0
+
+
+class TestSpecSeries:
+    def test_records_every_series_read(self):
+        params = ModelParams(n=40, p=0.3, d=16, k=20)
+        cases = {
+            ("global-triangle", ()): (3,),
+            ("scan", ()): (3,),
+            ("constrained-scan", ()): (3, 4),
+            ("constrained-scan", (("cycle_constant", 1.2),)): (3,),
+            ("cycle", (("ell", 5),)): (5,),
+        }
+        for (kind, options), ells in cases.items():
+            spec = make_test_spec(kind, params, **dict(options))
+            assert tuple(s.ell for s in spec.series) == ells, kind
+            assert all((s.p, s.d) == (0.3, 16) and not s.failed for s in spec.series)
+
+    def test_calibrates_at_the_model_dimension(self):
+        for d in (4, 16, 1024):
+            params = ModelParams(n=40, p=0.3, d=d, k=20)
+            spec = make_test_spec("constrained-scan", params)
+            assert spec.cycle_constant == calibrate_cycle_constant(0.3, [d], [3, 4]).constant
 
 
 class TestSpecValidation:

@@ -144,6 +144,18 @@ class TestSignedCycles:
         for ell in (3, 4, 5, 6, 7):
             assert len(cycle_vertex_orders(ell)) == math.factorial(ell - 1) // 2
 
+    def test_three_cycles_are_the_global_triangle_count(self):
+        # not the engine through Abar: the exact, correctly rounded global count
+        seed = Seed(108)
+        for n in (1, 2, 3, 40, 300):
+            for t, p in enumerate((0.1, 0.3, 0.37, 0.5)):
+                params = ModelParams(n=n, p=p, d=8, k=n / 2)
+                for g in (
+                    sample_null(n, p, seed.stream(t, arm=n)),
+                    sample_planted(params, seed.stream(t, arm=n + 1)).graph,
+                ):
+                    assert signed_cycle_count(g, p, 3) == signed_triangle_count(g, p), (n, p)
+
     def test_empty_graph_value(self):
         g = graph_from_edges(4, [])
         assert signed_cycle_count(g, 0.5, 4) == pytest.approx(3 * 0.5**4, abs=1e-15)
