@@ -3,14 +3,16 @@
 Configs are flat key = value text with one section per concern.  _SCHEMA names
 every section and key with the reader that converts and range-checks its value,
 so that a typo in p vs d, or a value out of range, is a config error rather
-than a ruined experiment.  Exit codes: 0 success, 2 config error, 3 numerical
-failure under --strict.
+than a ruined experiment.  tau, cycle-expectation and sample read flags only;
+the library checks those, and its ValueError is their config error.  Exit
+codes: 0 success, 2 config error, 3 numerical failure under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import math
@@ -215,10 +217,10 @@ def _grid_points(cfg: dict, base: ModelParams) -> list[ModelParams]:
     size = math.prod(len(axis) for axis in axes)
     if size > 10_000:
         raise ConfigError(f"sweep grid has {size} points; the cap is 10000")
-    return [
+    return list(dict.fromkeys(  # rounding can repeat a point: keep its first place
         _model("sweep", n=round(n), p=float(p), d=round(d), k=float(k))
         for n in axes[0] for p in axes[1] for d in axes[2] for k in axes[3]
-    ]
+    ))
 
 
 def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed: int):
@@ -302,8 +304,18 @@ def _write_json(report: dict, path) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _flag_errors():
+    """A ValueError raised inside is a config error: the library refused a flag's value."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_tau(args) -> int:
-    res = solve_threshold(args.p, args.d)
+    with _flag_errors():
+        res = solve_threshold(args.p, args.d)
     print(json.dumps({
         "p": res.p, "d": res.d, "tau": res.tau, "residual": res.residual,
         "upper_bound": math.sqrt(3.0 * math.log(1.0 / args.p) / args.d)
@@ -314,12 +326,13 @@ def cmd_tau(args) -> int:
 
 
 def cmd_cycle_expectation(args) -> int:
-    res = signed_cycle_expectation(args.ell, args.p, args.d)
+    with _flag_errors():
+        res = signed_cycle_expectation(args.ell, args.p, args.d)
     print(json.dumps({
         "ell": res.ell, "p": res.p, "d": res.d, "value": res.value,
         "truncation_m": res.truncation_m, "tail_bound": res.tail_bound,
         "scale": res.scale, "ratio": res.ratio,
-        "truncation_failed": res.truncation_failed,
+        "truncation_failed": res.truncation_failed, "quad_converged": res.quad_converged,
         "below_dimension_guard": res.below_dimension_guard,
         "version": __version__,
     }))
@@ -417,18 +430,17 @@ def cmd_wishart(args) -> int:
 
 def cmd_sample(args) -> int:
     rng = Seed(_settings({}, "run", args, "seed")["seed"]).stream(0, arm=9)  # no config
-    if args.model == "null":
-        graph = sample_null(args.n, args.p, rng)
-    elif args.model == "geometric":
-        graph, _ = sample_full_geometric(args.n, args.p, args.d, rng)
-    elif args.model == "planted":
-        params = ModelParams(n=args.n, p=args.p, d=args.d, k=args.k)
-        if args.community_size is not None:
-            graph = sample_planted_fixed_size(args.community_size, params, rng).graph
-        else:
-            graph = sample_planted(params, rng).graph
-    else:
-        raise ConfigError(f"unknown model {args.model!r}")
+    with _flag_errors():  # before the output file is opened
+        if args.model == "null":
+            graph = sample_null(args.n, args.p, rng)
+        elif args.model == "geometric":
+            graph, _ = sample_full_geometric(args.n, args.p, args.d, rng)
+        else:  # planted: argparse admits no other model
+            params = ModelParams(n=args.n, p=args.p, d=args.d, k=args.k)
+            if args.community_size is not None:
+                graph = sample_planted_fixed_size(args.community_size, params, rng).graph
+            else:
+                graph = sample_planted(params, rng).graph
     if args.format == "edgelist":
         with open(args.out, "w") as fh:
             fh.write(graph.to_edgelist_text())

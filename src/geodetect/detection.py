@@ -1,9 +1,10 @@
 """Detection tests: thresholds, decision rules, and Monte Carlo error rates.
 
-Each test compares a signed-count statistic against a threshold set to half
-its planted-model mean, computed exactly through the cycle-expectation series
-rather than by Monte Carlo.  The boundary convention is strict: 'planted' is
-declared only when the statistic strictly exceeds the threshold.
+A test is a statistic, a signed count summed over all of G or maximised over
+size-k_minus subsets, and a threshold set to half its planted-model mean,
+computed exactly through the cycle-expectation series rather than by Monte
+Carlo.  The boundary convention is strict: 'planted' is declared only when the
+statistic strictly exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .graphs import (
 )
 from .sphere import signed_cycle_expectation
 from .stats import (
+    MAX_CYCLE_LENGTH,
     ScanConfig,
     constrained_scan_statistic,
     scan_statistic,
     signed_cycle_count,
-    signed_triangle_count,
 )
 
 __all__ = [
@@ -140,11 +141,14 @@ def calibrate_cycle_constant(p, d_grid, ell_list) -> CycleConstantCalibration:
 
 @dataclass(frozen=True)
 class TestSpec:
-    """A fully pinned test: kind, parameters, threshold, and scan options.
+    """A fully pinned test: a statistic and the threshold it is compared with.
 
-    series holds every CycleExpectationResult the threshold and the constraint
-    calibration read (make_test_spec fills it), so their failure flags are one
-    read away.
+    The statistic is signed_cycle_count(G, p, ell) when scan is None (ell is 3
+    for global-triangle, filled in when left out), else the scan of that
+    ScanConfig, constrained when it carries sigma_sq and B.  kind only names the
+    row; specs of equal (n, p, ell, scan) share their null draws.  series holds
+    every CycleExpectationResult the threshold and the constraint calibration
+    read (make_test_spec fills it).
     """
 
     __test__ = False  # not a pytest collection target
@@ -152,12 +156,9 @@ class TestSpec:
     kind: str
     params: ModelParams
     threshold: float
-    sigma_sq: float | None = None
-    B: float | None = None
-    cycle_constant: float | None = None
     ell: int | None = None
-    scan_mode: str = "planted-oracle"
-    restarts: int = 8
+    scan: ScanConfig | None = None
+    cycle_constant: float | None = None
     series: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -167,13 +168,16 @@ class TestSpec:
         # NaN threshold is meaningless
         if math.isnan(self.threshold):
             raise ValueError("threshold must not be NaN")
-        if self.kind == "cycle" and (self.ell is None or self.ell < 3):
-            raise ValueError("cycle tests need ell >= 3")
-        if self.kind == "constrained-scan":
-            if self.sigma_sq is None or self.B is None:
-                raise ValueError("constrained-scan specs need sigma_sq and B")
-            if self.sigma_sq < 0 or self.B < 0:
-                raise ValueError("sigma_sq and B must be >= 0")
+        if self.kind == "global-triangle" and self.ell is None:
+            object.__setattr__(self, "ell", 3)  # the ell = 3 cycle test under its own name
+        if self.kind in ("global-triangle", "cycle"):
+            top = 3 if self.kind == "global-triangle" else MAX_CYCLE_LENGTH
+            if self.scan is not None or self.ell not in range(3, top + 1):
+                raise ValueError(f"{self.kind} specs need ell in [3, {top}] and no scan")
+        elif self.scan is None or self.ell is not None:
+            raise ValueError(f"{self.kind} specs need a scan and no ell")
+        elif (self.scan.sigma_sq is not None) != (self.kind == "constrained-scan"):
+            raise ValueError("a scan carries sigma_sq and B exactly when it is constrained")
 
 
 def make_test_spec(
@@ -187,70 +191,49 @@ def make_test_spec(
     """Build a TestSpec with its threshold (and constraints) computed from params.
 
     The global triangle test is the ell = 3 cycle test under its own name: the
-    same statistic and the same threshold.  An auto cycle_constant is
+    same statistic and the same threshold.  The scans get one ScanConfig with
+    k_minus = params.k_minus; an auto cycle_constant of the constrained scan is
     calibrated from the ell = 3 and 4 series at params.d.
     """
     if kind not in TEST_KINDS:
         raise ValueError(f"unknown test kind {kind!r}")
     if kind != "cycle":
-        ell = None  # only the cycle test reads a length
+        ell = 3 if kind == "global-triangle" else None  # a scan reads no length
     elif ell is None:
         raise ValueError("cycle tests need ell")
     series = (signed_cycle_expectation(3 if ell is None else ell, params.p, params.d),)
-    if kind in ("global-triangle", "cycle"):
+    if ell is not None:
         return TestSpec(
             kind=kind, params=params, threshold=_global_threshold(params, series[0]),
             ell=ell, series=series,
         )
-    constraints = {}
-    if kind == "constrained-scan":
-        if cycle_constant is None:
-            series += (signed_cycle_expectation(4, params.p, params.d),)
-            cycle_constant = _sandwich_constant(series)
-        sigma_sq, bound = constraint_params(params, cycle_constant)
-        constraints = {"sigma_sq": sigma_sq, "B": bound, "cycle_constant": cycle_constant}
+    constrained = kind == "constrained-scan"
+    if constrained and cycle_constant is None:
+        series += (signed_cycle_expectation(4, params.p, params.d),)
+        cycle_constant = _sandwich_constant(series)
+    sigma_sq, bound = constraint_params(params, cycle_constant) if constrained else (None, None)
     return TestSpec(
-        kind=kind,
-        params=params,
-        threshold=_scan_threshold(params, series[0]),
-        scan_mode=scan_mode,
-        restarts=restarts,
-        series=series,
-        **constraints,
+        kind=kind, params=params, threshold=_scan_threshold(params, series[0]),
+        scan=ScanConfig(params.k_minus, scan_mode, restarts, sigma_sq, bound),
+        cycle_constant=cycle_constant if constrained else None, series=series,
     )
 
 
-def _scan_config(spec: TestSpec) -> ScanConfig:
-    return ScanConfig(
-        k_minus=spec.params.k_minus,
-        mode=spec.scan_mode,
-        restarts=spec.restarts,
-        sigma_sq=spec.sigma_sq,
-        B=spec.B,
-    )
-
-
-def _statistic(kind: str, p: float, ell, cfg: ScanConfig, graph: Graph, oracle_subset):
-    if kind == "global-triangle":
-        return signed_triangle_count(graph, p)
-    if kind == "cycle":
+def _statistic(p: float, ell: int | None, scan: ScanConfig | None, graph: Graph, oracle_subset):
+    if scan is None:
         return signed_cycle_count(graph, p, ell)
-    if cfg.mode == "planted-oracle" and oracle_subset is None:
+    if scan.mode == "planted-oracle" and oracle_subset is None:
         # under the null there is no community; exchangeability makes any
         # fixed subset equivalent, so use the first k_minus vertices
-        oracle_subset = np.arange(cfg.k_minus)
-    if kind == "scan":
-        value, _ = scan_statistic(graph, p, cfg, oracle_subset)
-    else:
-        value, _ = constrained_scan_statistic(graph, p, cfg, oracle_subset)
+        oracle_subset = np.arange(scan.k_minus)
+    search = scan_statistic if scan.sigma_sq is None else constrained_scan_statistic
+    value, _ = search(graph, p, scan, oracle_subset)
     return value
 
 
 def statistic_value(spec: TestSpec, graph: Graph, oracle_subset=None):
     """The raw statistic for a graph, or None for an infeasible constrained scan."""
-    return _statistic(
-        spec.kind, spec.params.p, spec.ell, _scan_config(spec), graph, oracle_subset
-    )
+    return _statistic(spec.params.p, spec.ell, spec.scan, graph, oracle_subset)
 
 
 def _decide(value, threshold: float) -> str:
@@ -285,22 +268,20 @@ _NULL_ARM, _PLANTED_ARM = 0, 1
 
 
 @lru_cache(maxsize=1 << 14)
-def _null_statistic(kind: str, n: int, p: float, ell, cfg: ScanConfig, seed: Seed, trial: int):
+def _null_statistic(n: int, p: float, ell, scan: ScanConfig | None, seed: Seed, trial: int):
     """Statistic of a seeded null draw.
 
-    The key holds exactly what the null draw and the statistic read: no d or
-    threshold, and k only through k_minus.  A sweep over d therefore draws and
-    scores each null graph once.
+    The key holds exactly what the null draw and the statistic read: no kind, d
+    or threshold, and k only through the scan's k_minus.  A sweep over d, or two
+    tests of one statistic, therefore draws and scores each null graph once.
     """
     graph = sample_null(n, p, seed.stream(trial, arm=_NULL_ARM))
-    return _statistic(kind, p, ell, cfg, graph, None)
+    return _statistic(p, ell, scan, graph, None)
 
 
 def _null_trial(spec: TestSpec, seed: Seed, trial: int) -> bool:
     """True when the null draw raises a false alarm."""
-    value = _null_statistic(
-        spec.kind, spec.params.n, spec.params.p, spec.ell, _scan_config(spec), seed, trial
-    )
+    value = _null_statistic(spec.params.n, spec.params.p, spec.ell, spec.scan, seed, trial)
     return _decide(value, spec.threshold) == "planted"
 
 
@@ -312,9 +293,8 @@ def _planted_trial(spec: TestSpec, seed: Seed, trial: int):
     members = sample.members
     if not spec.params.k_minus <= members.size <= spec.params.k_plus:
         return None
-    oracle = None
-    if spec.kind in ("scan", "constrained-scan"):
-        oracle = members[: spec.params.k_minus]  # smallest k_minus members
+    # a scan is scored on the smallest k_minus members
+    oracle = None if spec.scan is None else members[: spec.scan.k_minus]
     return run_test(spec, sample.graph, oracle) == "null"
 
 

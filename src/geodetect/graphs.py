@@ -281,7 +281,7 @@ def _check_word(what: str, *values):
 
 
 def _tau(p: float, d: int) -> float:
-    return solve_threshold(p, d).tau if p < 1.0 else -1.0  # p = 1: every pair
+    return solve_threshold(p, d).tau if p != 1.0 else -1.0  # p = 1: every pair
 
 
 def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -289,6 +289,8 @@ def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     m = n * (n - 1) // 2
     if p <= 0.0:
         return Graph(n, np.zeros(m, dtype=bool))

@@ -308,7 +308,8 @@ class ScanConfig:
     """Scan test configuration.
 
     mode is one of 'exhaustive', 'planted-oracle', 'local-search'; sigma_sq
-    and B activate the wedge-sum constraints of the constrained scan.
+    and B, both >= 0 and given together, activate the wedge-sum constraints of
+    the constrained scan.
     """
 
     k_minus: int
@@ -327,6 +328,10 @@ class ScanConfig:
             raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if (self.sigma_sq is None) != (self.B is None):
+            raise ValueError("sigma_sq and B are given together or not at all")
+        if self.sigma_sq is not None and not (self.sigma_sq >= 0 and self.B >= 0):
+            raise ValueError(f"sigma_sq and B must be >= 0, got {self.sigma_sq}, {self.B}")
 
     def check_exhaustive(self, n: int):
         if math.comb(n, self.k_minus) > self._EXHAUSTIVE_LIMIT:
@@ -482,7 +487,7 @@ def constrained_scan_statistic(
     when the supplied subset is infeasible); the decision rule then reads
     'null'.
     """
-    if cfg.sigma_sq is None or cfg.B is None:
+    if cfg.sigma_sq is None:
         raise ValueError("constrained scan requires sigma_sq and B in the config")
     constraint = lambda sub: _feasible(sub, cfg.sigma_sq, cfg.B)  # noqa: E731
     return _scan_impl(graph, p, cfg, oracle_subset, rng, constraint=constraint)

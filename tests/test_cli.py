@@ -166,9 +166,14 @@ class TestTestCommand:
         assert out.read_text().splitlines()[0] == header
         cyc = ["cycle-expectation", "--ell", "3", "--p", "0.3", "--d", "64"]
         assert main(cyc) == 0
-        keys = set(json.loads(capsys.readouterr().out))
+        report = json.loads(capsys.readouterr().out)
         assert main(["--strict", *cyc]) == 3
-        assert set(json.loads(capsys.readouterr().out)) == keys
+        strict = json.loads(capsys.readouterr().out)
+        assert set(strict) == set(report)
+        assert strict["truncation_failed"] is False and strict["quad_converged"] is False
+        monkeypatch.undo()
+        assert main(["--strict", *cyc]) == 0
+        assert json.loads(capsys.readouterr().out)["quad_converged"] is True
 
     def test_three_cycle_row_is_the_global_triangle_row(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -180,6 +185,29 @@ class TestTestCommand:
         other = lambda row: {k: v for k, v in row.items() if k not in ("test", "wall_ms")}  # noqa: E731
         for triangle, cycle in zip(rows[::2], rows[1::2]):
             assert other(triangle) == other(cycle)
+
+    def test_one_statistic_draws_each_null_graph_once(self, tmp_path, monkeypatch):
+        # the global triangle test and the ell = 3 cycle test share their null memo entries
+        import geodetect.detection as detection_mod
+
+        calls = []
+        real = detection_mod.sample_null
+
+        def counted(n, p, rng):
+            calls.append(n)
+            return real(n, p, rng)
+
+        monkeypatch.setattr(detection_mod, "sample_null", counted)
+        detection_mod._null_statistic.cache_clear()
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG.replace("p = 0.5\nd = 8", "p = 0.3\nd = 16")
+                       + "\n[test.cycle]\nell = 3\n")
+        out = tmp_path / "rows.csv"
+        assert main(["test", "--config", str(cfg), "--out", str(out), "--trials", "20"]) == 0
+        triangle, cycle = strip_wall(read_rows(out))
+        assert (triangle.pop("test"), cycle.pop("test")) == ("global-triangle", "cycle")
+        assert triangle == cycle
+        assert len(calls) == 20
 
 
 class TestSweepCommand:
@@ -248,6 +276,14 @@ class TestSweepCommand:
         assert strip_wall(read_rows(warm)) == expected
         assert strip_wall(read_rows(resumed)) == expected
 
+    def test_repeated_points_run_once(self, tmp_path):
+        # logrange:4:6:5 rounds to d = 4, 4, 5, 5, 6
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = logrange:4:6:5\n")
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--trials", "4"]) == 0
+        assert [row["d"] for row in read_rows(out)] == ["4", "5", "6"]
+
     def test_logrange_axis(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = logrange:4:4096:4\n")
@@ -286,6 +322,28 @@ class TestConfigValidation:
         sample = ["sample", "--model", "null", "--n", "5", "--p", "0.5", "--out", str(out)]
         assert main([*sample, "--seed", seed]) == 2
         assert main([*sample, "--seed", str(2**64 - 1)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "tau --p 0 --d 8",
+            "tau --p 1.5 --d 8",
+            "tau --p 0.3 --d 2",
+            "cycle-expectation --ell 3 --p 0.7 --d 8",
+            "cycle-expectation --ell 2 --p 0.3 --d 8",
+            "sample --model planted --n 10 --p 0.3 --d 2",
+            "sample --model null --n 0 --p 0.3",
+            "sample --model null --n 10 --p 1.5",
+            "sample --model geometric --n 10 --p 1.5",
+        ],
+    )
+    def test_bad_flag_of_flag_only_command(self, tmp_path, capsys, argv):
+        # tau, cycle-expectation and sample read no config: the library checks their flags
+        out = tmp_path / "graph.txt"
+        args = argv.split() + (["--out", str(out)] if argv.startswith("sample") else [])
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, text",

@@ -120,9 +120,7 @@ class TestRunTest:
             kind="constrained-scan",
             params=params,
             threshold=-100.0,
-            sigma_sq=0.0,
-            B=0.0,
-            scan_mode="exhaustive",
+            scan=ScanConfig(k_minus=params.k_minus, mode="exhaustive", sigma_sq=0.0, B=0.0),
         )
         assert run_test(spec, g) == "null"
 
@@ -326,3 +324,34 @@ class TestSpecValidation:
         params = ModelParams(n=10, p=0.5, d=8, k=5)
         with pytest.raises(ValueError):
             TestSpec(kind="global-triangle", params=params, threshold=math.nan)
+
+    def test_statistic_matches_kind(self):
+        # a spec carries ell or a scan, and a scan is constrained exactly for constrained-scan
+        params = ModelParams(n=10, p=0.5, d=8, k=5)
+        scan = ScanConfig(k_minus=params.k_minus)
+        bounded = ScanConfig(k_minus=params.k_minus, sigma_sq=1.0, B=1.0)
+        for kind, fields in [
+            ("global-triangle", {"ell": 4}),
+            ("global-triangle", {"scan": scan}),
+            ("cycle", {"ell": 2}),
+            ("cycle", {"ell": 8}),
+            ("cycle", {"ell": 3, "scan": scan}),
+            ("scan", {}),
+            ("scan", {"scan": scan, "ell": 3}),
+            ("scan", {"scan": bounded}),
+            ("constrained-scan", {"scan": scan}),
+        ]:
+            with pytest.raises(ValueError):
+                TestSpec(kind=kind, params=params, threshold=0.0, **fields)
+
+    def test_global_triangle_is_the_three_cycle_statistic(self):
+        params = ModelParams(n=10, p=0.5, d=8, k=5)
+        assert TestSpec(kind="global-triangle", params=params, threshold=0.0).ell == 3
+        assert make_test_spec("global-triangle", params).ell == 3
+        spec = make_test_spec("constrained-scan", params, cycle_constant=1.0)
+        sigma_sq, bound = constraint_params(params, 1.0)
+        assert spec.ell is None
+        assert spec.scan == ScanConfig(
+            k_minus=params.k_minus, mode="planted-oracle", sigma_sq=sigma_sq, B=bound
+        )
+        assert make_test_spec("scan", params, cycle_constant=1.0).cycle_constant is None

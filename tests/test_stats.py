@@ -463,6 +463,21 @@ class TestScan:
         with pytest.raises(ValueError, match="restarts"):
             ScanConfig(k_minus=3, mode="local-search", restarts=restarts)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"sigma_sq": -1.0, "B": 0.0},
+            {"sigma_sq": 0.0, "B": -1.0},
+            {"sigma_sq": math.nan, "B": 1.0},
+            {"sigma_sq": 1.0},
+            {"B": 1.0},
+        ],
+        ids=["negative-sigma_sq", "negative-B", "nan-sigma_sq", "sigma_sq-alone", "B-alone"],
+    )
+    def test_constraint_bounds_checked(self, bounds):
+        with pytest.raises(ValueError, match="sigma_sq"):
+            ScanConfig(k_minus=3, **bounds)
+
     def test_exhaustive_size_guard(self):
         cfg = ScanConfig(k_minus=20, mode="exhaustive")
         with pytest.raises(ValueError):
