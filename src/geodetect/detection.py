@@ -40,7 +40,6 @@ __all__ = [
     "gamma_cycle",
     "constraint_params",
     "calibrate_cycle_constant",
-    "triangle_excess_ratio",
     "make_test_spec",
     "run_test",
     "statistic_value",
@@ -95,14 +94,6 @@ def constraint_params(params: ModelParams, cycle_constant: float) -> tuple[float
     sigma_sq = k**3 * p**2 + cycle_constant**4 * k**4 * p**4 * math.log(1 / p) ** 2 / d
     bound = (2048.0 * k * p**2 + 8.0) * math.ceil(math.log(k))
     return sigma_sq, bound
-
-
-def triangle_excess_ratio(p: float, d: int) -> float:
-    """Conditional triangle excess: E[signed triangle] / p^3 under the full model.
-
-    Equals P(G_12 G_13 G_23 = 1 | G_23 = 1)/p^2 - 1; read-only diagnostic.
-    """
-    return signed_cycle_expectation(3, p, d).value / p**3
 
 
 @dataclass(frozen=True)

@@ -406,6 +406,8 @@ def sample_full_geometric(
     Gram route that every d >= n takes.
     """
     n = int(n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     tau = _tau(p, d)
     gram, latents = _unit_gram(n, d, rng)
     return Graph(n, gram[_upper_pairs(n)] >= tau), latents

@@ -32,9 +32,7 @@ __all__ = [
     "inner_product_tail",
     "solve_threshold",
     "gegenbauer_eval",
-    "multiplicity",
     "log_multiplicity",
-    "gegenbauer_coefficient",
     "signed_cycle_expectation",
     "sample_uniform_sphere",
 ]
@@ -285,28 +283,6 @@ def log_multiplicity(m: int, d: int) -> float:
     return float(_log_multiplicities(d, m)[m])
 
 
-def multiplicity(m: int, d: int) -> float:
-    """Number of distinct degree-m spherical harmonics on S^{d-1}, exact.
-
-    Computed from the integer identity N_m = C(d+m-1, m) - C(d+m-3, m-2).
-    Raises OverflowError (rather than returning inf) when the exact value does
-    not fit a double; use log_multiplicity for those regimes.
-    """
-    m = int(m)
-    d = _check_dimension(d)
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
-    if m == 0:
-        return 1.0
-    if log_multiplicity(m, d) > 700.0:
-        raise OverflowError(
-            f"N_m overflows double precision for m={m}, d={d}; "
-            "use log_multiplicity"
-        )
-    exact = math.comb(d + m - 1, m) - (math.comb(d + m - 3, m - 2) if m >= 2 else 0)
-    return float(exact)
-
-
 @lru_cache(maxsize=8)
 def _panel_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
@@ -433,15 +409,6 @@ def _cached_basis(p: float, d: int, max_m: int | None) -> GegenbauerBasis:
 def basis_for_density(p: float, d: int, max_m: int | None = None) -> GegenbauerBasis:
     """Basis at the threshold tau(p, d), cached per (p, d, max_m)."""
     return _cached_basis(float(p), int(d), max_m)
-
-
-def gegenbauer_coefficient(m: int, d: int, tau: float) -> float:
-    """Coefficient c_m = integral over [tau, 1] of q_m d(mu)."""
-    m = int(m)
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
-    basis = GegenbauerBasis.build(d, tau, max_m=max(m, 8))
-    return float(basis.coeffs[m])
 
 
 @dataclass(frozen=True)

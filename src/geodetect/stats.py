@@ -6,9 +6,11 @@ The global triangle count comes from integer counts of G itself: with T
 triangles, W wedges and E edges it is T - p W + p^2 (n-2) E - p^3 C(n, 3),
 exact from one float32 product of the 0/1 adjacency and rounded once
 (signed_triangle_count).  Every other statistic reads the centered adjacency
-Abar (centered_adjacency); the triangle count of a subset, or of each subset of
-a stack inside a scan, is Tr(Abar^3)/6 of its block.  The tests check the global
-count against exact rational arithmetic and an explicit pair loop, both kept in
+Abar (centered_adjacency); the triangle count of a subset, or of each subset a
+local search tries, is Tr(Abar^3)/6 of its block, and the exhaustive scan adds
+each pair completion of a prefix to the prefix's count (_exhaustive_scan).  The
+tests check the global count against exact rational arithmetic and an explicit
+pair loop, and the exhaustive scan against a block-by-block scorer, all kept in
 tests/oracles.py.
 
 The ell = 3 cycle count is that global triangle count.  Every longer cycle
@@ -39,16 +41,14 @@ __all__ = [
     "signed_triangle_count",
     "signed_cycle_count",
     "wedge_sums",
-    "wedge_sums_symmetric",
     "subset_signed_triangles",
     "scan_statistic",
     "constrained_scan_statistic",
-    "signed_embedding_product",
 ]
 
 
 MAX_CYCLE_LENGTH = 7
-_CHUNK_BYTES = 2**20  # per gathered block of the exhaustive scan
+_CHUNK_BYTES = 2**20  # per array of a block of prefixes in the exhaustive scan
 _A, _ONE = ("A",), ("one",)  # Abar and the all-ones vertex weight
 
 
@@ -91,16 +91,22 @@ def signed_triangle_count(graph: Graph, p: float) -> float:
     return num / b**3
 
 
-def _subset_blocks(n: int, size: int, per_subset: int):
-    """The size-subsets of range(n) in lexicographic order, as (B, size) index blocks.
+def _prefix_blocks(n: int, size: int, per_pair: int):
+    """The size-subsets R of range(n) that leave two vertices above l = max(R).
 
-    B keeps B * per_subset float64 values within _CHUNK_BYTES.
+    Yields (l, idx) in order of l, idx a (B, size) block of the prefixes ending
+    in l, in lexicographic order.  With m = n - 1 - l, B keeps B * m^2 * per_pair
+    and B * size * max(size, m) float64 values within _CHUNK_BYTES (B >= 1).
     """
-    chunk = max(1, _CHUNK_BYTES // (8 * max(1, per_subset)))
-    combos = combinations(range(n), size)
-    while block := list(islice(combos, chunk)):
-        flat = np.fromiter(chain.from_iterable(block), dtype=int, count=len(block) * size)
-        yield flat.reshape(len(block), size)
+    for l in range(size - 1, n - 2):
+        m = n - 1 - l
+        chunk = max(1, _CHUNK_BYTES // (8 * max(m * m * per_pair, size * max(size, m))))
+        heads = combinations(range(l), size - 1)
+        while block := list(islice(heads, chunk)):
+            flat = np.fromiter(chain.from_iterable(block), dtype=int)
+            idx = np.full((len(block), size), l)
+            idx[:, :-1] = flat.reshape(len(block), size - 1)
+            yield l, idx
 
 
 def _t(x):
@@ -263,7 +269,7 @@ def wedge_sums(graph: Graph, p: float, subset) -> dict[tuple[int, int], float]:
     """Signed wedge sums W_ij = sum over l in A, l < i of (G_li-p)(G_lj-p).
 
     The inner range l < i is intentionally asymmetric (an ordering-dependent
-    quantity); see wedge_sums_symmetric for the order-free diagnostic variant.
+    quantity).
     Keys are vertex pairs (i, j) with i < j, both in the subset.
     """
     verts, sub = _subset_signed(graph, p, subset)
@@ -273,18 +279,6 @@ def wedge_sums(graph: Graph, p: float, subset) -> dict[tuple[int, int], float]:
         for a in range(len(verts))
         for b in range(a + 1, len(verts))
     }
-
-
-def wedge_sums_symmetric(graph: Graph, p: float, subset) -> dict[tuple[int, int], float]:
-    """Symmetric wedge variant: the inner sum runs over all l in A, l not in {i, j}."""
-    verts, sub = _subset_signed(graph, p, subset)
-    out = {}
-    size = len(verts)
-    for a in range(size):
-        for b in range(a + 1, size):
-            col = sub[:, a] * sub[:, b]
-            out[(int(verts[a]), int(verts[b]))] = float(col.sum() - col[a] - col[b])
-    return out
 
 
 def subset_signed_triangles(graph: Graph, p: float, subset) -> float:
@@ -435,20 +429,55 @@ def _scan_impl(
         if subset is None:
             return None, None
         return val, subset
-    # exhaustive: score the subsets a block at a time, keep the first maximum
     cfg.check_exhaustive(n)
+    return _exhaustive_scan(a, n, cfg.k_minus, constraint)
+
+
+def _exhaustive_scan(a: np.ndarray, n: int, k_minus: int, constraint):
+    """Exact maximum over size-k_minus subsets, the lexicographically first among equals.
+
+    Each subset is a prefix R of k_minus - 2 vertices, l = max(R), and a pair
+    l < u < v, scored for every pair of a block of prefixes at once:
+
+        f(R + {u, v}) = f(R) + t(u) + t(v) + a_uv (a[R, :]^T a[R, :])_uv,
+        t(v) = a[R, v]^T a[R, R] a[R, v] / 2.
+
+    Within a group of equal l the candidates come in lexicographic order, so a
+    block's argmax is its lexicographically first maximum; across groups an equal
+    value wins only with a lexicographically smaller subset.  Fewer than 3 vertices
+    hold no triangle: the first subset, range(k_minus), scores 0.
+    """
+    if k_minus > n:
+        return None, None
+    if k_minus < 3:
+        ok = constraint is None or constraint(a[:k_minus, :k_minus])
+        return (0.0, np.arange(k_minus)) if ok else (None, None)
     best_val, best_set = -math.inf, None
-    for idx in _subset_blocks(n, cfg.k_minus, cfg.k_minus**2):
-        subs = a[idx[:, :, None], idx[:, None, :]]
-        vals = _triangle_sum(subs)
+    per_pair = 1 if constraint is None else k_minus**2
+    for l, idx in _prefix_blocks(n, k_minus - 2, per_pair):
+        iu, ju = _upper_pairs(n - 1 - l)
+        x = np.take(a[:, l + 1 :], idx, axis=0)  # a[R, u] for every u > l
+        xt = np.swapaxes(x, 1, 2).copy()  # contiguous: a stack of BLAS products
+        inside = a[idx[:, :, None], idx[:, None, :]]
+        t = 0.5 * ((xt @ inside) * xt).sum(axis=2)
+        vals = xt @ x
+        vals *= a[l + 1 :, l + 1 :]
+        vals += (_triangle_sum(inside)[:, None] + t)[:, :, None]
+        vals += t[:, None, :]
+        vals = vals[:, iu, ju]
         if constraint is not None:
-            vals = np.where(constraint(subs), vals, -math.inf)
-        best = int(np.argmax(vals))
-        if vals[best] > best_val:
-            best_val, best_set = float(vals[best]), idx[best].copy()
+            pairs = np.column_stack([iu, ju]) + (l + 1)
+            cand = np.hstack([np.repeat(idx, len(iu), axis=0), np.tile(pairs, (len(idx), 1))])
+            feasible = constraint(a[cand[:, :, None], cand[:, None, :]])
+            vals = np.where(feasible.reshape(vals.shape), vals, -math.inf)
+        row, col = divmod(int(np.argmax(vals)), len(iu))
+        val = float(vals[row, col])
+        subset = (*idx[row].tolist(), l + 1 + int(iu[col]), l + 1 + int(ju[col]))
+        if val > best_val or (val == best_val and best_set is not None and subset < best_set):
+            best_val, best_set = val, subset
     if best_set is None:
         return None, None
-    return best_val, best_set
+    return best_val, np.array(best_set)
 
 
 def scan_statistic(
@@ -460,7 +489,8 @@ def scan_statistic(
 ):
     """Maximum signed triangle count over size-k_minus subsets.
 
-    exhaustive: exact maximum.  planted-oracle: the value on the supplied
+    exhaustive: exact maximum, the lexicographically first subset among equal
+    values (see _exhaustive_scan).  planted-oracle: the value on the supplied
     subset (the type-II surrogate).  local-search: best of `restarts` swap
     hill-climbs from random subsets, always <= the exact maximum.  Each
     sweep of a climb tries the swaps (member -> outsider) with the members in
@@ -491,19 +521,3 @@ def constrained_scan_statistic(
         raise ValueError("constrained scan requires sigma_sq and B in the config")
     constraint = lambda sub: _feasible(sub, cfg.sigma_sq, cfg.B)  # noqa: E731
     return _scan_impl(graph, p, cfg, oracle_subset, rng, constraint=constraint)
-
-
-def signed_embedding_product(graph: Graph, p: float, edges) -> float:
-    """Product of (G_ij - p) over an explicit list of distinct vertex pairs."""
-    seen = set()
-    total = 1.0
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j:
-            raise ValueError(f"self-loop ({i}, {j}) is not a valid edge")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
-        total *= (1.0 if graph.has_edge(*key) else 0.0) - p
-    return total

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import chain, combinations, islice, permutations
 
 import mpmath
 import numpy as np
@@ -55,6 +55,47 @@ def log_multiplicity_mpmath(m: int, d: int, dps: int = 40) -> float:
     exact = math.comb(d + m - 1, m) - (math.comb(d + m - 3, m - 2) if m >= 2 else 0)
     with mpmath.workdps(dps):
         return float(mpmath.log(exact))
+
+
+def multiplicity(m: int, d: int) -> float:
+    """N_m, the number of degree-m spherical harmonics on S^{d-1}, from the exact integer.
+
+    N_m = C(d+m-1, m) - C(d+m-3, m-2).  Raises OverflowError when N_m does not
+    fit a double, rather than returning inf.
+    """
+    if m < 0 or d < 3:
+        raise ValueError(f"need m >= 0 and d >= 3, got m={m}, d={d}")
+    exact = math.comb(d + m - 1, m) - (math.comb(d + m - 3, m - 2) if m >= 2 else 0)
+    return float(exact)  # int -> float raises OverflowError past the double range
+
+
+def signed_embedding_product(graph, p: float, edges) -> float:
+    """Product of (G_ij - p) over an explicit list of distinct vertex pairs."""
+    seen = set()
+    total = 1.0
+    for i, j in edges:
+        i, j = int(i), int(j)
+        if i == j:
+            raise ValueError(f"self-loop ({i}, {j}) is not a valid edge")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+        total *= (1.0 if graph.has_edge(*key) else 0.0) - p
+    return total
+
+
+def wedge_sums_symmetric(graph, p: float, subset) -> dict:
+    """Symmetric wedge sums W_ij = sum over l in the subset, l not in {i, j}, of (G_li-p)(G_lj-p).
+
+    Keys are the pairs (i, j), i < j, of the subset.
+    """
+    a = centered_adjacency(graph, p)
+    verts = sorted(int(v) for v in subset)
+    return {
+        (i, j): float(sum(a[l, i] * a[l, j] for l in verts if l not in (i, j)))
+        for i, j in combinations(verts, 2)
+    }
 
 
 def signed_triangle_count_direct(graph, p: float) -> float:
@@ -154,6 +195,30 @@ def signed_cycle_count_traces(graph, p: float, ell: int) -> float:
     return float(
         (a3 * a2).sum() - 5.0 * (np.diagonal(a3) @ s) + 5.0 * (sq * a * a2).sum()
     ) / 10.0
+
+
+def exhaustive_scan_blocks(a, k_minus, constraint=None):
+    """Exhaustive scan that gathers each subset's k x k block and takes Tr(A^3)/6 of it.
+
+    Walks the size-k_minus subsets of range(len(a)) in lexicographic order,
+    2^15 at a time, and keeps the first maximum among the subsets whose block
+    passes the constraint.  Returns (None, None) when none does.
+    """
+    best_val, best_set = -math.inf, None
+    combos = combinations(range(len(a)), k_minus)
+    while block := list(islice(combos, 2**15)):
+        flat = np.fromiter(chain.from_iterable(block), dtype=int, count=len(block) * k_minus)
+        idx = flat.reshape(len(block), k_minus)
+        subs = a[idx[:, :, None], idx[:, None, :]]
+        vals = _triangle_sum(subs)
+        if constraint is not None:
+            vals = np.where(constraint(subs), vals, -math.inf)
+        best = int(np.argmax(vals))
+        if vals[best] > best_val:
+            best_val, best_set = float(vals[best]), idx[best].copy()
+    if best_set is None:
+        return None, None
+    return best_val, best_set
 
 
 def unit_gram_latent(s: int, d: int, rng, shape=()):

@@ -335,6 +335,7 @@ class TestConfigValidation:
             "sample --model null --n 0 --p 0.3",
             "sample --model null --n 10 --p 1.5",
             "sample --model geometric --n 10 --p 1.5",
+            "sample --model geometric --n 0 --p 0.3",
         ],
     )
     def test_bad_flag_of_flag_only_command(self, tmp_path, capsys, argv):

@@ -17,7 +17,6 @@ from geodetect.detection import (
     make_test_spec,
     run_test,
     statistic_value,
-    triangle_excess_ratio,
 )
 from geodetect.graphs import Graph, ModelParams, Seed, pair_index, sample_null, sample_planted
 from geodetect.sphere import signed_cycle_expectation
@@ -272,14 +271,6 @@ class TestCycleSnr:
     def test_vanishes_with_community(self):
         tiny = ModelParams(n=100, p=0.4, d=32, k=1e-6)
         assert cycle_test_snr(tiny, 3) < 1e-12
-
-
-class TestDiagnostics:
-    def test_excess_ratio_positive_and_consistent(self):
-        val = triangle_excess_ratio(0.3, 64)
-        series = signed_cycle_expectation(3, 0.3, 64).value
-        assert val == pytest.approx(series / 0.3**3, rel=1e-12)
-        assert val > 0
 
 
 class TestSpecSeries:

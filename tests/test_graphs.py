@@ -191,6 +191,12 @@ class TestSampleNull:
 
 
 class TestFullGeometric:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_vertices_rejected(self, n):
+        # as sample_null: a graph needs at least one vertex
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_full_geometric(n, 0.3, 8, np.random.default_rng(0))
+
     def test_edge_rule_matches_latents(self):
         rng = np.random.default_rng(3)
         g, latents = sample_full_geometric(12, 0.2, 8, rng)

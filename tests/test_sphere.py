@@ -11,17 +11,20 @@ from geodetect.sphere import (
     GegenbauerBasis,
     InnerProductLaw,
     basis_for_density,
-    gegenbauer_coefficient,
     gegenbauer_eval,
     inner_product_tail,
     log_multiplicity,
-    multiplicity,
     sample_uniform_sphere,
     signed_cycle_expectation,
     solve_threshold,
 )
 from geodetect.sphere import _log_gamma_half_ratio
-from oracles import inner_product_tail_betainc, inner_product_tail_mpmath, log_multiplicity_mpmath
+from oracles import (
+    inner_product_tail_betainc,
+    inner_product_tail_mpmath,
+    log_multiplicity_mpmath,
+    multiplicity,
+)
 
 # frozen against a 40-digit mpmath bisection of the regularized incomplete beta
 TAU_P01_D16 = 0.32710130942171891666
@@ -273,16 +276,17 @@ class TestMultiplicity:
 class TestGegenbauerCoefficient:
     def test_c0_equals_density(self):
         tau = solve_threshold(0.25, 20).tau
-        assert gegenbauer_coefficient(0, 20, tau) == pytest.approx(0.25, abs=1e-10)
+        assert GegenbauerBasis.build(20, tau, max_m=8).coeffs[0] == pytest.approx(0.25, abs=1e-10)
 
     def test_even_orders_vanish_at_zero_threshold(self):
         # integral over [0, 1] of even q_m is half the full integral, which is 0
-        assert gegenbauer_coefficient(2, 12, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert gegenbauer_coefficient(4, 12, 0.0) == pytest.approx(0.0, abs=1e-12)
+        coeffs = GegenbauerBasis.build(12, 0.0, max_m=8).coeffs
+        assert coeffs[2] == pytest.approx(0.0, abs=1e-12)
+        assert coeffs[4] == pytest.approx(0.0, abs=1e-12)
 
     def test_c1_closed_form(self):
         tau = solve_threshold(0.1, 16).tau
-        c1 = gegenbauer_coefficient(1, 16, tau)
+        c1 = float(GegenbauerBasis.build(16, tau, max_m=8).coeffs[1])
         assert c1 == pytest.approx(C1_P01_D16, rel=1e-10)
         closed = math.exp(
             0.5 * math.log(16)

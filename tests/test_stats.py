@@ -17,20 +17,21 @@ from geodetect.stats import (
     constrained_scan_statistic,
     scan_statistic,
     signed_cycle_count,
-    signed_embedding_product,
     signed_triangle_count,
     subset_signed_triangles,
     wedge_sums,
-    wedge_sums_symmetric,
 )
 
 from oracles import (
     cycle_vertex_orders,
+    exhaustive_scan_blocks,
     local_search_swap_loop,
     signed_cycle_count_enumerated,
     signed_cycle_count_traces,
+    signed_embedding_product,
     signed_triangle_count_direct,
     signed_triangle_count_exact,
+    wedge_sums_symmetric,
 )
 
 
@@ -43,14 +44,10 @@ def graph_from_edges(n, edges):
 
 def brute_triangles(graph, p):
     """Triple-loop oracle, coded independently of the trace kernel and the pair loop."""
-    total = 0.0
-    for i, j, l in combinations(range(graph.n), 3):
-        total += (
-            (graph.has_edge(i, j) - p)
-            * (graph.has_edge(j, l) - p)
-            * (graph.has_edge(i, l) - p)
-        )
-    return total
+    return sum(
+        signed_embedding_product(graph, p, [(i, j), (j, l), (i, l)])
+        for i, j, l in combinations(range(graph.n), 3)
+    )
 
 
 def brute_cycles(graph, p, ell):
@@ -64,10 +61,7 @@ def brute_cycles(graph, p, ell):
         if key in seen:
             continue
         seen.add(key)
-        prod = 1.0
-        for a in range(ell):
-            prod *= graph.has_edge(perm[a], perm[(a + 1) % ell]) - p
-        total += prod
+        total += signed_embedding_product(graph, p, zip(perm, perm[1:] + perm[:1]))
     return total
 
 
@@ -430,7 +424,7 @@ class TestScan:
 
     def test_exhaustive_spans_several_blocks(self):
         n, k = 18, 6
-        assert math.comb(n, k) > stats_mod._CHUNK_BYTES // (8 * k * k)
+        assert len(list(stats_mod._prefix_blocks(n, k - 2, 1))) > 1
         g = sample_null(n, 0.4, Seed(107).stream(2))
         value, subset = scan_statistic(g, 0.4, ScanConfig(k_minus=k, mode="exhaustive"))
         expected, _ = brute_scan(g, 0.4, k)
@@ -571,7 +565,7 @@ class TestConstrainedScan:
 
     def test_exhaustive_spans_several_blocks(self):
         n, k = 18, 6
-        assert math.comb(n, k) > stats_mod._CHUNK_BYTES // (8 * k * k)
+        assert len(list(stats_mod._prefix_blocks(n, k - 2, k * k))) > 1
         g = sample_null(n, 0.4, Seed(111).stream(2))
         sigma_sq, bound = 1.2, 0.7
         cfg = ScanConfig(k_minus=k, mode="exhaustive", sigma_sq=sigma_sq, B=bound)
@@ -589,6 +583,98 @@ class TestConstrainedScan:
         g = sample_null(6, 0.4, Seed(111).stream(1))
         with pytest.raises(ValueError):
             constrained_scan_statistic(g, 0.4, ScanConfig(k_minus=3, mode="exhaustive"))
+
+
+def assert_exhaustive_matches_blocks(graph, p, k_minus, constraint=None):
+    """The prefix-pair scan against the block-batched oracle.
+
+    Values agree to 1e-12 and the subset scores its value; at p = 0.5 every
+    sum is exact, so the value and the subset are the oracle's own.
+    """
+    a = centered_adjacency(graph, p)
+    if constraint is None:
+        got = scan_statistic(graph, p, ScanConfig(k_minus=k_minus))
+        check = None
+    else:
+        sigma_sq, bound = constraint
+        cfg = ScanConfig(k_minus=k_minus, sigma_sq=sigma_sq, B=bound)
+        got = constrained_scan_statistic(graph, p, cfg)
+        check = lambda sub: stats_mod._feasible(sub, sigma_sq, bound)  # noqa: E731
+    expected_val, expected_set = exhaustive_scan_blocks(a, k_minus, check)
+    if expected_set is None:
+        assert got == (None, None)
+        return got
+    value, subset = got
+    assert value == pytest.approx(expected_val, abs=1e-12)
+    assert subset_signed_triangles(graph, p, subset) == pytest.approx(value, abs=1e-12)
+    if check is not None:
+        assert check(a[np.ix_(subset, subset)])
+    if p == 0.5:
+        assert value == expected_val
+        assert list(subset) == list(expected_set)
+    return got
+
+
+class TestExhaustiveScan:
+    # (sigma_sq, B) = (1, 0.6) binds on most 12-vertex graphs at k_minus = 5
+    # and 6, and at p = 0.5 leaves no feasible 7-subset
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 16),
+        k_minus=st.integers(0, 7),
+        p=st.sampled_from([0.3, 0.5]),
+        constraint=st.sampled_from([None, (1.0, 0.6)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_block_oracle(self, seed, n, k_minus, p, constraint):
+        g = sample_null(n, p, np.random.default_rng(seed))
+        assert_exhaustive_matches_blocks(g, p, k_minus, constraint)
+
+    def test_constraint_binds(self):
+        g = sample_null(12, 0.3, Seed(113).stream(0))
+        plain = assert_exhaustive_matches_blocks(g, 0.3, 6)
+        tight = assert_exhaustive_matches_blocks(g, 0.3, 6, (1.0, 0.6))
+        assert tight[0] < plain[0] - 1e-6
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_groups_span_several_chunks(self, monkeypatch, p):
+        monkeypatch.setattr(stats_mod, "_CHUNK_BYTES", 2048)
+        n, k = 14, 6
+        for per_pair in (1, k * k):
+            groups = [l for l, _ in stats_mod._prefix_blocks(n, k - 2, per_pair)]
+            assert len(groups) > len(set(groups))
+        for t in range(3):
+            g = sample_null(n, p, Seed(114).stream(t))
+            assert_exhaustive_matches_blocks(g, p, k)
+            assert_exhaustive_matches_blocks(g, p, k, (1.0, 0.6))
+
+    def test_tie_across_groups(self):
+        # at p = 0.5 every sum is exact; on this graph four 4-subsets tie for the
+        # maximum, and the one met first, whose prefix ends soonest, is not the
+        # lexicographically first
+        g = sample_null(8, 0.5, Seed(115).stream(42))
+        values = {c: subset_signed_triangles(g, 0.5, c) for c in combinations(range(8), 4)}
+        tied = sorted(c for c, v in values.items() if v == max(values.values()))
+        assert min(tied, key=lambda c: (c[1], c)) != tied[0]
+        cfg = ScanConfig(k_minus=4, sigma_sq=math.inf, B=math.inf)
+        for value, subset in (
+            scan_statistic(g, 0.5, ScanConfig(k_minus=4)),
+            constrained_scan_statistic(g, 0.5, cfg),
+        ):
+            assert value == values[tied[0]]
+            assert tuple(subset) == tied[0]
+
+    @pytest.mark.parametrize("k_minus", range(8))
+    def test_every_subset_ties(self, k_minus):
+        # on the empty graph at p = 0.5 every subset scores C(k, 3) (-1/8) exactly
+        g = graph_from_edges(9, [])
+        cfg = ScanConfig(k_minus=k_minus, sigma_sq=math.inf, B=math.inf)
+        for value, subset in (
+            scan_statistic(g, 0.5, ScanConfig(k_minus=k_minus)),
+            constrained_scan_statistic(g, 0.5, cfg),
+        ):
+            assert value == math.comb(k_minus, 3) * -0.125
+            assert list(subset) == list(range(k_minus))
 
 
 class TestSignedEmbeddingProduct:
