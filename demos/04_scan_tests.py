@@ -36,8 +36,7 @@ print(f"  overlap with the hidden community: {overlap}/{km}")
 print("\n=== greedy swap heuristic (lower bounds the maximum) ===")
 for restarts in (1, 4, 16):
     hval, hsub = scan_statistic(
-        g, 0.4, ScanConfig(k_minus=km, mode="local-search", restarts=restarts),
-        rng=seed.stream(1),
+        g, 0.4, ScanConfig(k_minus=km, mode="local-search", restarts=restarts)
     )
     print(f"  restarts={restarts:>2}: value = {hval:.4f} (exact {value:.4f})")
 

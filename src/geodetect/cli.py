@@ -30,6 +30,7 @@ from .ensembles import (
     spectral_deviation,
 )
 from .graphs import (
+    Arm,
     ModelParams,
     Seed,
     sample_full_geometric,
@@ -268,10 +269,16 @@ def cmd_rows(args) -> int:
     if args.resume:
         try:
             with open(out_path, newline="") as fh:
-                rows = csv.DictReader(fh)
-                done_keys = {(r["n"], r["p"], r["d"], r["k"], r["test"]) for r in rows}
+                rows = list(csv.DictReader(fh))
         except FileNotFoundError:
-            pass
+            rows = []
+        for r in rows:  # a resumed file holds one run: a row of other trials would mix in
+            if (r["seed"], r["trials"]) != (str(seed), str(trials)):
+                raise ConfigError(
+                    f"--resume: {out_path} has rows of seed {r['seed']} and trials "
+                    f"{r['trials']}, not of seed {seed} and trials {trials}"
+                )
+        done_keys = {(r["n"], r["p"], r["d"], r["k"], r["test"]) for r in rows}
     mode = "a" if done_keys else "w"
     pending = [
         (pt, kind, options) for pt in points for kind, options in kinds
@@ -391,7 +398,7 @@ def cmd_wishart(args) -> int:
     seed, out = _json_run(cfg, args, "wishart")
 
     deviations = [
-        spectral_deviation(sample_spherical_wishart(k, d, seed.stream(t, arm=5)))
+        spectral_deviation(sample_spherical_wishart(k, d, seed.stream(t, arm=Arm.WISHART)))
         for t in range(trials)
     ]
     ref = math.sqrt(k / d)
@@ -402,7 +409,7 @@ def cmd_wishart(args) -> int:
         "sqrt_k_over_d": ref,
         "within_10x_fraction": float(np.mean(np.asarray(deviations) <= 10 * ref)),
     }
-    k1 = spectral_deviation(sample_spherical_wishart(1, d, seed.stream(0, arm=6)))
+    k1 = spectral_deviation(sample_spherical_wishart(1, d, seed.stream(0, arm=Arm.WISHART_K1)))
 
     route = None
     if n is not None:
@@ -410,10 +417,11 @@ def cmd_wishart(args) -> int:
         comp_edges, comp_tri, dir_edges, dir_tri = 0.0, 0.0, 0.0, 0.0
         m = n * (n - 1) // 2
         for t in range(trials):
-            g1 = composite_planted_graph(community, params, seed.stream(t, arm=7))
+            g1 = composite_planted_graph(community, params, seed.stream(t, arm=Arm.COMPOSITE))
             comp_edges += g1.edge_count / m
             comp_tri += signed_triangle_count(g1, params.p)
-            s2 = sample_planted_fixed_community(community, params, seed.stream(t, arm=8))
+            rng = seed.stream(t, arm=Arm.FIXED_COMMUNITY)
+            s2 = sample_planted_fixed_community(community, params, rng)
             dir_edges += s2.graph.edge_count / m
             dir_tri += signed_triangle_count(s2.graph, params.p)
         route = {
@@ -429,7 +437,7 @@ def cmd_wishart(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    rng = Seed(_settings({}, "run", args, "seed")["seed"]).stream(0, arm=9)  # no config
+    rng = Seed(_settings({}, "run", args, "seed")["seed"]).stream(0, arm=Arm.SAMPLE)  # no config
     with _flag_errors():  # before the output file is opened
         if args.model == "null":
             graph = sample_null(args.n, args.p, rng)

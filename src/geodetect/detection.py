@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import (
+    Arm,
     Graph,
     ModelParams,
     Seed,
@@ -255,9 +256,6 @@ class ErrorEstimate:
         return 1.96 * math.sqrt(rate * (1.0 - rate) / trials)
 
 
-_NULL_ARM, _PLANTED_ARM = 0, 1
-
-
 @lru_cache(maxsize=1 << 14)
 def _null_statistic(n: int, p: float, ell, scan: ScanConfig | None, seed: Seed, trial: int):
     """Statistic of a seeded null draw.
@@ -266,7 +264,7 @@ def _null_statistic(n: int, p: float, ell, scan: ScanConfig | None, seed: Seed, 
     or threshold, and k only through the scan's k_minus.  A sweep over d, or two
     tests of one statistic, therefore draws and scores each null graph once.
     """
-    graph = sample_null(n, p, seed.stream(trial, arm=_NULL_ARM))
+    graph = sample_null(n, p, seed.stream(trial, arm=Arm.NULL))
     return _statistic(p, ell, scan, graph, None)
 
 
@@ -279,7 +277,7 @@ def _null_trial(spec: TestSpec, seed: Seed, trial: int) -> bool:
 def _planted_trial(spec: TestSpec, seed: Seed, trial: int):
     """Returns None when the community size falls outside [k_minus, k_plus],
     else True when the planted draw is missed."""
-    rng = seed.stream(trial, arm=_PLANTED_ARM)
+    rng = seed.stream(trial, arm=Arm.PLANTED)
     sample = sample_planted(spec.params, rng)
     members = sample.members
     if not spec.params.k_minus <= members.size <= spec.params.k_plus:

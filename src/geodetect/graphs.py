@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from enum import IntEnum, unique
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "ModelParams",
     "Graph",
     "PlantedSample",
+    "Arm",
     "Seed",
     "pair_index",
     "symmetric_matrix",
@@ -232,6 +234,25 @@ class PlantedSample:
 
 
 _WORD = 2**32
+
+
+@unique
+class Arm(IntEnum):
+    """The Seed.stream arm of every job that draws: no two jobs share an arm.
+
+    Two different (arm, trial) pairs never share entropy, so one table of
+    distinct arms keeps every job's streams apart from every other's.
+    """
+
+    NULL = 0  # a test's null draws, by trial
+    PLANTED = 1  # a test's planted draws, by trial
+    FOURIER = 2  # the low-degree Monte Carlo, by chunk
+    WISHART = 5  # the spherical Wishart draws of `wishart`, by trial
+    WISHART_K1 = 6  # its k = 1 draw
+    COMPOSITE = 7  # its composite planted graphs, by trial
+    FIXED_COMMUNITY = 8  # its direct planted graphs, by trial
+    SAMPLE = 9  # `sample`
+    LOCAL_SEARCH = 10  # the starts of a local-search scan, at Seed(0) and trial 0
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .graphs import ModelParams, Seed, _unit_gram
+from .graphs import Arm, ModelParams, Seed, _unit_gram
 from .sphere import solve_threshold
 
 __all__ = [
@@ -215,7 +215,7 @@ def fourier_coefficient_mc(
     chunk_id = 0
     while done < trials:
         batch = min(_MC_CHUNK, trials - done)
-        rng = seed.stream(chunk_id, arm=2)
+        rng = seed.stream(chunk_id, arm=Arm.FOURIER)
         ind = _edge_indicators(graph.v, graph.edges, params, rng, batch)
         signed = (ind - params.p).prod(axis=1) / norm
         total += float(signed.sum())

@@ -8,7 +8,8 @@ exact from one float32 product of the 0/1 adjacency and rounded once
 (signed_triangle_count).  Every other statistic reads the centered adjacency
 Abar (centered_adjacency); the triangle count of a subset, or of each subset a
 local search tries, is Tr(Abar^3)/6 of its block, and the exhaustive scan adds
-each pair completion of a prefix to the prefix's count (_exhaustive_scan).  The
+each pair completion of a prefix to the prefix's count, and its wedge sums to
+the prefix's wedge sums (_exhaustive_scan).  The
 tests check the global count against exact rational arithmetic and an explicit
 pair loop, and the exhaustive scan against a block-by-block scorer, all kept in
 tests/oracles.py.
@@ -33,7 +34,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .graphs import Graph, _upper_pairs, symmetric_matrix
+from .graphs import Arm, Graph, Seed, _upper_pairs, symmetric_matrix
 
 __all__ = [
     "ScanConfig",
@@ -91,16 +92,15 @@ def signed_triangle_count(graph: Graph, p: float) -> float:
     return num / b**3
 
 
-def _prefix_blocks(n: int, size: int, per_pair: int):
+def _prefix_blocks(n: int, size: int):
     """The size-subsets R of range(n) that leave two vertices above l = max(R).
 
     Yields (l, idx) in order of l, idx a (B, size) block of the prefixes ending
-    in l, in lexicographic order.  With m = n - 1 - l, B keeps B * m^2 * per_pair
-    and B * size * max(size, m) float64 values within _CHUNK_BYTES (B >= 1).
+    in l, in lexicographic order.  With m = n - 1 - l, B keeps B * max(m, size)^2
+    float64 values within _CHUNK_BYTES (B >= 1).
     """
     for l in range(size - 1, n - 2):
-        m = n - 1 - l
-        chunk = max(1, _CHUNK_BYTES // (8 * max(m * m * per_pair, size * max(size, m))))
+        chunk = max(1, _CHUNK_BYTES // (8 * max(n - 1 - l, size) ** 2))
         heads = combinations(range(l), size - 1)
         while block := list(islice(heads, chunk)):
             flat = np.fromiter(chain.from_iterable(block), dtype=int)
@@ -327,6 +327,10 @@ class ScanConfig:
         if self.sigma_sq is not None and not (self.sigma_sq >= 0 and self.B >= 0):
             raise ValueError(f"sigma_sq and B must be >= 0, got {self.sigma_sq}, {self.B}")
 
+    def admits(self, sub_signed: np.ndarray) -> bool:
+        """True when the subset block meets the wedge constraints, if there are any."""
+        return self.sigma_sq is None or bool(_feasible(sub_signed, self.sigma_sq, self.B))
+
     def check_exhaustive(self, n: int):
         if math.comb(n, self.k_minus) > self._EXHAUSTIVE_LIMIT:
             raise ValueError(
@@ -335,36 +339,36 @@ class ScanConfig:
             )
 
 
-def _local_search(
-    a: np.ndarray,
-    n: int,
-    k_minus: int,
-    restarts: int,
-    rng: np.random.Generator,
-    constraint=None,
-):
+def _start_stream() -> np.random.Generator:
+    """The stream a local search draws its starts from: fixed, so a scan reads the graph alone."""
+    return Seed(0).stream(0, arm=Arm.LOCAL_SEARCH)
+
+
+def _local_search(a: np.ndarray, cfg: ScanConfig):
     """Best of `restarts` first-improvement swap hill-climbs over size-k_minus subsets.
 
-    A sweep tries the swaps (member at pos -> outsider w) with pos in
-    ascending order of the member's triangle contribution c[pos] and w
-    ascending, and takes the first whose _triangle_sum beats the current one
-    and whose block passes the constraint.  One matmul scores every swap of a
-    sweep: with C = a[outside, S], Q = C @ a[S, S] and q_w = sum_j Q[w, j] C[w, j],
+    Each climb starts from a random subset drawn from _start_stream().  A
+    sweep tries the swaps (member at pos -> outsider w) with pos in ascending
+    order of the member's triangle contribution c[pos] and w ascending, and
+    takes the first whose _triangle_sum beats the current one and whose block
+    cfg admits.  One matmul scores every swap of a sweep: with C = a[outside, S],
+    Q = C @ a[S, S] and q_w = sum_j Q[w, j] C[w, j],
 
         gain[pos, w] = q_w / 2 - C[w, pos] Q[w, pos] - c[pos]
 
     (a_uu = 0, so this is -c[pos] + b^T A_{S-pos} b / 2 with b = C[w, S-pos]).
     Only swaps with gain > -tol get the exact test; the rest cannot pass it,
     so every accepted swap, value and constraint call is the one the exact
-    test alone would give.  Returns (-inf, None) when no subset qualifies.
+    test alone would give.  Returns (None, None) when no subset qualifies.
     """
+    n, k_minus, rng = a.shape[0], cfg.k_minus, _start_stream()
     if k_minus > n:
-        return -math.inf, None
+        return None, None
     # both sums add at most k^3 products of entries bounded by m, so each is
     # off by about 1e-16 k^4 m^3: far below tol for any k_minus under 1e6
     tol = 1e-9 * k_minus**3 * float(np.abs(a).max(initial=0.0)) ** 3
     best_val, best_set = -math.inf, None
-    for _ in range(restarts):
+    for _ in range(cfg.restarts):
         current = np.sort(rng.permutation(n)[:k_minus])
         val = _triangle_sum(a[current[:, None], current])
         improved = True
@@ -388,28 +392,16 @@ def _local_search(
                 trial.sort()
                 sub = a[trial[:, None], trial]
                 tval = _triangle_sum(sub)
-                if tval > val and (constraint is None or constraint(sub)):
+                if tval > val and cfg.admits(sub):
                     current, val = trial, tval
                     improved = True
                     break
-        if constraint is not None:
-            sub = a[current[:, None], current]
-            if not constraint(sub):
-                continue
-        if val > best_val:
+        if val > best_val and cfg.admits(a[current[:, None], current]):
             best_val, best_set = val, current
-    return best_val, best_set
+    return (None, None) if best_set is None else (best_val, best_set)
 
 
-def _scan_impl(
-    graph: Graph,
-    p: float,
-    cfg: ScanConfig,
-    oracle_subset,
-    rng,
-    constraint,
-):
-    n = graph.n
+def _scan_impl(graph: Graph, p: float, cfg: ScanConfig, oracle_subset):
     if cfg.mode == "planted-oracle":
         if oracle_subset is None:
             raise ValueError("planted-oracle mode requires an oracle subset")
@@ -418,22 +410,32 @@ def _scan_impl(
             raise ValueError(
                 f"oracle subset has size {verts.size}, expected k_minus = {cfg.k_minus}"
             )
-        if constraint is not None and not constraint(sub):
-            return None, None
-        return _triangle_sum(sub), verts
+        return (_triangle_sum(sub), verts) if cfg.admits(sub) else (None, None)
     a = centered_adjacency(graph, p)
     if cfg.mode == "local-search":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        val, subset = _local_search(a, n, cfg.k_minus, cfg.restarts, rng, constraint)
-        if subset is None:
-            return None, None
-        return val, subset
-    cfg.check_exhaustive(n)
-    return _exhaustive_scan(a, n, cfg.k_minus, constraint)
+        return _local_search(a, cfg)
+    cfg.check_exhaustive(graph.n)
+    return _exhaustive_scan(a, cfg)
 
 
-def _exhaustive_scan(a: np.ndarray, n: int, k_minus: int, constraint):
+def _completions_feasible(inside, x, gram, cfg: ScanConfig) -> np.ndarray:
+    """Wedge constraints of every R + {u, v}, l < u < v, for a block of prefixes R.
+
+    inside = a[R, R], x = a[R, u] over the u > l and gram = x^T x, whose [u, v]
+    is W[u, v].  Returns a (B, pairs) mask, the pairs in _upper_pairs order.
+    """
+    iu, ju = _upper_pairs(x.shape[-1])
+    w_uv = gram[:, iu, ju]
+    w_in = _wedge_matrix(inside)
+    w_out = np.swapaxes(np.triu(inside, 1), 1, 2) @ x  # W[r, u]
+    sq = (w_out * w_out).sum(axis=1)
+    top = np.maximum(np.abs(w_out).max(axis=1), np.abs(w_in).max(axis=(1, 2))[:, None])
+    sum_sq = (w_in * w_in).sum(axis=(1, 2))[:, None] + sq[:, iu] + sq[:, ju] + w_uv * w_uv
+    top = np.maximum(np.maximum(top[:, iu], top[:, ju]), np.abs(w_uv))
+    return (sum_sq <= cfg.sigma_sq) & (top <= cfg.B)
+
+
+def _exhaustive_scan(a: np.ndarray, cfg: ScanConfig):
     """Exact maximum over size-k_minus subsets, the lexicographically first among equals.
 
     Each subset is a prefix R of k_minus - 2 vertices, l = max(R), and a pair
@@ -442,34 +444,35 @@ def _exhaustive_scan(a: np.ndarray, n: int, k_minus: int, constraint):
         f(R + {u, v}) = f(R) + t(u) + t(v) + a_uv (a[R, :]^T a[R, :])_uv,
         t(v) = a[R, v]^T a[R, R] a[R, v] / 2.
 
+    The wedge matrix of R + {u, v} extends R's the same way: with
+    U = triu(a[R, R], 1), W[r, u] = (U^T a[R, u])_r and W[u, v] is the
+    (a[R, :]^T a[R, :])_uv of the value, so the constrained scan sums
+    sum W^2 and max |W| per prefix and per added vertex, with no k x k block.
+
     Within a group of equal l the candidates come in lexicographic order, so a
     block's argmax is its lexicographically first maximum; across groups an equal
     value wins only with a lexicographically smaller subset.  Fewer than 3 vertices
-    hold no triangle: the first subset, range(k_minus), scores 0.
+    hold no triangle and no wedge: the first subset, range(k_minus), scores 0.
     """
+    n, k_minus = a.shape[0], cfg.k_minus
     if k_minus > n:
         return None, None
     if k_minus < 3:
-        ok = constraint is None or constraint(a[:k_minus, :k_minus])
-        return (0.0, np.arange(k_minus)) if ok else (None, None)
+        return 0.0, np.arange(k_minus)
     best_val, best_set = -math.inf, None
-    per_pair = 1 if constraint is None else k_minus**2
-    for l, idx in _prefix_blocks(n, k_minus - 2, per_pair):
+    for l, idx in _prefix_blocks(n, k_minus - 2):
         iu, ju = _upper_pairs(n - 1 - l)
         x = np.take(a[:, l + 1 :], idx, axis=0)  # a[R, u] for every u > l
         xt = np.swapaxes(x, 1, 2).copy()  # contiguous: a stack of BLAS products
         inside = a[idx[:, :, None], idx[:, None, :]]
         t = 0.5 * ((xt @ inside) * xt).sum(axis=2)
-        vals = xt @ x
-        vals *= a[l + 1 :, l + 1 :]
+        gram = xt @ x  # W[u, v] of R + {u, v}
+        vals = gram * a[l + 1 :, l + 1 :]
         vals += (_triangle_sum(inside)[:, None] + t)[:, :, None]
         vals += t[:, None, :]
         vals = vals[:, iu, ju]
-        if constraint is not None:
-            pairs = np.column_stack([iu, ju]) + (l + 1)
-            cand = np.hstack([np.repeat(idx, len(iu), axis=0), np.tile(pairs, (len(idx), 1))])
-            feasible = constraint(a[cand[:, :, None], cand[:, None, :]])
-            vals = np.where(feasible.reshape(vals.shape), vals, -math.inf)
+        if cfg.sigma_sq is not None:
+            vals = np.where(_completions_feasible(inside, x, gram, cfg), vals, -math.inf)
         row, col = divmod(int(np.argmax(vals)), len(iu))
         val = float(vals[row, col])
         subset = (*idx[row].tolist(), l + 1 + int(iu[col]), l + 1 + int(ju[col]))
@@ -480,19 +483,14 @@ def _exhaustive_scan(a: np.ndarray, n: int, k_minus: int, constraint):
     return best_val, np.array(best_set)
 
 
-def scan_statistic(
-    graph: Graph,
-    p: float,
-    cfg: ScanConfig,
-    oracle_subset=None,
-    rng: np.random.Generator | None = None,
-):
-    """Maximum signed triangle count over size-k_minus subsets.
+def scan_statistic(graph: Graph, p: float, cfg: ScanConfig, oracle_subset=None):
+    """Maximum signed triangle count over size-k_minus subsets; cfg has no constraints.
 
     exhaustive: exact maximum, the lexicographically first subset among equal
     values (see _exhaustive_scan).  planted-oracle: the value on the supplied
     subset (the type-II surrogate).  local-search: best of `restarts` swap
-    hill-climbs from random subsets, always <= the exact maximum.  Each
+    hill-climbs from subsets drawn from one fixed stream (_start_stream), so
+    the value reads the graph alone, and always <= the exact maximum.  Each
     sweep of a climb tries the swaps (member -> outsider) with the members in
     ascending order of their triangle contribution and the outsiders in
     ascending order, and takes the first that raises the exact sum; one
@@ -500,16 +498,12 @@ def scan_statistic(
     could beat the current sum are recomputed exactly.
     Returns (value, subset), or (None, None) when k_minus > n.
     """
-    return _scan_impl(graph, p, cfg, oracle_subset, rng, constraint=None)
+    if cfg.sigma_sq is not None:
+        raise ValueError("a constrained config needs constrained_scan_statistic")
+    return _scan_impl(graph, p, cfg, oracle_subset)
 
 
-def constrained_scan_statistic(
-    graph: Graph,
-    p: float,
-    cfg: ScanConfig,
-    oracle_subset=None,
-    rng: np.random.Generator | None = None,
-):
+def constrained_scan_statistic(graph: Graph, p: float, cfg: ScanConfig, oracle_subset=None):
     """Scan restricted to subsets with controlled signed wedge sums.
 
     A subset is feasible when sum of W_ij^2 <= sigma_sq and max |W_ij| <= B.
@@ -519,5 +513,4 @@ def constrained_scan_statistic(
     """
     if cfg.sigma_sq is None:
         raise ValueError("constrained scan requires sigma_sq and B in the config")
-    constraint = lambda sub: _feasible(sub, cfg.sigma_sq, cfg.B)  # noqa: E731
-    return _scan_impl(graph, p, cfg, oracle_subset, rng, constraint=constraint)
+    return _scan_impl(graph, p, cfg, oracle_subset)

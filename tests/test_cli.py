@@ -222,6 +222,20 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
         assert strip_wall(read_rows(out)) == strip_wall(first)
 
+    @pytest.mark.parametrize("flags", [["--seed", "2"], ["--trials", "7"]])
+    def test_resume_refuses_another_run(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,64\n")
+        out = tmp_path / "grid.csv"
+        args = ["sweep", "--config", str(cfg), "--out", str(out), "--trials", "5"]
+        assert main([*args, "--seed", "1"]) == 0
+        # an interrupted run: header and first row only
+        out.write_text("".join(out.read_text().splitlines(keepends=True)[:2]))
+        cut = out.read_text()
+        assert main([*args, "--seed", "1", *flags, "--resume"]) == 2
+        assert "config error: --resume" in capsys.readouterr().err
+        assert out.read_text() == cut
+
     def test_worker_counts_agree(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16,32\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import geodetect.graphs as graphs_mod
 from geodetect.ensembles import composite_planted_graph
 from geodetect.graphs import (
+    Arm,
     Graph,
     ModelParams,
     Seed,
@@ -161,6 +162,13 @@ class TestSeed:
         for master, arm, trial in ((0, 0, 0), (12345, 1, 7), (2**32 - 1, 9, 3)):
             expected = np.random.default_rng(np.random.SeedSequence([master, arm, trial]))
             assert Seed(master).stream(trial, arm=arm).random() == expected.random()
+
+    def test_arm_numbers_kept(self):
+        # naming the arms moved no stream: each job keeps the number it drew from
+        assert {arm.name: int(arm) for arm in Arm} == {
+            "NULL": 0, "PLANTED": 1, "FOURIER": 2, "WISHART": 5, "WISHART_K1": 6,
+            "COMPOSITE": 7, "FIXED_COMMUNITY": 8, "SAMPLE": 9, "LOCAL_SEARCH": 10,
+        }
 
     def test_out_of_range_rejected(self):
         for master in (-1, 2**64):

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodetect import stats as stats_mod
-from geodetect.graphs import Graph, ModelParams, Seed, pair_index, sample_null, sample_planted
+from geodetect.graphs import (
+    Arm,
+    Graph,
+    ModelParams,
+    Seed,
+    pair_index,
+    sample_null,
+    sample_planted,
+)
 from geodetect.stats import (
     ScanConfig,
     centered_adjacency,
@@ -395,8 +403,7 @@ class TestScan:
             g = sample_null(11, 0.5, Seed(108).stream(t))
             exact, _ = scan_statistic(g, 0.5, ScanConfig(k_minus=5, mode="exhaustive"))
             heur, subset = scan_statistic(
-                g, 0.5, ScanConfig(k_minus=5, mode="local-search", restarts=4),
-                rng=Seed(109).stream(t),
+                g, 0.5, ScanConfig(k_minus=5, mode="local-search", restarts=4)
             )
             assert heur <= exact + 1e-12
             assert subset_signed_triangles(g, 0.5, subset) == pytest.approx(heur, abs=1e-10)
@@ -417,14 +424,23 @@ class TestScan:
     def test_oracle_subset_validated(self, subset):
         # a negative index would wrap to n - 1 and a repeat would be scored
         g = sample_null(8, 0.4, Seed(112).stream(0))
-        cfg = ScanConfig(k_minus=3, mode="planted-oracle", sigma_sq=math.inf, B=math.inf)
-        for scan in (scan_statistic, constrained_scan_statistic):
+        plain = ScanConfig(k_minus=3, mode="planted-oracle")
+        loose = ScanConfig(k_minus=3, mode="planted-oracle", sigma_sq=math.inf, B=math.inf)
+        for scan, cfg in ((scan_statistic, plain), (constrained_scan_statistic, loose)):
             with pytest.raises(ValueError):
                 scan(g, 0.4, cfg, oracle_subset=subset)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "planted-oracle", "local-search"])
+    def test_constrained_config_refused(self, mode):
+        # only constrained_scan_statistic reads sigma_sq and B
+        g = sample_null(12, 0.3, Seed(113).stream(0))
+        cfg = ScanConfig(k_minus=6, mode=mode, sigma_sq=1.0, B=0.6)
+        with pytest.raises(ValueError, match="constrained_scan_statistic"):
+            scan_statistic(g, 0.3, cfg, oracle_subset=range(6))
+
     def test_exhaustive_spans_several_blocks(self):
         n, k = 18, 6
-        assert len(list(stats_mod._prefix_blocks(n, k - 2, 1))) > 1
+        assert len(list(stats_mod._prefix_blocks(n, k - 2))) > 1
         g = sample_null(n, 0.4, Seed(107).stream(2))
         value, subset = scan_statistic(g, 0.4, ScanConfig(k_minus=k, mode="exhaustive"))
         expected, _ = brute_scan(g, 0.4, k)
@@ -478,11 +494,11 @@ class TestScan:
             cfg.check_exhaustive(100)
 
 
-def assert_local_search_matches_oracle(graph, p, k_minus, restarts, seed, constraint=None):
-    """The sweep scan and the swap-loop oracle take the same path: equal bits."""
+def assert_local_search_matches_oracle(graph, p, k_minus, restarts, constraint=None):
+    """The sweep scan and the swap-loop oracle take the same path from the same starts."""
     if constraint is None:
         cfg = ScanConfig(k_minus=k_minus, mode="local-search", restarts=restarts)
-        got = scan_statistic(graph, p, cfg, rng=np.random.default_rng(seed))
+        got = scan_statistic(graph, p, cfg)
         check = None
     else:
         sigma_sq, bound = constraint
@@ -490,11 +506,11 @@ def assert_local_search_matches_oracle(graph, p, k_minus, restarts, seed, constr
             k_minus=k_minus, mode="local-search", restarts=restarts,
             sigma_sq=sigma_sq, B=bound,
         )
-        got = constrained_scan_statistic(graph, p, cfg, rng=np.random.default_rng(seed))
+        got = constrained_scan_statistic(graph, p, cfg)
         check = lambda sub: stats_mod._feasible(sub, sigma_sq, bound)  # noqa: E731
     val, subset = local_search_swap_loop(
         centered_adjacency(graph, p), graph.n, k_minus, restarts,
-        np.random.default_rng(seed), check,
+        stats_mod._start_stream(), check,
     )
     if subset is None:
         assert got == (None, None)
@@ -510,26 +526,33 @@ class TestLocalSearch:
     def test_matches_swap_loop(self, p, k_minus):
         for t in range(4):
             g = sample_null(12, p, Seed(120).stream(t))
-            assert_local_search_matches_oracle(g, p, k_minus, 3, t)
-            assert_local_search_matches_oracle(g, p, k_minus, 3, t, constraint=(1.0, 0.6))
+            assert_local_search_matches_oracle(g, p, k_minus, 3)
+            assert_local_search_matches_oracle(g, p, k_minus, 3, constraint=(1.0, 0.6))
 
     @pytest.mark.parametrize("p", [0.3, 0.123456])
     def test_matches_swap_loop_many_sweeps(self, p):
         g = sample_null(40, p, Seed(121).stream(0))
-        plain = assert_local_search_matches_oracle(g, p, 15, 2, 5)
-        tight = assert_local_search_matches_oracle(g, p, 15, 2, 5, constraint=(15.0, 1.5))
+        plain = assert_local_search_matches_oracle(g, p, 15, 2)
+        tight = assert_local_search_matches_oracle(g, p, 15, 2, constraint=(15.0, 1.5))
         assert tight[0] < plain[0]  # the constraints bind
+
+    def test_start_stream_is_its_own(self):
+        # a scan's starts share no stream with any other job, even at --seed 0
+        starts = stats_mod._start_stream().random(8)
+        for arm in Arm:
+            same = np.array_equal(Seed(0).stream(0, arm=arm).random(8), starts)
+            assert same == (arm is Arm.LOCAL_SEARCH), arm
 
     @pytest.mark.parametrize("complete", [False, True])
     def test_every_swap_ties(self, complete):
         # every subset has the same sum, so every swap has gain 0 and none is taken
         n, k, p = 10, 5, 0.3
         g = graph_from_edges(n, list(combinations(range(n), 2)) if complete else [])
-        value, _ = assert_local_search_matches_oracle(g, p, k, 3, 0)
+        value, _ = assert_local_search_matches_oracle(g, p, k, 3)
         entry = (1.0 if complete else 0.0) - p
         assert value == pytest.approx(math.comb(k, 3) * entry**3, abs=1e-12)
-        assert_local_search_matches_oracle(g, p, k, 3, 0, constraint=(1.0, 0.6))
-        assert_local_search_matches_oracle(g, p, k, 3, 0, constraint=(math.inf, math.inf))
+        assert_local_search_matches_oracle(g, p, k, 3, constraint=(1.0, 0.6))
+        assert_local_search_matches_oracle(g, p, k, 3, constraint=(math.inf, math.inf))
 
 
 class TestConstrainedScan:
@@ -565,7 +588,6 @@ class TestConstrainedScan:
 
     def test_exhaustive_spans_several_blocks(self):
         n, k = 18, 6
-        assert len(list(stats_mod._prefix_blocks(n, k - 2, k * k))) > 1
         g = sample_null(n, 0.4, Seed(111).stream(2))
         sigma_sq, bound = 1.2, 0.7
         cfg = ScanConfig(k_minus=k, mode="exhaustive", sigma_sq=sigma_sq, B=bound)
@@ -640,9 +662,8 @@ class TestExhaustiveScan:
     def test_groups_span_several_chunks(self, monkeypatch, p):
         monkeypatch.setattr(stats_mod, "_CHUNK_BYTES", 2048)
         n, k = 14, 6
-        for per_pair in (1, k * k):
-            groups = [l for l, _ in stats_mod._prefix_blocks(n, k - 2, per_pair)]
-            assert len(groups) > len(set(groups))
+        groups = [l for l, _ in stats_mod._prefix_blocks(n, k - 2)]
+        assert len(groups) > len(set(groups))
         for t in range(3):
             g = sample_null(n, p, Seed(114).stream(t))
             assert_exhaustive_matches_blocks(g, p, k)
