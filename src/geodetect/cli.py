@@ -264,14 +264,25 @@ def cmd_rows(args) -> int:
 
     points = _grid_points(cfg, base)
     kinds = _test_sections(cfg)
+    for pt in points:  # the scan size is known from the config: any point over the limit decides
+        for kind, options in kinds:
+            if options.get("scan_mode") == "exhaustive":
+                try:
+                    ScanConfig(pt.k_minus).check_exhaustive(pt.n)
+                except ValueError as exc:
+                    raise ConfigError(f"[test.{kind}] at n = {pt.n}, k = {pt.k!r}: {exc}") from None
 
     done_keys = set()
     if args.resume:
         try:
             with open(out_path, newline="") as fh:
-                rows = list(csv.DictReader(fh))
+                reader = csv.DictReader(fh)
+                rows = list(reader)
         except FileNotFoundError:
-            rows = []
+            reader, rows = None, []
+        if reader is not None and reader.fieldnames not in (None, CSV_COLUMNS):
+            raise ConfigError(f"--resume: {out_path} is not a geodetect CSV: its header "
+                              f"is {reader.fieldnames}, not {CSV_COLUMNS}")
         for r in rows:  # a resumed file holds one run: a row of other trials would mix in
             if (r["seed"], r["trials"]) != (str(seed), str(trials)):
                 raise ConfigError(

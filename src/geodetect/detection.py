@@ -36,9 +36,6 @@ __all__ = [
     "TestSpec",
     "ErrorEstimate",
     "CycleConstantCalibration",
-    "gamma_tri",
-    "gamma_scan",
-    "gamma_cycle",
     "constraint_params",
     "calibrate_cycle_constant",
     "make_test_spec",
@@ -66,21 +63,6 @@ def _scan_threshold(params: ModelParams, triangles) -> float:
     """Half the within-community triangle mean on a size-k_minus subset; 0 below 3."""
     km = params.k_minus
     return THRESHOLD_FRACTION * math.comb(km, 3) * triangles.value if km >= 3 else 0.0
-
-
-def gamma_tri(params: ModelParams) -> float:
-    """Global-test threshold: the ell = 3 cycle threshold, the same statistic."""
-    return gamma_cycle(params, 3)
-
-
-def gamma_scan(params: ModelParams) -> float:
-    """Scan-test threshold: half the within-community mean on a size-k_minus subset."""
-    return _scan_threshold(params, signed_cycle_expectation(3, params.p, params.d))
-
-
-def gamma_cycle(params: ModelParams, ell: int) -> float:
-    """Threshold for the global signed length-ell cycle test."""
-    return _global_threshold(params, signed_cycle_expectation(ell, params.p, params.d))
 
 
 def constraint_params(params: ModelParams, cycle_constant: float) -> tuple[float, float]:
@@ -247,7 +229,6 @@ class ErrorEstimate:
     type1_half_width: float
     type2_half_width: float
     excluded: int
-    seed: Seed = field(repr=False)
 
     @staticmethod
     def half_width(rate: float, trials: int) -> float:
@@ -314,7 +295,6 @@ def estimate_errors(spec: TestSpec, trials: int, seed: Seed | int) -> ErrorEstim
         type1_half_width=ErrorEstimate.half_width(type1, trials),
         type2_half_width=ErrorEstimate.half_width(type2, len(valid)) if valid else math.nan,
         excluded=excluded,
-        seed=seed,
     )
 
 

@@ -49,9 +49,7 @@ class EnsembleDraw:
     where the Bartlett decomposition does not exist; it is None otherwise.
     """
 
-    kind: str
     matrix: np.ndarray
-    d: int
     latents: np.ndarray | None = field(repr=False, default=None)
 
 
@@ -66,7 +64,7 @@ def sample_goe_shifted(n: int, d: float, rng: np.random.Generator) -> EnsembleDr
     goe = (z + z.T) / math.sqrt(2.0)  # N(0,1) off-diagonal, N(0,2) diagonal
     m = math.sqrt(d) * goe
     m[np.diag_indices(n)] += d
-    return EnsembleDraw(kind="goe-shifted", matrix=m, d=d)
+    return EnsembleDraw(matrix=m)
 
 
 def sample_wishart(k: int, d: int, rng: np.random.Generator) -> EnsembleDraw:
@@ -79,9 +77,9 @@ def sample_wishart(k: int, d: int, rng: np.random.Generator) -> EnsembleDraw:
     if k < 1 or d < 1:
         raise ValueError(f"k and d must be >= 1, got k={k}, d={d}")
     if d >= k:
-        return EnsembleDraw(kind="wishart", matrix=_bartlett_wishart(k, d, rng), d=d)
+        return EnsembleDraw(matrix=_bartlett_wishart(k, d, rng))
     z = rng.standard_normal((k, d))
-    return EnsembleDraw(kind="wishart", matrix=z @ z.T, d=d, latents=z)
+    return EnsembleDraw(matrix=z @ z.T, latents=z)
 
 
 def sample_spherical_wishart(k: int, d: int, rng: np.random.Generator) -> EnsembleDraw:
@@ -95,7 +93,7 @@ def sample_spherical_wishart(k: int, d: int, rng: np.random.Generator) -> Ensemb
         raise ValueError(f"k and d must be >= 1, got k={k}, d={d}")
     gram, u = _unit_gram(k, d, rng)
     np.fill_diagonal(gram, 1.0)
-    return EnsembleDraw(kind="spherical-wishart", matrix=gram, d=d, latents=u)
+    return EnsembleDraw(matrix=gram, latents=u)
 
 
 def _as_matrix(m) -> np.ndarray:

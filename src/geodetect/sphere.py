@@ -24,15 +24,12 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "InnerProductLaw",
     "ThresholdResult",
     "GegenbauerBasis",
     "CycleExpectationResult",
     "QuadratureWarning",
     "inner_product_tail",
     "solve_threshold",
-    "gegenbauer_eval",
-    "log_multiplicity",
     "signed_cycle_expectation",
     "sample_uniform_sphere",
 ]
@@ -102,32 +99,18 @@ def _mu_log_normalizer(d: int) -> float:
     return _log_gamma_half_ratio((d - 1) / 2.0) - 0.5 * math.log(math.pi)
 
 
-class InnerProductLaw:
-    """Law mu of <U1, U2> for independent uniform points on S^{d-1}.
+def _mu_pdf(x, d: int):
+    """Density of the law mu of <U1, U2> for independent uniform points on S^{d-1}.
 
-    Density on [-1, 1]:  mu(x) = Gamma(d/2) / (Gamma((d-1)/2) sqrt(pi))
-    * (1 - x^2)^((d-3)/2).  Symmetric about 0; for d = 3 it is the uniform
-    density 1/2.
+    mu(x) = Gamma(d/2) / (Gamma((d-1)/2) sqrt(pi)) (1 - x^2)^((d-3)/2) on
+    [-1, 1]; symmetric about 0, and the uniform density 1/2 for d = 3.
     """
-
-    def __init__(self, d: int):
-        self.d = _check_dimension(d)
-        self._log_norm = _mu_log_normalizer(self.d)
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        half = (self.d - 3) / 2.0
-        if half == 0.0:  # d = 3 is the uniform law; avoid 0 * -inf at x = +-1
-            return self._log_norm + np.zeros_like(x)
+    log_pdf = _mu_log_normalizer(d)
+    half = (d - 3) / 2.0
+    if half != 0.0:  # d = 3 is the uniform law; avoid 0 * -inf at x = +-1
         with np.errstate(divide="ignore"):
-            return self._log_norm + half * np.log1p(-x * x)
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
-
-    def tail(self, t):
-        """P(X >= t) for X ~ mu."""
-        return inner_product_tail(t, self.d)
+            log_pdf = log_pdf + half * np.log1p(-x * x)
+    return np.exp(log_pdf)
 
 
 def _log_cos(theta):
@@ -202,7 +185,6 @@ def solve_threshold(p: float, d: int) -> ThresholdResult:
         # exact symmetry point; the common p = 1/2 case
         return ThresholdResult(p=p, d=d, tau=0.0, residual=abs(0.5 - p))
     q, sign = (p, 1.0) if p < 0.5 else (1.0 - p, -1.0)
-    law = InnerProductLaw(d)
     lo, hi, t = 0.0, 1.0, 0.0
     for _ in range(_NEWTON_MAX_STEPS):
         excess = inner_product_tail(t, d) - q
@@ -212,7 +194,7 @@ def solve_threshold(p: float, d: int) -> ThresholdResult:
             lo = t
         else:
             hi = t
-        slope = float(law.pdf(t))
+        slope = float(_mu_pdf(t, d))
         step = excess / slope if slope > 0.0 else math.inf
         if abs(step) <= 4.0 * math.ulp(t):
             break
@@ -236,32 +218,10 @@ def _recurrence_coeffs(m: int, d: int) -> tuple[float, float]:
     return a, b
 
 
-def gegenbauer_eval(m: int, d: int, x):
-    """Evaluate the orthonormal polynomial q_m at x via the three-term recurrence.
-
-    Seeds: q_0 = 1 and q_1 = sqrt(d) x.  The recurrence coefficients are well
-    defined for every d >= 3 and m >= 1.
-    """
-    m = int(m)
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
-    d = _check_dimension(d)
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError("x must lie in [-1, 1]")
-    q_prev = np.ones_like(x)
-    if m == 0:
-        return q_prev if q_prev.ndim else float(q_prev)
-    q_cur = math.sqrt(d) * x
-    for mm in range(1, m):
-        a, b = _recurrence_coeffs(mm, d)
-        q_prev, q_cur = q_cur, a * x * q_cur - b * q_prev
-    return q_cur if q_cur.ndim else float(q_cur)
-
-
 def _log_multiplicities(d: int, max_m: int) -> np.ndarray:
     """log N_m for m = 0..max_m, to a few ulp at any d.
 
+    N_m is the number of distinct degree-m spherical harmonics on S^{d-1}:
     N_m = (d + 2m - 2)/m * C(d + m - 3, m - 1), and the binomial is the product
     over 1 <= j < m of 1 + (d - 2)/j.  So log N_m is log((d + 2m - 2)/m) plus
     one cumulative sum of log1p((d - 2)/j): no difference of log-gammas of
@@ -272,15 +232,6 @@ def _log_multiplicities(d: int, max_m: int) -> np.ndarray:
     out[1:] = np.log((d + 2.0 * m - 2.0) / m)
     out[2:] += np.cumsum(np.log1p((d - 2.0) / m[:-1]))
     return out
-
-
-def log_multiplicity(m: int, d: int) -> float:
-    """log N_m where N_m is the number of distinct degree-m spherical harmonics."""
-    m = int(m)
-    d = _check_dimension(d)
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
-    return float(_log_multiplicities(d, m)[m])
 
 
 @lru_cache(maxsize=8)
@@ -312,8 +263,6 @@ def _coeffs_on_nodes(theta, w, d: int, max_m: int):
     coeffs = np.empty(max_m + 1)
     r_prev = weight
     coeffs[0] = w @ r_prev
-    if max_m == 0:
-        return coeffs
     r_cur = math.sqrt(d) * x * weight
     coeffs[1] = w @ r_cur
     for m in range(1, max_m):
@@ -329,15 +278,13 @@ def _default_hard_cap(d: int) -> int:
 
 @dataclass(frozen=True)
 class GegenbauerBasis:
-    """Per-(d, tau) cache: cap-indicator coefficients and harmonic multiplicities.
+    """Cap-indicator coefficients and harmonic multiplicities at one (d, tau).
 
-    coeffs[m] = integral over [tau, 1] of q_m d(mu); log_mults[m] = log N_m.
-    Immutable after construction and safe to share across workers.
+    coeffs[m] = integral over [tau, 1] of q_m d(mu) and log_mults[m] = log N_m,
+    for m up to the series' hard cap.  Immutable after construction and safe to
+    share across workers.
     """
 
-    d: int
-    tau: float
-    max_m: int
     coeffs: np.ndarray
     log_mults: np.ndarray
     quad_error: float
@@ -345,14 +292,12 @@ class GegenbauerBasis:
     quad_converged: bool
 
     @classmethod
-    def build(cls, d: int, tau: float, max_m: int | None = None) -> "GegenbauerBasis":
+    def build(cls, d: int, tau: float) -> "GegenbauerBasis":
         d = _check_dimension(d)
         tau = float(tau)
         if not -1.0 <= tau < 1.0:
             raise ValueError(f"tau must lie in [-1, 1), got {tau}")
-        if max_m is None:
-            max_m = _default_hard_cap(d)
-        max_m = int(max_m)
+        max_m = _default_hard_cap(d)
 
         # Upper integration limit: beyond x_hi the remaining mu-mass is below
         # e^-750 even after multiplying by the worst-case polynomial growth
@@ -364,10 +309,7 @@ class GegenbauerBasis:
         x_hi = min(1.0, max(x_mass, tau + 30.0 / math.sqrt(d)))
         theta_lo, theta_hi = math.asin(tau), math.asin(x_hi)
 
-        prev = None
-        err = math.inf
-        nodes = 0
-        converged = False
+        prev, err, converged = None, math.inf, False
         for panels in _QUAD_PANELS:
             theta, w = _panel_nodes(theta_lo, theta_hi, panels)
             coeffs = _coeffs_on_nodes(theta, w, d, max_m)
@@ -387,13 +329,9 @@ class GegenbauerBasis:
                 QuadratureWarning,
                 stacklevel=2,
             )
-        log_mults = _log_multiplicities(d, max_m)
         return cls(
-            d=d,
-            tau=tau,
-            max_m=max_m,
             coeffs=coeffs,
-            log_mults=log_mults,
+            log_mults=_log_multiplicities(d, max_m),
             quad_error=err,
             quad_nodes=nodes,
             quad_converged=converged,
@@ -401,14 +339,9 @@ class GegenbauerBasis:
 
 
 @lru_cache(maxsize=64)
-def _cached_basis(p: float, d: int, max_m: int | None) -> GegenbauerBasis:
-    tau = solve_threshold(p, d).tau
-    return GegenbauerBasis.build(d, tau, max_m)
-
-
-def basis_for_density(p: float, d: int, max_m: int | None = None) -> GegenbauerBasis:
-    """Basis at the threshold tau(p, d), cached per (p, d, max_m)."""
-    return _cached_basis(float(p), int(d), max_m)
+def basis_for_density(p: float, d: int) -> GegenbauerBasis:
+    """Basis at the threshold tau(p, d), cached per (p, d)."""
+    return GegenbauerBasis.build(d, solve_threshold(p, d).tau)
 
 
 @dataclass(frozen=True)
@@ -446,15 +379,12 @@ class CycleExpectationResult:
         return self.truncation_failed or not self.quad_converged
 
 
-def signed_cycle_expectation(
-    ell: int, p: float, d: int, max_terms: int | None = None
-) -> CycleExpectationResult:
+def signed_cycle_expectation(ell: int, p: float, d: int) -> CycleExpectationResult:
     """Exact series for E[prod over cycle edges of (G_e - p)] under the full model.
 
     Terms are accumulated in sign/log space so that the huge harmonic
-    multiplicities N_m never overflow.  Truncation follows the stated rule;
-    `max_terms` forces a fixed-length partial sum (used by tests to pin the
-    single-term value c_1^ell / d^(ell/2 - 1)).
+    multiplicities N_m never overflow.  The sum stops by the stated rule, or at
+    the hard cap, the last coefficient of the basis.
     """
     ell = int(ell)
     if ell < 3:
@@ -466,18 +396,10 @@ def signed_cycle_expectation(
     if d < 4:
         raise ValueError(f"series evaluation requires d >= 4, got {d}")
 
-    hard_cap = _default_hard_cap(d)
-    if max_terms is not None:
-        hard_cap = min(hard_cap, int(max_terms))
-    basis = basis_for_density(p, d, None)
-
+    basis = basis_for_density(p, d)
     half = ell / 2.0 - 1.0
-    total = 0.0
-    small_run = 0
-    last_abs = 0.0
-    stop_m = hard_cap
-    stopped_by_rule = False
-    for m in range(1, hard_cap + 1):
+    total, last_abs, small_run, failed = 0.0, 0.0, 0, False
+    for m in range(1, basis.coeffs.size):
         cm = float(basis.coeffs[m])
         if cm == 0.0:
             term = 0.0
@@ -486,27 +408,19 @@ def signed_cycle_expectation(
             term = -mag if (cm < 0.0 and ell % 2 == 1) else mag
         total += term
         last_abs = abs(term)
-        if max_terms is None:
-            small_run = small_run + 1 if last_abs <= _SERIES_RTOL * abs(total) else 0
-            if m >= _SERIES_MIN_M and small_run >= _SERIES_SMALL_RUN:
-                stop_m = m
-                stopped_by_rule = True
-                break
-
-    tail_bound = 10.0 * last_abs
-    failed = (
-        max_terms is None
-        and not stopped_by_rule
-        and tail_bound > 1e-12 * abs(total)
-    )
+        small_run = small_run + 1 if last_abs <= _SERIES_RTOL * abs(total) else 0
+        if m >= _SERIES_MIN_M and small_run >= _SERIES_SMALL_RUN:
+            break
+    else:  # the hard cap, not the rule, ended the sum
+        failed = 10.0 * last_abs > 1e-12 * abs(total)
     scale = p ** ell * math.log(1.0 / p) ** (ell / 2.0) / d ** half
     return CycleExpectationResult(
         ell=ell,
         p=p,
         d=d,
         value=total,
-        truncation_m=stop_m,
-        tail_bound=tail_bound,
+        truncation_m=m,
+        tail_bound=10.0 * last_abs,
         scale=scale,
         truncation_failed=failed,
         below_dimension_guard=d < (5.0 * math.log(1.0 / p)) ** 4,
@@ -514,19 +428,11 @@ def signed_cycle_expectation(
     )
 
 
-def sample_uniform_sphere(
-    d: int, rng: np.random.Generator, size: int | tuple | None = None
-):
-    """Uniform points on S^{d-1} as normalized standard Gaussian vectors.
-
-    Returns shape (d,) for size=None, else size + (d,) for an int or tuple size.
-    """
+def sample_uniform_sphere(d: int, rng: np.random.Generator, size: int | tuple):
+    """Uniform points on S^{d-1} as normalized standard Gaussian vectors, shape size + (d,)."""
     d = int(d)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if size is None:
-        z = rng.standard_normal(d)
-        return z / np.linalg.norm(z)
     z = rng.standard_normal((*np.atleast_1d(size), d))
     # normalise in row blocks: each row reduces on its own, so the result is
     # the same, but the squared-entry temporary stays near _NORM_BLOCK_ELEMENTS

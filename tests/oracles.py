@@ -9,7 +9,12 @@ import numpy as np
 from scipy.special import betainc
 
 from geodetect.graphs import _unit_gram
-from geodetect.sphere import sample_uniform_sphere, solve_threshold
+from geodetect.sphere import (
+    _check_dimension,
+    _recurrence_coeffs,
+    sample_uniform_sphere,
+    solve_threshold,
+)
 from geodetect.stats import _triangle_sum, centered_adjacency
 
 
@@ -48,6 +53,29 @@ def inner_product_tail_mpmath(t: float, d: int, dps: int = 50) -> float:
         points = [q for q in points if q < end] + [end]
         tail = c * mpmath.quad(lambda phi: mpmath.cos(phi) ** (d - 2), points)
         return float(tail if x >= 0 else 1 - tail)
+
+
+def gegenbauer_eval(m: int, d: int, x):
+    """The orthonormal polynomial q_m of mu at x by the series' three-term recurrence.
+
+    Seeds q_0 = 1 and q_1 = sqrt(d) x, then q_{m+1} = a_m x q_m - b_m q_{m-1}
+    with the library's coefficients, which the basis integrates against mu.
+    """
+    m = int(m)
+    if m < 0:
+        raise ValueError(f"order must be >= 0, got {m}")
+    d = _check_dimension(d)
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > 1.0):
+        raise ValueError("x must lie in [-1, 1]")
+    q_prev = np.ones_like(x)
+    if m == 0:
+        return q_prev if q_prev.ndim else float(q_prev)
+    q_cur = math.sqrt(d) * x
+    for mm in range(1, m):
+        a, b = _recurrence_coeffs(mm, d)
+        q_prev, q_cur = q_cur, a * x * q_cur - b * q_prev
+    return q_cur if q_cur.ndim else float(q_cur)
 
 
 def log_multiplicity_mpmath(m: int, d: int, dps: int = 40) -> float:

@@ -17,7 +17,6 @@ from geodetect.cli import main as cli_main
 from geodetect.detection import (
     calibrate_cycle_constant,
     estimate_errors,
-    gamma_tri,
     make_test_spec,
     cycle_test_snr,
 )
@@ -146,9 +145,9 @@ def test_05_sandwich_ratio_and_calibration():
     ratios = [r for *_, r in res1.ratios]
     in_bracket = all(1 / 20 <= r <= 20 for r in ratios)
     # a fresh evaluation (caches cleared) reproduces the constant to 3 sig figs
-    from geodetect.sphere import _cached_basis
+    from geodetect.sphere import basis_for_density
 
-    _cached_basis.cache_clear()
+    basis_for_density.cache_clear()
     solve_threshold.cache_clear()
     res2 = calibrate_cycle_constant([0.1, 0.3, 0.5], [64, 256, 1024, 4096], [3, 4, 5])
     stable = abs(res1.constant - res2.constant) <= 1e-3 * res1.constant
@@ -195,7 +194,7 @@ def test_07_forest_vanishing():
 
 
 def test_08_threshold_consistency():
-    # Monte Carlo planted mean of f_tri within 3 sigma of 2 gamma_tri
+    # Monte Carlo planted mean of f_tri within 3 sigma of twice the global triangle threshold
     params = ModelParams(n=40, p=0.5, d=8, k=20)
     seed = Seed(1009)
     trials = 100_000
@@ -203,7 +202,7 @@ def test_08_threshold_consistency():
     for t in range(trials):
         vals[t] = signed_triangle_count(sample_planted(params, seed.stream(t)).graph, 0.5)
     se = vals.std() / math.sqrt(trials)
-    target = 2 * gamma_tri(params)
+    target = 2 * make_test_spec("global-triangle", params).threshold
     z = abs(vals.mean() - target) / se
     report(8, z <= 3, f"mc mean = {vals.mean():.3f}, 2 gamma = {target:.3f}, |z| = {z:.2f}")
 

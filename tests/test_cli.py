@@ -154,7 +154,7 @@ class TestTestCommand:
         monkeypatch.setattr(
             sphere_mod,
             "basis_for_density",
-            lambda p, d, max_m=None: dataclasses.replace(real(p, d, max_m), quad_converged=False),
+            lambda p, d: dataclasses.replace(real(p, d), quad_converged=False),
         )
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG)
@@ -236,6 +236,15 @@ class TestSweepCommand:
         assert "config error: --resume" in capsys.readouterr().err
         assert out.read_text() == cut
 
+    def test_resume_refuses_a_file_of_another_format(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG)
+        out = tmp_path / "other.csv"
+        out.write_text("a,b\n1,2\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == 2
+        assert "config error: --resume" in capsys.readouterr().err
+        assert out.read_text() == "a,b\n1,2\n"
+
     def test_worker_counts_agree(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16,32\n")
@@ -304,6 +313,30 @@ class TestSweepCommand:
         out = tmp_path / "grid.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert [row["d"] for row in read_rows(out)] == ["4", "40", "406", "4096"]
+
+
+class TestExhaustiveLimit:
+    # C(60, 27) subsets at k = 30 is past the exhaustive scan's limit of 1e7; C(60, 4) at k = 5 is not
+    CONFIG = BASE_CONFIG.replace("n = 40", "n = 60").replace(
+        "[test.global-triangle]", "[test.scan]\nmode = exhaustive"
+    )
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_over_the_limit_is_a_config_error(self, tmp_path, capsys, strict):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.CONFIG.replace("k = 20", "k = 30"))
+        out = tmp_path / "rows.csv"
+        assert main([*strict, "test", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "exceeds the 10000000 limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_any_sweep_point_over_the_limit_decides(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.CONFIG.replace("k = 20", "k = 5") + "\n[sweep]\nk = 5,30\n")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 2
+        assert "k = 30.0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigValidation:
@@ -596,7 +629,7 @@ class TestLowdegCommand:
         monkeypatch.setattr(
             sphere_mod,
             "basis_for_density",
-            lambda p, d, max_m=None: dataclasses.replace(real(p, d, max_m), quad_converged=False),
+            lambda p, d: dataclasses.replace(real(p, d), quad_converged=False),
         )
         assert main(args) == 0
         report = out.read_text()

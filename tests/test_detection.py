@@ -11,9 +11,6 @@ from geodetect.detection import (
     constraint_params,
     cycle_test_snr,
     estimate_errors,
-    gamma_cycle,
-    gamma_scan,
-    gamma_tri,
     make_test_spec,
     run_test,
     statistic_value,
@@ -21,6 +18,11 @@ from geodetect.detection import (
 from geodetect.graphs import Graph, ModelParams, Seed, pair_index, sample_null, sample_planted
 from geodetect.sphere import signed_cycle_expectation
 from geodetect.stats import ScanConfig, wedge_sums
+
+
+def gamma_tri(params):
+    """The global triangle test's threshold, as make_test_spec computes it."""
+    return make_test_spec("global-triangle", params).threshold
 
 
 class TestGammaTri:
@@ -53,18 +55,21 @@ class TestGammaTri:
                 for d in (4, 16, 256, 10**6):
                     for k in (1.0, n / 3, n):
                         params = ModelParams(n=n, p=p, d=d, k=k)
-                        assert gamma_tri(params) == gamma_cycle(params, 3), params
+                        cycle = make_test_spec("cycle", params, ell=3).threshold
+                        assert gamma_tri(params) == cycle, params
 
 
 class TestGammaScan:
     def test_small_community_zero(self):
-        assert gamma_scan(ModelParams(n=30, p=0.4, d=8, k=3)) == 0.0  # k_minus = 2
+        spec = make_test_spec("scan", ModelParams(n=30, p=0.4, d=8, k=3))
+        assert spec.threshold == 0.0  # k_minus = 2
 
     def test_ratio_to_global(self):
         params = ModelParams(n=40, p=0.3, d=16, k=20)
         km = params.k_minus
         expected = math.comb(km, 3) / (math.comb(40, 3) * (0.5**3))
-        assert gamma_scan(params) / gamma_tri(params) == pytest.approx(expected, rel=1e-12)
+        scan = make_test_spec("scan", params).threshold
+        assert scan / gamma_tri(params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestConstraintParams:

@@ -9,17 +9,15 @@ from scipy.special import gammaln
 
 from geodetect.sphere import (
     GegenbauerBasis,
-    InnerProductLaw,
     basis_for_density,
-    gegenbauer_eval,
     inner_product_tail,
-    log_multiplicity,
     sample_uniform_sphere,
     signed_cycle_expectation,
     solve_threshold,
 )
-from geodetect.sphere import _log_gamma_half_ratio
+from geodetect.sphere import _log_gamma_half_ratio, _log_multiplicities, _mu_pdf
 from oracles import (
+    gegenbauer_eval,
     inner_product_tail_betainc,
     inner_product_tail_mpmath,
     log_multiplicity_mpmath,
@@ -37,13 +35,17 @@ TAIL_PS = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.49, 0.51, 0.7, 1 - 1e-6)
 TAIL_DS = (3, 4, 5, 16, 64, 10**3, 6001, 10**4, 10**5, 10**6, 10**8, 10**9)
 
 
+def log_multiplicity(m, d):
+    """log N_m as the library's series reads it."""
+    return float(_log_multiplicities(d, m)[m])
+
+
 class TestInnerProductLaw:
     def test_density_integrates_to_one(self):
         from scipy.integrate import quad
 
         for d in (3, 4, 7, 16, 64):
-            law = InnerProductLaw(d)
-            total, _ = quad(law.pdf, -1.0, 1.0, limit=200)
+            total, _ = quad(_mu_pdf, -1.0, 1.0, args=(d,), limit=200)
             assert abs(total - 1.0) <= 1e-10
 
     def test_density_normalization_by_tail(self):
@@ -52,13 +54,12 @@ class TestInnerProductLaw:
             assert abs(inner_product_tail(-1.0, d) - 1.0) <= 1e-10
 
     def test_symmetry(self):
-        law = InnerProductLaw(9)
         x = np.linspace(-0.99, 0.99, 101)
-        assert np.allclose(law.pdf(x), law.pdf(-x), rtol=0, atol=1e-14)
+        assert np.allclose(_mu_pdf(x, 9), _mu_pdf(-x, 9), rtol=0, atol=1e-14)
 
     def test_rejects_low_dimension(self):
         with pytest.raises(ValueError):
-            InnerProductLaw(2)
+            solve_threshold(0.3, 2)
 
 
 class TestInnerProductTail:
@@ -264,8 +265,9 @@ class TestMultiplicity:
 
     def test_basis_reads_the_same_log_multiplicities(self):
         for d in (3, 20, 10**9):
-            basis = GegenbauerBasis.build(d, 0.1, max_m=40)
-            assert [log_multiplicity(m, d) for m in range(41)] == basis.log_mults.tolist()
+            basis = GegenbauerBasis.build(d, 0.1)
+            expected = [log_multiplicity(m, d) for m in range(basis.log_mults.size)]
+            assert expected == basis.log_mults.tolist()
 
     def test_overflow_is_loud(self):
         with pytest.raises(OverflowError):
@@ -276,17 +278,17 @@ class TestMultiplicity:
 class TestGegenbauerCoefficient:
     def test_c0_equals_density(self):
         tau = solve_threshold(0.25, 20).tau
-        assert GegenbauerBasis.build(20, tau, max_m=8).coeffs[0] == pytest.approx(0.25, abs=1e-10)
+        assert GegenbauerBasis.build(20, tau).coeffs[0] == pytest.approx(0.25, abs=1e-10)
 
     def test_even_orders_vanish_at_zero_threshold(self):
         # integral over [0, 1] of even q_m is half the full integral, which is 0
-        coeffs = GegenbauerBasis.build(12, 0.0, max_m=8).coeffs
+        coeffs = GegenbauerBasis.build(12, 0.0).coeffs
         assert coeffs[2] == pytest.approx(0.0, abs=1e-12)
         assert coeffs[4] == pytest.approx(0.0, abs=1e-12)
 
     def test_c1_closed_form(self):
         tau = solve_threshold(0.1, 16).tau
-        c1 = float(GegenbauerBasis.build(16, tau, max_m=8).coeffs[1])
+        c1 = float(GegenbauerBasis.build(16, tau).coeffs[1])
         assert c1 == pytest.approx(C1_P01_D16, rel=1e-10)
         closed = math.exp(
             0.5 * math.log(16)
@@ -301,7 +303,7 @@ class TestGegenbauerCoefficient:
     def test_c1_closed_form_large_d(self):
         for d in (100, 10_000, 10**6):
             tau = solve_threshold(0.2, d).tau
-            basis = GegenbauerBasis.build(d, tau, max_m=4)
+            basis = GegenbauerBasis.build(d, tau)
             closed = math.exp(
                 0.5 * math.log(d)
                 + gammaln(d / 2)
@@ -319,8 +321,9 @@ class TestGegenbauerCoefficient:
         # 64 and 128 nodes cannot integrate q_256: an error estimate far above
         # tolerance, not one within a rounding of it
         monkeypatch.setattr(sphere_mod, "_QUAD_PANELS", (1, 2))
+        monkeypatch.setattr(sphere_mod, "_default_hard_cap", lambda d: 256)
         with pytest.warns(QuadratureWarning, match="error estimate"):
-            basis = GegenbauerBasis.build(4, 0.0, max_m=256)
+            basis = GegenbauerBasis.build(4, 0.0)
         assert not basis.quad_converged
         assert math.isfinite(basis.quad_error)
 
@@ -335,12 +338,15 @@ class TestGegenbauerCoefficient:
 
 class TestCycleExpectation:
     def test_single_term_truncation(self):
+        # the value is the sum of its terms c_m^ell / N_m^(ell/2 - 1) up to truncation_m,
+        # and the first is c_1^ell / d^(ell/2 - 1)
         for (ell, p, d) in ((3, 0.3, 64), (4, 0.1, 16), (5, 0.5, 256)):
             basis = basis_for_density(p, d)
-            res = signed_cycle_expectation(ell, p, d, max_terms=1)
-            expected = basis.coeffs[1] ** ell / d ** (ell / 2 - 1)
-            assert res.value == pytest.approx(expected, rel=1e-12)
-            assert res.truncation_m == 1
+            res = signed_cycle_expectation(ell, p, d)
+            m = np.arange(1, res.truncation_m + 1)
+            terms = basis.coeffs[m] ** ell * np.exp(-(ell / 2 - 1) * basis.log_mults[m])
+            assert terms[0] == pytest.approx(basis.coeffs[1] ** ell / d ** (ell / 2 - 1), rel=1e-12)
+            assert res.value == pytest.approx(terms.sum(), rel=1e-12)
 
     def test_positive_for_half_and_below(self):
         for ell in (3, 4, 5):
@@ -410,6 +416,6 @@ class TestSampleUniformSphere:
 
     def test_single_vector_shape(self):
         rng = np.random.default_rng(4)
-        v = sample_uniform_sphere(5, rng)
+        v = sample_uniform_sphere(5, rng, size=())
         assert v.shape == (5,)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
