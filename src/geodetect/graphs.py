@@ -119,6 +119,8 @@ class Graph:
 
     def __init__(self, n: int, edges: np.ndarray):
         n = int(n)
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         m = n * (n - 1) // 2
         edges = np.asarray(edges, dtype=bool)
         if edges.shape != (m,):
@@ -234,6 +236,7 @@ class PlantedSample:
 
 
 _WORD = 2**32
+_COSINE_BLOCK = 4096  # samples per block of _bartlett_cosines' arithmetic
 
 
 @unique
@@ -388,34 +391,39 @@ def _bartlett_cosines(s: int, d: int, rng: np.random.Generator, shape, pairs) ->
 
     Returns shape + (len(pairs),).  Each W_ij = sum of L_ik L_jk is accumulated
     over k <= min(i, j) in ascending k, and only the diagonal entries the
-    pairs touch are formed.  The arithmetic runs in place on two scratch
-    arrays: at lowdeg's chunk sizes, fresh pages for each temporary cost more
-    than the products themselves.
+    pairs touch are formed.  The whole factor is drawn first, then the
+    arithmetic runs over blocks of _COSINE_BLOCK samples in place on a few
+    scratch arrays: at lowdeg's chunk sizes, fresh pages for each temporary
+    cost more than the products themselves, and the block's scratch is all
+    that is held beside the factor and the output.
     """
     diag, lower = _bartlett_factor(s, d, rng, shape)
-    # sample axes last, so that each factor entry below is one contiguous array
-    diag = np.moveaxis(diag, -1, 0).copy()
-    lower = np.moveaxis(lower, -1, 0).copy()
-    acc, tmp = np.empty(shape), np.empty(shape)
+    samples = math.prod(shape)
+    diag, lower = diag.reshape(samples, s), lower.reshape(samples, s * (s - 1) // 2)
+    out = np.empty((samples, len(pairs)))
+    for start in range(0, samples, _COSINE_BLOCK):
+        block = slice(start, start + _COSINE_BLOCK)
+        # sample axis last, so that each factor entry below is one contiguous array
+        diag_t, lower_t = diag[block].T.copy(), lower[block].T.copy()
+        acc, tmp = np.empty(diag_t.shape[1]), np.empty(diag_t.shape[1])
 
-    def entry(i, k):
-        return diag[i] if k == i else lower[i * (i - 1) // 2 + k]
+        def entry(i, k):
+            return diag_t[i] if k == i else lower_t[i * (i - 1) // 2 + k]
 
-    def inner(i, j, out):
-        np.multiply(entry(i, 0), entry(j, 0), out=out)
-        for k in range(1, min(i, j) + 1):
-            out += np.multiply(entry(i, k), entry(j, k), out=tmp)
-        return out
+        def inner(i, j, out):
+            np.multiply(entry(i, 0), entry(j, 0), out=out)
+            for k in range(1, min(i, j) + 1):
+                out += np.multiply(entry(i, k), entry(j, k), out=tmp)
+            return out
 
-    norms = {}
-    for x in {x for pair in pairs for x in pair}:
-        w = inner(x, x, np.empty(shape))
-        norms[x] = np.sqrt(w, out=w)
-    out = np.empty((*shape, len(pairs)))
-    for col, (i, j) in enumerate(pairs):
-        w = inner(i, j, acc)
-        np.divide(w, np.multiply(norms[i], norms[j], out=tmp), out=out[..., col])
-    return out
+        norms = {}
+        for x in {x for pair in pairs for x in pair}:
+            w = inner(x, x, np.empty_like(acc))
+            norms[x] = np.sqrt(w, out=w)
+        for col, (i, j) in enumerate(pairs):
+            w = inner(i, j, acc)
+            np.divide(w, np.multiply(norms[i], norms[j], out=tmp), out=out[block, col])
+    return out.reshape(*shape, len(pairs))
 
 
 def sample_full_geometric(

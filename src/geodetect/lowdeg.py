@@ -111,8 +111,8 @@ class SmallGraph:
 
 def small_graph_from_edges(v: int, edges) -> SmallGraph:
     v = int(v)
-    if v > 7:
-        raise ValueError(f"small graphs are limited to 7 vertices, got {v}")
+    if not 0 <= v <= 7:
+        raise ValueError(f"small graphs have 0 to 7 vertices, got {v}")
     norm = []
     for i, j in edges:
         i, j = int(i), int(j)
@@ -168,22 +168,67 @@ class FourierEstimate:
     trials: int
 
 
-def _edge_indicators(
+def _pattern_codes(
     v: int, pairs, params: ModelParams, rng: np.random.Generator, batch: int
 ) -> np.ndarray:
-    """Geometric edge indicators 1{<u_i, u_j> >= tau}, shape (batch, len(pairs)).
+    """Edge patterns of batch geometric samples as integer codes, shape (batch,).
 
-    Only the normalized inner products of the given pairs are formed, from one
-    v x v Gram draw per sample: whenever d >= v straight from the Bartlett
-    factor (v chi-squares and v(v-1)/2 normals per sample), with no
-    (batch, v, v) array; only d < v draws, and briefly holds, the batch's v*d
-    latent coordinates and their dense Gram.  Community membership and the
-    p-coins off the community are never simulated; fourier_coefficient_mc
-    applies their exact effect, the factor (k/n)^v.
+    Bit b of a sample's code is the indicator 1{<u_i, u_j> >= tau} of the
+    pair (i, j) = pairs[b].  Only the normalized inner products of the given
+    pairs are formed, from one v x v Gram draw per sample: whenever d >= v
+    straight from the Bartlett factor (v chi-squares and v(v-1)/2 normals per
+    sample), with no (batch, v, v) array; only d < v draws, and briefly
+    holds, the batch's v*d latent coordinates and their dense Gram.  A pair's
+    inner product does not depend on which other pairs are requested.
+    Community membership and the p-coins off the community are never
+    simulated; the readers of the codes apply their exact effect, the factor
+    (k/n)^v.
     """
     tau = solve_threshold(params.p, params.d).tau
     cosines, _ = _unit_gram(v, params.d, rng, shape=(batch,), pairs=pairs)
-    return cosines >= tau
+    codes = np.zeros(batch, dtype=np.int64)
+    for b in range(len(pairs)):
+        np.bitwise_or(codes, 1 << b, out=codes, where=cosines[:, b] >= tau)
+    return codes
+
+
+def _pattern_counts(v: int, pairs, params: ModelParams, trials: int, seed: Seed) -> np.ndarray:
+    """Histogram of the edge patterns of trials samples, 2^len(pairs) int64 bins.
+
+    Chunk c of up to _MC_CHUNK samples draws from seed.stream(c, arm=Arm.FOURIER).
+    """
+    counts = np.zeros(1 << len(pairs), dtype=np.int64)
+    for chunk, start in enumerate(range(0, trials, _MC_CHUNK)):
+        rng = seed.stream(chunk, arm=Arm.FOURIER)
+        codes = _pattern_codes(v, pairs, params, rng, min(_MC_CHUNK, trials - start))
+        counts += np.bincount(codes, minlength=counts.size)
+    return counts
+
+
+def _signed_products(graph: SmallGraph, params: ModelParams) -> np.ndarray:
+    """The coefficient's per-sample value at every edge pattern of graph, indexed by code.
+
+    The normalized signed edge product prod_b (x_b - p)/sqrt(p(1-p)), times
+    the exact probability (k/n)^v that every vertex of the embedding is a
+    community member.  Here v counts the vertices some edge touches: an
+    isolated vertex of H puts no condition on membership.
+    """
+    p = params.p
+    values = np.ones(1)
+    for _ in graph.edges:  # the next edge is the next higher bit of the code
+        values = np.concatenate([values * -p, values * (1.0 - p)])
+    members = len({x for edge in graph.edges for x in edge})
+    return values / (p * (1.0 - p)) ** (graph.e / 2.0) * (params.k / params.n) ** members
+
+
+def _estimate(
+    graph: SmallGraph, params: ModelParams, counts: np.ndarray, trials: int
+) -> FourierEstimate:
+    """The coefficient and its standard error from the histogram of graph's own edge patterns."""
+    values = _signed_products(graph, params)
+    phi = float((counts * values).sum()) / trials
+    var = max(float((counts * values**2).sum()) / trials - phi**2, 0.0)
+    return FourierEstimate(graph=graph, phi=phi, stderr=math.sqrt(var / trials), trials=trials)
 
 
 def fourier_coefficient_mc(
@@ -196,11 +241,9 @@ def fourier_coefficient_mc(
 
     By exchangeability the fixed embedding estimates the coefficient of the
     whole isomorphism class.  The Monte Carlo mean is the full geometric
-    model's coefficient; the mean and its standard error are then scaled by
-    the exact probability (k/n)^v that every vertex of the embedding is a
-    community member, so a vanishing k/n gives a zero coefficient.  Here v
-    counts the vertices some edge touches: an isolated vertex of H puts no
-    condition on membership.
+    model's coefficient times the exact probability (k/n)^v that every vertex
+    of the embedding is a community member, so a vanishing k/n gives a zero
+    coefficient.  The graph's edge patterns are counted into 2^e bins.
     """
     if graph.v > params.n:
         raise ValueError(f"graph needs {graph.v} vertices but n = {params.n}")
@@ -208,25 +251,8 @@ def fourier_coefficient_mc(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if isinstance(seed, int):
         seed = Seed(seed)
-    norm = (params.p * (1.0 - params.p)) ** (graph.e / 2.0)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_id = 0
-    while done < trials:
-        batch = min(_MC_CHUNK, trials - done)
-        rng = seed.stream(chunk_id, arm=Arm.FOURIER)
-        ind = _edge_indicators(graph.v, graph.edges, params, rng, batch)
-        signed = (ind - params.p).prod(axis=1) / norm
-        total += float(signed.sum())
-        total_sq += float((signed**2).sum())
-        done += batch
-        chunk_id += 1
-    phi = total / trials
-    var = max(total_sq / trials - phi**2, 0.0)
-    scale = (params.k / params.n) ** len({x for edge in graph.edges for x in edge})
-    stderr = scale * math.sqrt(var / trials)
-    return FourierEstimate(graph=graph, phi=scale * phi, stderr=stderr, trials=trials)
+    counts = _pattern_counts(graph.v, graph.edges, params, trials, seed)
+    return _estimate(graph, params, counts, trials)
 
 
 @dataclass(frozen=True)
@@ -255,34 +281,58 @@ def low_degree_advantage(
     """Sum over non-isomorphic H with 1 <= e(H) <= degree_cap of count * phi^2.
 
     Graphs with a tree component contribute exactly zero (their coefficient
-    factorizes through a vanishing tree factor) and are skipped analytically;
-    everything else is estimated by Monte Carlo with bias-corrected squares
-    and propagated uncertainty.  The graph at position idx of the enumeration
-    draws from seed.spawn(idx), so no two (master, graph) pairs share a stream.
+    factorizes through a vanishing tree factor) and are skipped analytically.
+    Every other graph is read from one histogram: each of trials samples
+    draws the geometry of v_max vertices once, and its pattern over all
+    C(v_max, 2) pairs is counted.  Marginalised onto a graph's own edges, the
+    counts give exactly fourier_coefficient_mc of the graph padded to v_max
+    vertices at the same seed.  The rows share their samples, so the error
+    propagates the covariance Sigma of the estimates, read from the same
+    histogram: sqrt(4 g' Sigma g + 2 sum_HH' c_H c_H' Sigma_HH'^2) with
+    g = c * phi, the delta-method variance of the bias-corrected squares.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if v_max > params.n:
+        raise ValueError(f"v_max = {v_max} exceeds n = {params.n}")
     if isinstance(seed, int):
         seed = Seed(seed)
+    graphs = [g for g in enumerate_graphs_upto(v_max) if 1 <= g.e <= degree_cap]
+    slots = _pair_slots(v_max)
+    if not all(g.has_tree_component for g in graphs):
+        counts = _pattern_counts(v_max, slots, params, trials, seed)
+    index = {slot: b for b, slot in enumerate(slots)}
+    codes = np.arange(1 << len(slots))
     total = 0.0
-    var_total = 0.0
-    rows = []
-    for idx, graph in enumerate(enumerate_graphs_upto(v_max)):
-        if not 1 <= graph.e <= degree_cap:
-            continue
-        count = graph.embedding_count(params.n)
+    rows, weights, phis, per_code = [], [], [], []
+    for graph in graphs:
         if graph.has_tree_component:
             rows.append((graph, 0.0, 0.0, True))
             continue
-        est = fourier_coefficient_mc(graph, params, trials, seed.spawn(idx))
-        contrib = count * (est.phi**2 - est.stderr**2)
-        total += contrib
-        # var of phi^2 around its bias-corrected value
-        var_total += (count**2) * (
-            4.0 * est.phi**2 * est.stderr**2 + 2.0 * est.stderr**4
-        )
+        # the code of each v_max pattern restricted to the graph's edges, in its edge order
+        own = sum(((codes >> index[edge]) & 1) << b for b, edge in enumerate(graph.edges))
+        own_counts = np.zeros(1 << graph.e, dtype=np.int64)
+        np.add.at(own_counts, own, counts)
+        est = _estimate(graph, params, own_counts, trials)
+        count = graph.embedding_count(params.n)
+        total += count * (est.phi**2 - est.stderr**2)
         rows.append((graph, est.phi, est.stderr, False))
+        weights.append(float(count))
+        phis.append(est.phi)
+        per_code.append(_signed_products(graph, params)[own])
+    var = 0.0
+    if per_code:
+        weights, phis = np.array(weights), np.array(phis)
+        # einsum makes no BLAS call, so the sums do not depend on the BLAS threads
+        second = np.einsum("gc,hc,c->gh", per_code, per_code, counts) / trials
+        sigma = (second - np.multiply.outer(phis, phis)) / trials
+        g = weights * phis
+        var = 4.0 * np.einsum("g,gh,h->", g, sigma, g) + 2.0 * np.einsum(
+            "g,gh,h->", weights, sigma**2, weights
+        )
     return AdvantageReport(
         value=total,
-        error=math.sqrt(var_total),
+        error=math.sqrt(max(float(var), 0.0)),
         v_max=v_max,
         degree_cap=degree_cap,
         rows=tuple(rows),

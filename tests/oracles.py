@@ -8,7 +8,8 @@ import mpmath
 import numpy as np
 from scipy.special import betainc
 
-from geodetect.graphs import _unit_gram
+from geodetect.graphs import Arm, _unit_gram
+from geodetect.lowdeg import enumerate_graphs_upto
 from geodetect.sphere import (
     _check_dimension,
     _recurrence_coeffs,
@@ -327,7 +328,7 @@ def edge_indicators_with_membership(v: int, pairs, params, rng, batch: int) -> n
 
     Draws Bernoulli(k/n) membership bits and a v x v Gram block; a pair of
     members is adjacent iff its inner product reaches tau, any other pair
-    flips its own p-coin.  Unlike lowdeg._edge_indicators, no factor is left
+    flips its own p-coin.  Unlike lowdeg._pattern_codes, no factor is left
     to apply: the plain mean of the normalized signed edge product estimates
     the planted Fourier coefficient.
     """
@@ -343,7 +344,8 @@ def edge_indicators_with_membership(v: int, pairs, params, rng, batch: int) -> n
 
 
 def edge_indicators_dense(v: int, pairs, params, rng, batch: int) -> np.ndarray:
-    """lowdeg._edge_indicators through the dense Gram: the batch's v x v blocks, then one gather.
+    """The bits of lowdeg._pattern_codes through the dense Gram: the batch's v x v
+    blocks, then one gather, shape (batch, len(pairs)).
 
     Makes the same draws in the same order as the library on both routes.
     """
@@ -351,3 +353,41 @@ def edge_indicators_dense(v: int, pairs, params, rng, batch: int) -> np.ndarray:
     gram, _ = _unit_gram(v, params.d, rng, shape=(batch,))
     rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     return gram[:, rows, cols] >= tau
+
+
+def advantage_by_sample_products(params, v_max: int, degree_cap: int, trials: int, seed, chunk: int):
+    """lowdeg.low_degree_advantage from the per-sample signed products of every graph.
+
+    Every sample gathers all C(v_max, 2) edge indicators from the dense Gram,
+    from the library's chunk streams; each graph's product is formed over its
+    own columns, and the covariance of the means is the products' sample
+    covariance over trials.  Returns (value, error, phi): the bias-corrected
+    sum, its delta-method error sqrt(4 g' S g + 2 sum c c' S^2) with g = c phi,
+    and the coefficient of each estimated graph in enumeration order.
+    """
+    slots = list(combinations(range(v_max), 2))
+    column = {slot: b for b, slot in enumerate(slots)}
+    bits = np.concatenate([
+        edge_indicators_dense(
+            v_max, slots, params, seed.stream(c, arm=Arm.FOURIER), min(chunk, trials - start)
+        )
+        for c, start in enumerate(range(0, trials, chunk))
+    ])
+    p = params.p
+    graphs = [
+        g for g in enumerate_graphs_upto(v_max)
+        if 1 <= g.e <= degree_cap and not g.has_tree_component
+    ]
+    products = np.stack([
+        (params.k / params.n) ** g.v
+        * (bits[:, [column[edge] for edge in g.edges]] - p).prod(axis=1)
+        / (p * (1 - p)) ** (g.e / 2)
+        for g in graphs
+    ], axis=1)
+    phi = products.mean(axis=0)
+    sigma = np.cov(products, rowvar=False, bias=True).reshape(len(graphs), len(graphs)) / trials
+    count = np.array([float(g.embedding_count(params.n)) for g in graphs])
+    value = float(np.sum(count * (phi**2 - np.diag(sigma))))
+    g = count * phi
+    error = math.sqrt(4 * g @ sigma @ g + 2 * count @ sigma**2 @ count)
+    return value, error, phi

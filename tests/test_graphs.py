@@ -121,6 +121,14 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph.from_edgelist_text("3\n2\n0 1\n0 1\n")
 
+    def test_negative_order_rejected(self):
+        # n = -1 and n = -2 give 1 and 3 pair slots by n(n-1)/2; n = 0 has none
+        with pytest.raises(ValueError):
+            Graph.from_edgelist_text("-1\n0\n")
+        with pytest.raises(ValueError):
+            Graph(-2, np.zeros(3, dtype=bool))
+        assert Graph.from_edgelist_text("0\n0\n") == Graph(0, np.zeros(0, dtype=bool))
+
     def test_bitfield_rejects_wrong_length(self):
         blob = Graph(5, np.ones(10, dtype=bool)).to_bitfield_bytes()
         for bad in (blob[:9], blob + b"\x00", blob[:7]):

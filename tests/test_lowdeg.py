@@ -10,8 +10,8 @@ import pytest
 from geodetect import lowdeg
 from geodetect.graphs import ModelParams, Seed, _unit_gram
 from geodetect.lowdeg import (
-    FourierEstimate,
-    _edge_indicators,
+    _pair_slots,
+    _pattern_codes,
     enumerate_graphs_upto,
     fourier_coefficient_mc,
     low_degree_advantage,
@@ -21,6 +21,7 @@ from geodetect.lowdeg import (
 from geodetect.sphere import signed_cycle_expectation, solve_threshold
 
 from oracles import (
+    advantage_by_sample_products,
     automorphisms_by_permutation,
     canonical_code_by_permutation,
     edge_indicators_dense,
@@ -205,7 +206,7 @@ class TestFourierMc:
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            _edge_indicators(4, FOUR_CYCLE.edges, params, rng, 2048)
+            _pattern_codes(4, FOUR_CYCLE.edges, params, rng, 2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -230,6 +231,10 @@ class TestFourierMc:
         with pytest.raises(ValueError):
             fourier_coefficient_mc(FOUR_CYCLE, params, 10, Seed(0))
 
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError):
+            small_graph_from_edges(-1, [])
+
 
 class TestGeometryOnly:
     """The estimator simulates the geometry alone and applies (k/n)^v exactly."""
@@ -253,10 +258,10 @@ class TestGeometryOnly:
     def test_indicators_draw_only_the_gram_block(self, d):
         params = ModelParams(n=40, p=0.3, d=d, k=20)
         got_rng, want_rng = np.random.default_rng(63), np.random.default_rng(63)
-        got = _edge_indicators(HOUSE.v, HOUSE.edges, params, got_rng, 500)
+        got = _pattern_codes(HOUSE.v, HOUSE.edges, params, got_rng, 500)
         gram, _ = _unit_gram(HOUSE.v, d, want_rng, shape=(500,))
         tau = solve_threshold(0.3, d).tau
-        want = np.stack([gram[:, i, j] >= tau for i, j in HOUSE.edges], axis=1)
+        want = sum((gram[:, i, j] >= tau) << b for b, (i, j) in enumerate(HOUSE.edges))
         assert np.array_equal(got, want)
         assert got_rng.random() == want_rng.random()  # nothing drawn after the block
 
@@ -276,49 +281,128 @@ class TestGeometryOnly:
 
 
 class TestEdgeIndicators:
-    """_edge_indicators reads the pairs straight from the Bartlett factor; the
+    """_pattern_codes reads the pairs straight from the Bartlett factor; the
     dense gather of the full Gram is the oracle, draw for draw."""
 
     @staticmethod
     def assert_dense_equal(graph, params, seed, batch=65_536):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _edge_indicators(graph.v, graph.edges, params, got_rng, batch)
-        want = edge_indicators_dense(graph.v, graph.edges, params, want_rng, batch)
-        assert got.shape == (batch, graph.e) and np.array_equal(got, want), graph
+        got = _pattern_codes(graph.v, graph.edges, params, got_rng, batch)
+        bits = edge_indicators_dense(graph.v, graph.edges, params, want_rng, batch)
+        want = bits.astype(np.int64) @ (1 << np.arange(graph.e, dtype=np.int64))
+        assert got.shape == (batch,) and np.array_equal(got, want), graph
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("d", [64, 4])
     def test_every_estimated_graph_matches_the_dense_gather(self, d):
-        # d = 64 is the lowdeg workload's Bartlett route; d = 4 puts v = 5 on latents
+        # d = 64 is the lowdeg workload's Bartlett route; d = 4 puts v = 5 on
+        # latents.  The last pattern is the advantage's draw: all ten pairs of K5
         params = ModelParams(n=200, p=0.3, d=d, k=100)
         report = low_degree_advantage(params, v_max=5, degree_cap=7, trials=1, seed=Seed(0))
         estimated = [graph for graph, _, _, skipped in report.rows if not skipped]
         assert len(estimated) == 19
-        for idx, graph in enumerate(estimated):
+        for idx, graph in enumerate([*estimated, small_graph_from_edges(5, _pair_slots(5))]):
             self.assert_dense_equal(graph, params, seed=1000 + idx)
 
-    @pytest.mark.parametrize("v, d", [(2, 64), (5, 64), (5, 4)])
+    @pytest.mark.parametrize("v, d", [(2, 64), (5, 64), (5, 4), (1, 64), (0, 64)])
     def test_edgeless_graph_matches_the_dense_gather(self, v, d):
         params = ModelParams(n=200, p=0.3, d=d, k=100)
         self.assert_dense_equal(small_graph_from_edges(v, []), params, seed=v + d, batch=1000)
 
 
 class TestAdvantage:
-    def test_graph_streams_never_shared_across_masters(self, monkeypatch):
-        # masters 7919 apart: a per-graph offset of 7919·(idx+1) on the master
-        # would hand graph idx of one run the stream of graph idx + 1 of the other
-        first_draws = []
+    def test_chunk_streams_never_shared_across_masters(self, monkeypatch):
+        # masters 7919 apart, three chunks each: an offset of 7919 per chunk on
+        # the master would hand chunk c + 1 of one run the stream of chunk c of
+        # the next.  Every graph reads the one histogram of its run.
+        histograms, states = [], []
+        count_patterns, code_patterns = lowdeg._pattern_counts, lowdeg._pattern_codes
 
-        def record(graph, params, trials, seed):
-            first_draws.append(seed.stream(0, arm=2).integers(2**63))
-            return FourierEstimate(graph=graph, phi=0.0, stderr=1.0, trials=trials)
+        def counts(v, pairs, params, trials, seed):
+            histograms.append((v, tuple(pairs), trials))
+            return count_patterns(v, pairs, params, trials, seed)
 
-        monkeypatch.setattr(lowdeg, "fourier_coefficient_mc", record)
+        def codes(v, pairs, params, rng, batch):
+            states.append(rng.bit_generator.state["state"]["state"])
+            return code_patterns(v, pairs, params, rng, batch)
+
+        def refuse(*args):
+            raise AssertionError("the advantage estimates no graph on its own")
+
+        monkeypatch.setattr(lowdeg, "_MC_CHUNK", 100)
+        monkeypatch.setattr(lowdeg, "_pattern_counts", counts)
+        monkeypatch.setattr(lowdeg, "_pattern_codes", codes)
+        monkeypatch.setattr(lowdeg, "fourier_coefficient_mc", refuse)
         params = ModelParams(n=60, p=0.5, d=64, k=30)
         for master in (11, 11 + 7919, 11 + 2 * 7919):
-            low_degree_advantage(params, v_max=5, degree_cap=10, trials=1, seed=Seed(master))
-        assert len(first_draws) == 3 * 23  # graphs with a cycle in every component
-        assert len(set(first_draws)) == len(first_draws)
+            report = low_degree_advantage(params, v_max=5, degree_cap=10, trials=300, seed=Seed(master))
+            assert sum(not skipped for *_, skipped in report.rows) == 23  # a cycle in every component
+        assert histograms == 3 * [(5, tuple(_pair_slots(5)), 300)]
+        assert len(states) == 9 and len(set(states)) == 9
+
+    def test_chunk_memory_budget(self):
+        # the lowdeg workload's run: one 65,536-sample chunk of all ten pairs of
+        # v_max = 5, within the budget of one graph's chunk
+        params = ModelParams(n=200, p=0.3, d=64, k=100)
+        solve_threshold(0.3, 64)
+        enumerate_graphs_upto(5)
+        tracemalloc.start()
+        try:
+            low_degree_advantage(params, v_max=5, degree_cap=7, trials=65_536, seed=Seed(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("d", [64, 4])
+    def test_rows_equal_the_padded_graphs_coefficients(self, d):
+        # two chunks; d = 4 < v_max draws latents for every graph
+        params = ModelParams(n=60, p=0.3, d=d, k=30)
+        trials = lowdeg._MC_CHUNK + 1000
+        report = low_degree_advantage(params, v_max=5, degree_cap=7, trials=trials, seed=Seed(44))
+        estimated = [(g, phi, se) for g, phi, se, skipped in report.rows if not skipped]
+        assert len(estimated) == 19
+        for graph, phi, stderr in estimated:
+            padded = small_graph_from_edges(5, graph.edges)
+            est = fourier_coefficient_mc(padded, params, trials, Seed(44))
+            assert (phi, stderr) == (est.phi, est.stderr), graph
+
+    @pytest.mark.parametrize("d", [64, 4])
+    def test_error_matches_the_sample_covariance_oracle(self, d):
+        params = ModelParams(n=60, p=0.3, d=d, k=30)
+        trials = lowdeg._MC_CHUNK + 1000
+        report = low_degree_advantage(params, v_max=5, degree_cap=7, trials=trials, seed=Seed(45))
+        value, error, phi = advantage_by_sample_products(
+            params, 5, 7, trials, Seed(45), lowdeg._MC_CHUNK
+        )
+        rows = np.array([(phi, se) for _, phi, se, skipped in report.rows if not skipped])
+        # sums in another order: a coefficient near 0 has no relative precision
+        assert np.all(np.abs(rows[:, 0] - phi) <= 1e-9 * rows[:, 1])
+        assert abs(report.value - value) <= 1e-9 * report.error
+        assert report.error == pytest.approx(error, rel=1e-12)
+
+    def test_error_with_uncorrelated_rows_is_the_diagonal_formula(self):
+        # v_max = 3 with degree_cap = 3 estimates the triangle alone
+        params = ModelParams(n=60, p=0.3, d=16, k=30)
+        report = low_degree_advantage(params, v_max=3, degree_cap=3, trials=5000, seed=Seed(46))
+        ((_, phi, se),) = [(g, phi, se) for g, phi, se, skipped in report.rows if not skipped]
+        count = TRIANGLE.embedding_count(60)
+        diagonal = math.sqrt(count**2 * (4 * phi**2 * se**2 + 2 * se**4))
+        assert report.error == pytest.approx(diagonal, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, v_max, degree_cap, trials",
+        [(3, 5, 10, 100), (3, 5, 2, 100), (60, 4, 6, 0), (60, 2, 1, 0)],
+        ids=["v-max-above-n", "v-max-above-n-nothing-estimated", "no-trials", "no-trials-nothing-estimated"],
+    )
+    def test_arguments_checked_before_any_draw(self, monkeypatch, n, v_max, degree_cap, trials):
+        def refuse(*args):
+            raise AssertionError("drew before checking its arguments")
+
+        monkeypatch.setattr(lowdeg, "_pattern_counts", refuse)
+        params = ModelParams(n=n, p=0.5, d=8, k=2)
+        with pytest.raises(ValueError):
+            low_degree_advantage(params, v_max=v_max, degree_cap=degree_cap, trials=trials, seed=Seed(0))
 
     def test_direct_calls_keep_the_top_level_stream(self):
         # a top-level Seed has the empty spawn key: [master, arm, trial] entropy
