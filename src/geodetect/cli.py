@@ -25,9 +25,10 @@ import numpy as np
 from . import __version__
 from .detection import estimate_errors, make_test_spec
 from .ensembles import (
-    composite_planted_graph,
+    route_check,
     sample_spherical_wishart,
     spectral_deviation,
+    spectral_deviations,
 )
 from .graphs import (
     Arm,
@@ -36,12 +37,11 @@ from .graphs import (
     sample_full_geometric,
     sample_null,
     sample_planted,
-    sample_planted_fixed_community,
     sample_planted_fixed_size,
 )
 from .lowdeg import V_MAX, low_degree_advantage
 from .sphere import signed_cycle_expectation, solve_threshold
-from .stats import MAX_CYCLE_LENGTH, ScanConfig, signed_triangle_count
+from .stats import MAX_CYCLE_LENGTH, ScanConfig
 
 CSV_COLUMNS = [
     "n", "p", "d", "k", "test", "threshold", "type1", "type1_hw",
@@ -125,7 +125,7 @@ _SCHEMA = {
     },
     "wishart": {
         "k": (_integer(1), 20), "d": (_integer(1), 2000), "trials": (_integer(1), 200),
-        "n": (_integer(1), None), "community_size": (_integer(0), None), "p": (_real(), 0.5),
+        "n": (_integer(2), None), "community_size": (_integer(0), None), "p": (_real(), 0.5),
     },
 }
 
@@ -408,37 +408,22 @@ def cmd_wishart(args) -> int:
         params = _model("wishart", n=n, p=section["p"], d=d, k=max(size, 1))
     seed, out = _json_run(cfg, args, "wishart")
 
-    deviations = [
-        spectral_deviation(sample_spherical_wishart(k, d, seed.stream(t, arm=Arm.WISHART)))
-        for t in range(trials)
-    ]
+    deviations = spectral_deviations(k, d, trials, seed)
     ref = math.sqrt(k / d)
     spectral = {
         "k": k, "d": d, "draws": trials,
         "mean_deviation": float(np.mean(deviations)),
         "q99": float(np.quantile(deviations, 0.99)),
         "sqrt_k_over_d": ref,
-        "within_10x_fraction": float(np.mean(np.asarray(deviations) <= 10 * ref)),
+        "within_10x_fraction": float(np.mean(deviations <= 10 * ref)),
     }
     k1 = spectral_deviation(sample_spherical_wishart(1, d, seed.stream(0, arm=Arm.WISHART_K1)))
 
     route = None
     if n is not None:
-        community = np.arange(size)
-        comp_edges, comp_tri, dir_edges, dir_tri = 0.0, 0.0, 0.0, 0.0
-        m = n * (n - 1) // 2
-        for t in range(trials):
-            g1 = composite_planted_graph(community, params, seed.stream(t, arm=Arm.COMPOSITE))
-            comp_edges += g1.edge_count / m
-            comp_tri += signed_triangle_count(g1, params.p)
-            rng = seed.stream(t, arm=Arm.FIXED_COMMUNITY)
-            s2 = sample_planted_fixed_community(community, params, rng)
-            dir_edges += s2.graph.edge_count / m
-            dir_tri += signed_triangle_count(s2.graph, params.p)
         route = {
             "n": n, "community_size": size, "p": params.p, "d": d, "trials": trials,
-            "edge_marginal": {"composite": comp_edges / trials, "direct": dir_edges / trials},
-            "f_tri_mean": {"composite": comp_tri / trials, "direct": dir_tri / trials},
+            **route_check(np.arange(size), params, trials, seed),
         }
 
     return _write_json({

@@ -20,8 +20,9 @@ from .graphs import (
     Graph,
     ModelParams,
     Seed,
+    _planted_members,
     sample_null,
-    sample_planted,
+    sample_planted_fixed_community,
 )
 from .sphere import signed_cycle_expectation
 from .stats import (
@@ -257,15 +258,19 @@ def _null_trial(spec: TestSpec, seed: Seed, trial: int) -> bool:
 
 def _planted_trial(spec: TestSpec, seed: Seed, trial: int):
     """Returns None when the community size falls outside [k_minus, k_plus],
-    else True when the planted draw is missed."""
+    else True when the planted draw is missed.
+
+    The trial draws sample_planted(spec.params, rng); an excluded trial stops
+    after the membership uniforms, before its graph is drawn.
+    """
     rng = seed.stream(trial, arm=Arm.PLANTED)
-    sample = sample_planted(spec.params, rng)
-    members = sample.members
+    members = _planted_members(spec.params, rng)
     if not spec.params.k_minus <= members.size <= spec.params.k_plus:
         return None
+    graph = sample_planted_fixed_community(members, spec.params, rng).graph
     # a scan is scored on the smallest k_minus members
     oracle = None if spec.scan is None else members[: spec.scan.k_minus]
-    return run_test(spec, sample.graph, oracle) == "null"
+    return run_test(spec, graph, oracle) == "null"
 
 
 def estimate_errors(spec: TestSpec, trials: int, seed: Seed | int) -> ErrorEstimate:

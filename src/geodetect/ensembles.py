@@ -17,16 +17,22 @@ from statistics import NormalDist
 import numpy as np
 
 from .graphs import (
+    Arm,
     Graph,
     ModelParams,
-    _bartlett_wishart,
+    Seed,
     _community_members,
+    _fixed_community_draws,
+    _fixed_community_edges,
+    _gram_draws,
     _tau,
-    _unit_gram,
+    _unit_gram_of,
     _upper_pairs,
+    _wishart_of,
     pair_index,
     symmetric_matrix,
 )
+from .stats import _signed_triangle_counts
 
 __all__ = [
     "EnsembleDraw",
@@ -37,8 +43,14 @@ __all__ = [
     "threshold_map_beta",
     "composite_planted_graph",
     "spectral_deviation",
+    "spectral_deviations",
+    "route_check",
     "lkj_log_kernel",
 ]
+
+# The most bytes each float64 array of a chunk of trials holds in
+# spectral_deviations and route_check: a chunk is as many trials as fit.
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -60,11 +72,24 @@ def sample_goe_shifted(n: int, d: float, rng: np.random.Generator) -> EnsembleDr
         raise ValueError(f"n must be >= 1, got {n}")
     if d <= 0:
         raise ValueError(f"d must be > 0, got {d}")
-    z = rng.standard_normal((n, n))
-    goe = (z + z.T) / math.sqrt(2.0)  # N(0,1) off-diagonal, N(0,2) diagonal
-    m = math.sqrt(d) * goe
-    m[np.diag_indices(n)] += d
-    return EnsembleDraw(matrix=m)
+    return EnsembleDraw(matrix=_goe_shifted(rng.standard_normal((n, n)), d))
+
+
+def _goe_shifted(z: np.ndarray, d: float) -> np.ndarray:
+    """d I + sqrt(d) GOE from n x n standard normals z, stacked over leading axes."""
+    m = z + z.swapaxes(-1, -2)
+    m /= math.sqrt(2.0)  # GOE: N(0,1) off-diagonal, N(0,2) diagonal
+    m *= math.sqrt(d)
+    idx = np.arange(z.shape[-1])
+    m[..., idx, idx] += d
+    return m
+
+
+def _check_order(k: int, d: int) -> tuple[int, int]:
+    k, d = int(k), int(d)
+    if k < 1 or d < 1:
+        raise ValueError(f"k and d must be >= 1, got k={k}, d={d}")
+    return k, d
 
 
 def sample_wishart(k: int, d: int, rng: np.random.Generator) -> EnsembleDraw:
@@ -73,13 +98,8 @@ def sample_wishart(k: int, d: int, rng: np.random.Generator) -> EnsembleDraw:
     For d >= k the exact Bartlett draw, at O(k^2) normals and no latents; only
     for d < k are the k x d latents drawn, and then they are kept.
     """
-    k, d = int(k), int(d)
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be >= 1, got k={k}, d={d}")
-    if d >= k:
-        return EnsembleDraw(matrix=_bartlett_wishart(k, d, rng))
-    z = rng.standard_normal((k, d))
-    return EnsembleDraw(matrix=z @ z.T, latents=z)
+    draws = _gram_draws(*_check_order(k, d), rng)
+    return EnsembleDraw(matrix=_wishart_of(draws), latents=draws[0] if len(draws) == 1 else None)
 
 
 def sample_spherical_wishart(k: int, d: int, rng: np.random.Generator) -> EnsembleDraw:
@@ -88,12 +108,16 @@ def sample_spherical_wishart(k: int, d: int, rng: np.random.Generator) -> Ensemb
     Follows the route rule of the graph samplers: the unit vectors are drawn,
     and kept as latents, only for d < k.
     """
-    k, d = int(k), int(d)
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be >= 1, got k={k}, d={d}")
-    gram, u = _unit_gram(k, d, rng)
-    np.fill_diagonal(gram, 1.0)
+    gram, u = _spherical_wishart_of(_gram_draws(*_check_order(k, d), rng))
     return EnsembleDraw(matrix=gram, latents=u)
+
+
+def _spherical_wishart_of(draws: tuple):
+    """(gram, latents) with the unit diagonal set exactly, stacked as _unit_gram_of."""
+    gram, u = _unit_gram_of(draws)
+    idx = np.arange(gram.shape[-1])
+    gram[..., idx, idx] = 1.0
+    return gram, u
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -110,30 +134,47 @@ def threshold_map_alpha(m, p: float, d: float) -> Graph:
     keeps full relative precision at small p, where 1 - p would round.
     """
     x = _as_matrix(m)
-    n = x.shape[0]
+    return Graph(x.shape[0], _alpha_edges(x, p, d))
+
+
+def _alpha_edges(x: np.ndarray, p: float, d: float) -> np.ndarray:
+    """threshold_map_alpha's edge fields of a stack of matrices, shape (..., pairs)."""
     if 0.0 < p < 1.0:
         z = -NormalDist().inv_cdf(p)
     else:  # the limits: every pair at p = 1, none at p = 0
         z = -math.inf if p >= 1.0 else math.inf
     cut = math.sqrt(d) * z
-    return Graph(n, x[_upper_pairs(n)] >= cut)
+    iu, ju = _upper_pairs(x.shape[-1])
+    return x[..., iu, ju] >= cut
 
 
 def threshold_map_beta(w, tau: float) -> Graph:
     """Normalized threshold X_ij / sqrt(X_ii X_jj) > tau; needs a positive diagonal."""
     x = _as_matrix(w)
-    n = x.shape[0]
-    diag = np.diag(x)
+    return Graph(x.shape[0], _beta_edges(x, tau))
+
+
+def _beta_edges(x: np.ndarray, tau: float) -> np.ndarray:
+    """threshold_map_beta's edge fields of a stack of matrices, shape (..., pairs).
+
+    Every matrix of the stack needs a positive diagonal; the error names an
+    entry of the first that has none.
+    """
+    n = x.shape[-1]
+    idx = np.arange(n)
+    diag = x[..., idx, idx]
     if np.any(diag <= 0):
-        bad = int(np.argmin(diag))
+        flat = diag.reshape(-1, n)
+        first = flat[int(np.argmax((flat <= 0).any(axis=-1)))]
+        bad = int(np.argmin(first))
         raise ValueError(
-            f"diagonal entry {bad} is {diag[bad]:.6g}; the normalized threshold "
+            f"diagonal entry {bad} is {first[bad]:.6g}; the normalized threshold "
             "map needs a strictly positive diagonal"
         )
     scale = np.sqrt(diag)
-    iu = _upper_pairs(n)
-    ratio = x[iu] / (scale[iu[0]] * scale[iu[1]])
-    return Graph(n, ratio > tau)
+    iu, ju = _upper_pairs(n)
+    ratio = x[..., iu, ju] / (scale[..., iu] * scale[..., ju])
+    return ratio > tau
 
 
 def composite_planted_graph(
@@ -145,28 +186,120 @@ def composite_planted_graph(
     normalized threshold applied inside S and the Gaussian threshold outside,
     has exactly the law of the planted model with community S.
     """
-    n = params.n
-    members = _community_members(community, n)
-    goe = sample_goe_shifted(n, params.d, rng)
-    edges_graph = threshold_map_alpha(goe, params.p, params.d)
-    edges = np.array(edges_graph.edges)  # writable copy
-    if members.size >= 2:
-        tau = _tau(params.p, params.d)
-        wish = sample_wishart(members.size, params.d, rng)
-        inner = threshold_map_beta(wish, tau)
+    members = _community_members(community, params.n)
+    draws = _composite_draws(members.size, params, rng)
+    return Graph(params.n, _composite_edges(members, params, draws))
+
+
+def _composite_draws(size: int, params: ModelParams, rng: np.random.Generator) -> tuple:
+    """The draws of one composite graph, in order: the shifted GOE's n x n
+    normals, then, for a community with a pair, the Wishart block's (see
+    graphs._gram_draws)."""
+    z = rng.standard_normal((params.n, params.n))
+    return (z, *(_gram_draws(size, params.d, rng) if size >= 2 else ()))
+
+
+def _composite_edges(members: np.ndarray, params: ModelParams, draws: tuple) -> np.ndarray:
+    """Edge fields of composite graphs from _composite_draws, stacked over any
+    leading axes: the Gaussian threshold of the shifted GOE, with the
+    normalized threshold of the Wishart block written over the community's
+    pairs."""
+    z, *block = draws
+    edges = _alpha_edges(_goe_shifted(z, params.d), params.p, params.d)
+    if block:
+        inner = _beta_edges(_wishart_of(tuple(block)), _tau(params.p, params.d))
         su, sv = _upper_pairs(members.size)
-        edges[pair_index(members[su], members[sv], n)] = inner.edges
-    return Graph(n, edges)
+        edges[..., pair_index(members[su], members[sv], params.n)] = inner
+    return edges
 
 
 def spectral_deviation(draw) -> float:
     """Operator norm of (Gram - identity) via the symmetric eigensolver."""
-    gram = _as_matrix(draw)
-    k = gram.shape[0]
+    return float(_deviations(_as_matrix(draw)))
+
+
+def _deviations(gram: np.ndarray) -> np.ndarray:
+    """spectral_deviation of each matrix of a stack, shape gram.shape[:-2]."""
+    k = gram.shape[-1]
     if k == 1:
-        return 0.0
+        return np.zeros(gram.shape[:-2])
     eig = np.linalg.eigvalsh(gram - np.eye(k))
-    return float(np.max(np.abs(eig)))
+    return np.abs(eig).max(axis=-1)
+
+
+def _chunks(trials: int, order: int):
+    """Ranges of consecutive trials: as many as keep one float64 order x order
+    matrix per trial within _CHUNK_BYTES, and at least one."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    size = max(1, _CHUNK_BYTES // (8 * order * order))
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
+
+
+def _stacked_draws(seed: Seed, arm: Arm, chunk: range, draw) -> tuple:
+    """draw(seed.stream(t, arm=arm)) for each trial t of the chunk in turn,
+    each part copied into a buffer with one row per trial."""
+    buffers = None
+    for row, t in enumerate(chunk):
+        parts = draw(seed.stream(t, arm=arm))
+        if buffers is None:
+            buffers = tuple(np.empty((len(chunk), *x.shape), x.dtype) for x in parts)
+        for buffer, x in zip(buffers, parts):
+            buffer[row] = x
+    return buffers
+
+
+def spectral_deviations(k: int, d: int, trials: int, seed: Seed) -> np.ndarray:
+    """Spectral deviation of trial t's spherical Wishart draw, for t < trials.
+
+    Entry t equals spectral_deviation(sample_spherical_wishart(k, d,
+    seed.stream(t, arm=Arm.WISHART))) exactly.  Each trial draws from its own
+    stream as that call does; each chunk of trials (see _chunks) is then
+    assembled and diagonalized in one stacked pass.
+    """
+    k, d = _check_order(k, d)
+    deviations = np.empty(trials)
+    for chunk in _chunks(trials, k):
+        draws = _stacked_draws(seed, Arm.WISHART, chunk, lambda rng: _gram_draws(k, d, rng))
+        deviations[chunk.start : chunk.stop] = _deviations(_spherical_wishart_of(draws)[0])
+    return deviations
+
+
+def route_check(community, params: ModelParams, trials: int, seed: Seed) -> dict:
+    """Edge marginals and signed-triangle means of the two planted routes.
+
+    Trial t draws composite_planted_graph(community, params,
+    seed.stream(t, arm=Arm.COMPOSITE)) and the direct
+    sample_planted_fixed_community(community, params,
+    seed.stream(t, arm=Arm.FIXED_COMMUNITY)) exactly.  Each trial draws from
+    its own streams as those calls do; each chunk of trials (see _chunks) is
+    then assembled, thresholded and counted in one stacked pass, and the
+    per-trial values are added in trial order.  Needs n >= 2.
+    """
+    n, p = params.n, params.p
+    if n < 2:
+        raise ValueError(f"the route check needs n >= 2 for a pair, got n = {n}")
+    members = _community_members(community, n)
+    m = n * (n - 1) // 2
+    edge_sums, tri_sums = [0.0, 0.0], [0.0, 0.0]
+    for chunk in _chunks(trials, n):
+        composite = _composite_edges(members, params, _stacked_draws(
+            seed, Arm.COMPOSITE, chunk, lambda rng: _composite_draws(members.size, params, rng)
+        ))
+        direct, _ = _fixed_community_edges(members, params, _stacked_draws(
+            seed, Arm.FIXED_COMMUNITY, chunk,
+            lambda rng: _fixed_community_draws(members.size, params, rng),
+        ))
+        for route, edges in enumerate((composite, direct)):
+            counts = edges.sum(axis=-1).tolist()
+            triangles = _signed_triangle_counts(symmetric_matrix(edges, n, np.float32), p)
+            for count, tri in zip(counts, triangles):
+                edge_sums[route] += count / m
+                tri_sums[route] += tri
+    return {
+        "edge_marginal": {"composite": edge_sums[0] / trials, "direct": edge_sums[1] / trials},
+        "f_tri_mean": {"composite": tri_sums[0] / trials, "direct": tri_sums[1] / trials},
+    }
 
 
 def lkj_log_kernel(y, k: int, d: int) -> float:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphere import sample_uniform_sphere, solve_threshold
+from .sphere import _normalise_rows, solve_threshold
 
 __all__ = [
     "ModelParams",
@@ -101,10 +101,16 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def symmetric_matrix(values, n: int, dtype=float) -> np.ndarray:
-    """n x n symmetric matrix carrying flat pair values off the diagonal, 0 on it."""
-    a = np.zeros((n, n), dtype=dtype)
-    a[_pair_order(n)[0]] = values
-    a += a.T  # the lower triangle is 0, so this mirrors the upper one
+    """n x n symmetric matrix carrying flat pair values off the diagonal, 0 on it.
+
+    values may carry leading axes, shape (..., n(n-1)/2); the result is then a
+    stack of matrices, shape (..., n, n).
+    """
+    a = np.zeros((*np.shape(values)[:-1], n, n), dtype=dtype)
+    # a mask of a's own shape fills in row-major order, matrix by matrix, and
+    # builds no index arrays
+    a[np.broadcast_to(_pair_order(n)[0], a.shape)] = np.ravel(values)
+    a += a.swapaxes(-1, -2)  # the lower triangle is 0, so this mirrors the upper one
     return a
 
 
@@ -326,13 +332,9 @@ def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
 def _unit_gram(s: int, d: int, rng: np.random.Generator, shape=(), pairs=None):
     """Gram matrices of s i.i.d. uniform unit vectors on S^{d-1}, batched over shape.
 
-    Returns (gram, latents) with shapes shape + (s, s) and shape + (s, d).  The
-    route rule is latents iff d < s: the latent route materializes the latents
-    only where the Bartlett decomposition does not exist.  For d >= s the
-    normalized W_ij / (sqrt(W_ii) sqrt(W_jj)) of a Bartlett Wishart draw (see
-    _bartlett_wishart) equals <Z_i, Z_j>/(|Z_i||Z_j|) in law, at O(s^2) draws
-    whatever d is; latents are None there.  Only off-diagonal entries are
-    meaningful.
+    Returns (gram, latents) with shapes shape + (s, s) and shape + (s, d), from
+    the draws of _gram_draws; latents are None on the Bartlett route (see
+    _unit_gram_of).  Only off-diagonal entries are meaningful.
 
     With pairs, a sequence of (i, j), gram is shape + (len(pairs),): the
     normalized inner products of those pairs only, from the same draws in the
@@ -340,18 +342,59 @@ def _unit_gram(s: int, d: int, rng: np.random.Generator, shape=(), pairs=None):
     Bartlett route computes them from the factor's entries (see
     _bartlett_cosines) and never assembles an s x s matrix.
     """
-    shape = tuple(shape)
-    if d < s:
-        u = sample_uniform_sphere(d, rng, size=(*shape, s))
-        gram = u @ u.swapaxes(-1, -2)
-        if pairs is not None:
-            rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-            gram = gram[..., rows, cols]
-        return gram, u
+    draws = _gram_draws(s, d, rng, tuple(shape))
+    if pairs is not None and d >= s:
+        return _bartlett_cosines(*draws, pairs), None
+    gram, latents = _unit_gram_of(draws)
     if pairs is not None:
-        return _bartlett_cosines(s, d, rng, shape, pairs), None
-    w = _bartlett_wishart(s, d, rng, shape)
+        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        gram = gram[..., rows, cols]
+    return gram, latents
+
+
+def _gram_draws(s: int, d: int, rng: np.random.Generator, shape=()) -> tuple:
+    """The draws behind Gram matrices of s vectors in dimension d, batched over shape.
+
+    The route rule is latents iff d < s: the latent route draws the
+    shape + (s, d) standard normal latents, (z,), only where the Bartlett
+    decomposition does not exist.  For d >= s it draws the Bartlett factor,
+    (diag, lower) (see _bartlett_factor), at O(s^2) draws whatever d is.
+    The arithmetic on them (_wishart_of, _unit_gram_of) runs on any stack of
+    such tuples over a leading axis, so draws from separate generators can be
+    stacked first.
+    """
+    if d < s:
+        return (rng.standard_normal((*shape, s, d)),)
+    return _bartlett_factor(s, d, rng, shape)
+
+
+def _wishart_of(draws: tuple) -> np.ndarray:
+    """Wishart(I_s, d) matrices from _gram_draws: Z Z^T of the latents, or the
+    Bartlett L L^T, which has the same law.  Shape (..., s, s)."""
+    if len(draws) == 1:
+        z = draws[0]
+        return z @ z.swapaxes(-1, -2)
+    diag, lower = draws
+    s = diag.shape[-1]
+    low = np.zeros((*diag.shape, s))
+    low[..., np.tri(s, k=-1, dtype=bool)] = lower  # a mask fills in row-major order
     idx = np.arange(s)
+    low[..., idx, idx] = diag
+    return low @ low.swapaxes(-1, -2)
+
+
+def _unit_gram_of(draws: tuple):
+    """(gram, latents) of uniform unit vectors from _gram_draws, shape (..., s, s).
+
+    The latent route normalizes the latents in place and keeps them.  The
+    Bartlett route normalizes W_ij / (sqrt(W_ii) sqrt(W_jj)) of the Wishart
+    draw, which equals <Z_i, Z_j>/(|Z_i||Z_j|) in law; its latents are None.
+    """
+    if len(draws) == 1:
+        u = _normalise_rows(draws[0])
+        return u @ u.swapaxes(-1, -2), u
+    w = _wishart_of(draws)
+    idx = np.arange(w.shape[-1])
     norms = np.sqrt(w[..., idx, idx])
     w /= norms[..., :, None] * norms[..., None, :]
     return w, None
@@ -366,38 +409,25 @@ def _bartlett_factor(s: int, d: int, rng: np.random.Generator, shape=()):
     shape + (s,) and shape + (s(s-1)/2,); L_ij for j < i is
     lower[..., i(i-1)/2 + j].
     """
-    diag = rng.chisquare(np.broadcast_to(d - np.arange(s), (*shape, s)))
+    df = d - np.arange(s)
+    diag = rng.chisquare(np.broadcast_to(df, (*shape, s)) if shape else df)
     np.sqrt(diag, out=diag)
     lower = rng.standard_normal((*shape, s * (s - 1) // 2))
     return diag, lower
 
 
-def _bartlett_wishart(s: int, d: int, rng: np.random.Generator, shape=()) -> np.ndarray:
-    """Wishart(I_s, d) draws W = L L^T from the Bartlett factor; needs d >= s.
+def _bartlett_cosines(diag: np.ndarray, lower: np.ndarray, pairs) -> np.ndarray:
+    """W_ij / (sqrt(W_ii) sqrt(W_jj)) of Bartlett factors (see _bartlett_factor), for the given pairs only.
 
-    W has exactly the law of Z Z^T for an s x d standard Gaussian Z, at O(s^2)
-    draws whatever d is (see _bartlett_factor).  Returns shape + (s, s).
+    Returns shape + (len(pairs),) for factors of shape + (s,).  Each W_ij = sum
+    of L_ik L_jk is accumulated over k <= min(i, j) in ascending k, and only
+    the diagonal entries the pairs touch are formed.  The arithmetic runs over
+    blocks of _COSINE_BLOCK samples in place on a few scratch arrays: at
+    lowdeg's chunk sizes, fresh pages for each temporary cost more than the
+    products themselves, and the block's scratch is all that is held beside
+    the factor and the output.
     """
-    diag, lower = _bartlett_factor(s, d, rng, shape)
-    low = np.zeros((*shape, s, s))
-    low[..., np.tri(s, k=-1, dtype=bool)] = lower  # a mask fills in row-major order
-    idx = np.arange(s)
-    low[..., idx, idx] = diag
-    return low @ low.swapaxes(-1, -2)
-
-
-def _bartlett_cosines(s: int, d: int, rng: np.random.Generator, shape, pairs) -> np.ndarray:
-    """W_ij / (sqrt(W_ii) sqrt(W_jj)) of one Bartlett draw per sample, for the given pairs only.
-
-    Returns shape + (len(pairs),).  Each W_ij = sum of L_ik L_jk is accumulated
-    over k <= min(i, j) in ascending k, and only the diagonal entries the
-    pairs touch are formed.  The whole factor is drawn first, then the
-    arithmetic runs over blocks of _COSINE_BLOCK samples in place on a few
-    scratch arrays: at lowdeg's chunk sizes, fresh pages for each temporary
-    cost more than the products themselves, and the block's scratch is all
-    that is held beside the factor and the output.
-    """
-    diag, lower = _bartlett_factor(s, d, rng, shape)
+    shape, s = diag.shape[:-1], diag.shape[-1]
     samples = math.prod(shape)
     diag, lower = diag.reshape(samples, s), lower.reshape(samples, s * (s - 1) // 2)
     out = np.empty((samples, len(pairs)))
@@ -458,22 +488,46 @@ def sample_planted_fixed_community(
     members = _community_members(community, n)
     mask = np.zeros(n, dtype=bool)
     mask[members] = True
-
-    edges = rng.random(n * (n - 1) // 2) < params.p
-    latents = None
-    if members.size >= 1:
-        tau = _tau(params.p, params.d)
-        gram, latents = _unit_gram(members.size, params.d, rng)
-        if members.size >= 2:
-            su, sv = np.triu_indices(members.size, k=1)
-            edges[pair_index(members[su], members[sv], n)] = gram[su, sv] >= tau
+    draws = _fixed_community_draws(members.size, params, rng)
+    edges, latents = _fixed_community_edges(members, params, draws)
     return PlantedSample(graph=Graph(n, edges), community=mask, latents=latents)
+
+
+def _fixed_community_draws(size: int, params: ModelParams, rng: np.random.Generator) -> tuple:
+    """The draws of one fixed-community graph, in order: the n(n-1)/2 edge
+    coins (a uniform below p), then, for a community of at least one member,
+    its Gram draws (see _gram_draws).  The coins are compared as they are
+    drawn, so that the uniforms are not held."""
+    coins = rng.random(params.n * (params.n - 1) // 2) < params.p
+    return (coins, *(_gram_draws(size, params.d, rng) if size >= 1 else ()))
+
+
+def _fixed_community_edges(members: np.ndarray, params: ModelParams, draws: tuple):
+    """(edges, latents) of fixed-community graphs from _fixed_community_draws,
+    stacked over any leading axes: an edge is its coin, except inside the
+    community, where it is a normalized inner product of at least tau.  The
+    coins are overwritten in place."""
+    edges, *gram_draws = draws
+    latents = None
+    if gram_draws:
+        tau = _tau(params.p, params.d)
+        gram, latents = _unit_gram_of(tuple(gram_draws))
+        if members.size >= 2:
+            # not _upper_pairs: its cache would hold one entry per community size
+            su, sv = np.triu_indices(members.size, k=1)
+            edges[..., pair_index(members[su], members[sv], params.n)] = gram[..., su, sv] >= tau
+    return edges, latents
+
+
+def _planted_members(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """The vertices of a planted community, ascending: each joins independently
+    with probability k/n, decided by the draw's first n uniforms."""
+    return np.flatnonzero(rng.random(params.n) < params.k / params.n)
 
 
 def sample_planted(params: ModelParams, rng: np.random.Generator) -> PlantedSample:
     """Planted model draw: Bernoulli(k/n) membership, then the fixed-community rule."""
-    mask = rng.random(params.n) < params.k / params.n
-    return sample_planted_fixed_community(np.flatnonzero(mask), params, rng)
+    return sample_planted_fixed_community(_planted_members(params, rng), params, rng)
 
 
 def sample_planted_fixed_size(

@@ -59,7 +59,7 @@ _NEWTON_MAX_STEPS = 200
 _HALF_RATIO_SERIES = (
     -1.0 / 8.0, 1.0 / 192.0, -1.0 / 640.0, 17.0 / 14336.0, -31.0 / 18432.0, 691.0 / 180224.0
 )
-_NORM_BLOCK_ELEMENTS = 1_000_000  # per row block of sample_uniform_sphere
+_NORM_BLOCK_ELEMENTS = 1_000_000  # per row block of _normalise_rows
 
 
 class QuadratureWarning(UserWarning):
@@ -433,9 +433,17 @@ def sample_uniform_sphere(d: int, rng: np.random.Generator, size: int | tuple):
     d = int(d)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    z = rng.standard_normal((*np.atleast_1d(size), d))
-    # normalise in row blocks: each row reduces on its own, so the result is
-    # the same, but the squared-entry temporary stays near _NORM_BLOCK_ELEMENTS
+    return _normalise_rows(rng.standard_normal((*np.atleast_1d(size), d)))
+
+
+def _normalise_rows(z: np.ndarray) -> np.ndarray:
+    """Divides each vector along z's last axis by its Euclidean norm, in place.
+
+    z must be C-contiguous, so that its rows are a view.  Works in row blocks: each row reduces on its own, so the result is the
+    same for any stack of rows, but the squared-entry temporary stays near
+    _NORM_BLOCK_ELEMENTS.  Returns z.
+    """
+    d = z.shape[-1]
     rows = z.reshape(-1, d)
     step = max(1, _NORM_BLOCK_ELEMENTS // d)
     for start in range(0, rows.shape[0], step):

@@ -70,26 +70,38 @@ def _triangle_sum(a: np.ndarray):
 def signed_triangle_count(graph: Graph, p: float) -> float:
     """Global signed triangle count, sum over i < j < l of (G_ij-p)(G_jl-p)(G_il-p).
 
+    The count of _signed_triangle_counts on a stack of one adjacency.
+    """
+    return _signed_triangle_counts(graph.adjacency_matrix(np.float32)[None], p)[0]
+
+
+def _signed_triangle_counts(adjacency: np.ndarray, p: float) -> list[float]:
+    """signed_triangle_count of each float32 0/1 adjacency of a (B, n, n) stack.
+
     Expanding the product gives S = T - p W + p^2 (n-2) E - p^3 C(n, 3) in
     integer counts: triangles T, wedges W = sum_i C(deg_i, 2) and edges E.
     T = Tr(G^3)/6 comes from one float32 product of the 0/1 adjacency G.  Its
     entries and partial sums are integers below n < 2^24, so the product is
-    exact in any BLAS order; the float64 sums are exact while n^3 < 2^53.
-    With p = a/b exactly, S is one int / int, which Python rounds correctly:
-    the result is the float nearest the exact value.
+    exact in any BLAS order and for any stack; the float64 sums are exact
+    while n^3 < 2^53.  With p = a/b exactly, S is one int / int, which Python
+    rounds correctly: the result is the float nearest the exact value.
     """
-    n = graph.n
-    g = graph.adjacency_matrix(np.float32)
-    walks = g @ g
-    deg = walks.diagonal().astype(np.float64)  # (G^2)_ii = deg_i
-    walks *= g  # 6 T = sum of (G^2 o G)
-    t = int(walks.sum(dtype=np.float64)) // 6
-    two_e = int(deg.sum())
-    w = (int(deg @ deg) - two_e) // 2  # sum of deg_i (deg_i - 1) / 2
-    e = two_e // 2
+    n = adjacency.shape[-1]
+    walks = adjacency @ adjacency
+    deg = np.diagonal(walks, axis1=-2, axis2=-1).astype(np.float64)  # (G^2)_ii = deg_i
+    walks *= adjacency  # 6 T = sum of (G^2 o G)
+    six_t = walks.sum(axis=(-2, -1), dtype=np.float64)
+    two_e = deg.sum(axis=-1)
+    deg_sq = (deg * deg).sum(axis=-1)
     a, b = float(p).as_integer_ratio()
-    num = ((t * b - w * a) * b + (n - 2) * e * a * a) * b - math.comb(n, 3) * a**3
-    return num / b**3
+    counts = []
+    for six_t_i, two_e_i, deg_sq_i in zip(six_t.tolist(), two_e.tolist(), deg_sq.tolist()):
+        t, two_e_i = int(six_t_i) // 6, int(two_e_i)
+        w = (int(deg_sq_i) - two_e_i) // 2  # sum of deg_i (deg_i - 1) / 2
+        e = two_e_i // 2
+        num = ((t * b - w * a) * b + (n - 2) * e * a * a) * b - math.comb(n, 3) * a**3
+        counts.append(num / b**3)
+    return counts
 
 
 def _prefix_blocks(n: int, size: int):

@@ -8,7 +8,21 @@ import mpmath
 import numpy as np
 from scipy.special import betainc
 
-from geodetect.graphs import Arm, _unit_gram
+from geodetect import __version__
+from geodetect.detection import run_test
+from geodetect.ensembles import (
+    composite_planted_graph,
+    sample_spherical_wishart,
+    spectral_deviation,
+)
+from geodetect.graphs import (
+    Arm,
+    ModelParams,
+    Seed,
+    _unit_gram,
+    sample_planted,
+    sample_planted_fixed_community,
+)
 from geodetect.lowdeg import enumerate_graphs_upto
 from geodetect.sphere import (
     _check_dimension,
@@ -16,7 +30,7 @@ from geodetect.sphere import (
     sample_uniform_sphere,
     solve_threshold,
 )
-from geodetect.stats import _triangle_sum, centered_adjacency
+from geodetect.stats import _triangle_sum, centered_adjacency, signed_triangle_count
 
 
 def inner_product_tail_betainc(t: float, d: int) -> float:
@@ -391,3 +405,63 @@ def advantage_by_sample_products(params, v_max: int, degree_cap: int, trials: in
     g = count * phi
     error = math.sqrt(4 * g @ sigma @ g + 2 * count @ sigma**2 @ count)
     return value, error, phi
+
+
+def planted_trial_full_draw(spec, seed, trial: int):
+    """detection._planted_trial that draws the whole planted graph before it
+    checks the community size: None when the size is outside [k_minus,
+    k_plus], else True when the planted draw is missed."""
+    sample = sample_planted(spec.params, seed.stream(trial, arm=Arm.PLANTED))
+    members = sample.members
+    if not spec.params.k_minus <= members.size <= spec.params.k_plus:
+        return None
+    oracle = None if spec.scan is None else members[: spec.scan.k_minus]
+    return run_test(spec, sample.graph, oracle) == "null"
+
+
+def wishart_report_per_trial(k, d, trials, seed, n=None, community_size=None, p=0.5) -> dict:
+    """The `wishart` report, one trial and one per-draw call at a time.
+
+    The arguments are the [wishart] keys and the master seed; the result is the
+    report dict the command writes.  Every draw is a public per-draw function
+    on its own stream, and the route sums are added trial by trial.
+    """
+    seed = Seed(seed)
+    deviations = [
+        spectral_deviation(sample_spherical_wishart(k, d, seed.stream(t, arm=Arm.WISHART)))
+        for t in range(trials)
+    ]
+    ref = math.sqrt(k / d)
+    spectral = {
+        "k": k, "d": d, "draws": trials,
+        "mean_deviation": float(np.mean(deviations)),
+        "q99": float(np.quantile(deviations, 0.99)),
+        "sqrt_k_over_d": ref,
+        "within_10x_fraction": float(np.mean(np.asarray(deviations) <= 10 * ref)),
+    }
+    k1 = spectral_deviation(sample_spherical_wishart(1, d, seed.stream(0, arm=Arm.WISHART_K1)))
+
+    route = None
+    if n is not None:
+        size = n // 2 if community_size is None else community_size
+        params = ModelParams(n=n, p=p, d=d, k=max(size, 1))
+        community = np.arange(size)
+        comp_edges, comp_tri, dir_edges, dir_tri = 0.0, 0.0, 0.0, 0.0
+        m = n * (n - 1) // 2
+        for t in range(trials):
+            g1 = composite_planted_graph(community, params, seed.stream(t, arm=Arm.COMPOSITE))
+            comp_edges += g1.edge_count / m
+            comp_tri += signed_triangle_count(g1, params.p)
+            rng = seed.stream(t, arm=Arm.FIXED_COMMUNITY)
+            s2 = sample_planted_fixed_community(community, params, rng)
+            dir_edges += s2.graph.edge_count / m
+            dir_tri += signed_triangle_count(s2.graph, params.p)
+        route = {
+            "n": n, "community_size": size, "p": params.p, "d": d, "trials": trials,
+            "edge_marginal": {"composite": comp_edges / trials, "direct": dir_edges / trials},
+            "f_tri_mean": {"composite": comp_tri / trials, "direct": dir_tri / trials},
+        }
+    return {
+        "version": __version__, "seed": seed.master,
+        "spectral": spectral, "k1_deviation": k1, "route_check": route,
+    }

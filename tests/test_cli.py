@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import geodetect
+from geodetect import ensembles
 from geodetect.cli import main
 from geodetect.graphs import Graph
+from oracles import wishart_report_per_trial
 
 
 def read_rows(path):
@@ -406,6 +408,10 @@ class TestConfigValidation:
                 "wishart", "[wishart]\nk = 4\nd = 2\ntrials = 5\nn = 10\n", id="wishart-route-d"
             ),
             pytest.param("wishart", "[wishart]\nk = four\n", id="wishart-non-numeric"),
+            pytest.param(  # one vertex has no pair, so no edge marginal
+                "wishart", "[wishart]\nk = 3\nd = 10\nn = 1\np = 0.3\ntrials = 5\n",
+                id="wishart-n-1",
+            ),
             pytest.param("test", BASE_CONFIG.replace("d = 8", "d = 0"), id="model-d"),
             pytest.param("lowdeg", LOWDEG_CONFIG.replace("d = 8", "d = 0"), id="lowdeg-model-d"),
             pytest.param("test", BASE_CONFIG.replace("p = 0.5", "p = x"), id="model-non-numeric"),
@@ -651,6 +657,51 @@ class TestWishartCommand:
         route = out["route_check"]
         assert abs(route["edge_marginal"]["composite"] - 0.5) <= 0.05
         assert abs(route["edge_marginal"]["direct"] - 0.5) <= 0.05
+
+
+def _chunk_trials(order: int) -> int:
+    """Trials in one chunk of ensembles' loops over order x order draws."""
+    return ensembles._CHUNK_BYTES // (8 * order * order)
+
+
+# (k, d, n, community_size, p): both spectral routes (d >= k, d < k) and both
+# Wishart-block routes (d >= size, d < size), at n = k = 64 for short chunks
+_CHUNK_EDGES = [(64, 80, 64, 32, 0.3), (64, 40, 64, 48, 0.3)]
+
+
+class TestWishartChunkedReport:
+    """The report equals the trial-by-trial per-draw loop byte for byte."""
+
+    @staticmethod
+    def check(tmp_path, seed, k, d, trials, **route):
+        cfg = tmp_path / "cfg.ini"
+        keys = {"k": k, "d": d, "trials": trials, **route}
+        cfg.write_text("[wishart]\n" + "".join(f"{key} = {v}\n" for key, v in keys.items()))
+        out = tmp_path / "report.json"
+        assert main(["wishart", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+        report = wishart_report_per_trial(k, d, trials, seed, **route)
+        assert out.read_text() == json.dumps(report, indent=2) + "\n"
+
+    def test_chunks_are_short_at_order_64(self):
+        assert _chunk_trials(64) == 8
+
+    @pytest.mark.parametrize("k, d, n, size, p", _CHUNK_EDGES, ids=["bartlett", "latent"])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["one", "chunk-1", "chunk", "chunk+1"])
+    def test_trials_across_a_chunk_edge(self, tmp_path, k, d, n, size, p, offset):
+        trials = 1 if offset is None else _chunk_trials(n) + offset
+        self.check(tmp_path, 11, k, d, trials, n=n, community_size=size, p=p)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 12, None])
+    def test_community_sizes(self, tmp_path, size):
+        route = {"n": 12, "p": 0.3} | ({} if size is None else {"community_size": size})
+        self.check(tmp_path, 1001, 5, 50, 30, **route)
+
+    def test_density_one(self, tmp_path):
+        self.check(tmp_path, 5, 5, 50, 30, n=12, community_size=12, p=1.0)
+
+    def test_without_route_check(self, tmp_path):
+        self.check(tmp_path, 5, 25, 10, 40)
+        self.check(tmp_path, 5, 6, 300, 40)
 
 
 class TestSampleCommand:

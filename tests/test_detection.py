@@ -7,6 +7,7 @@ import pytest
 
 from geodetect.detection import (
     TestSpec,
+    _planted_trial,
     calibrate_cycle_constant,
     constraint_params,
     cycle_test_snr,
@@ -15,9 +16,18 @@ from geodetect.detection import (
     run_test,
     statistic_value,
 )
-from geodetect.graphs import Graph, ModelParams, Seed, pair_index, sample_null, sample_planted
+from geodetect.graphs import (
+    Arm,
+    Graph,
+    ModelParams,
+    Seed,
+    pair_index,
+    sample_null,
+    sample_planted,
+)
 from geodetect.sphere import signed_cycle_expectation
 from geodetect.stats import ScanConfig, wedge_sums
+from oracles import planted_trial_full_draw
 
 
 def gamma_tri(params):
@@ -181,6 +191,58 @@ class TestEstimateErrors:
         spec = make_test_spec("global-triangle", ModelParams(n=60, p=0.5, d=8, k=30))
         est = estimate_errors(spec, 300, Seed(12))
         assert 0 < est.excluded < 300
+
+    def test_excluded_trial_stops_after_the_membership_draw(self, monkeypatch):
+        # an excluded trial draws its n membership uniforms and no graph
+        import geodetect.detection as detection_mod
+
+        params = ModelParams(n=60, p=0.5, d=8, k=30)
+        spec = make_test_spec("global-triangle", params)
+        made = []
+
+        class RecordingSeed(Seed):
+            def stream(self, trial, arm=0):
+                made.append(super().stream(trial, arm))
+                return made[-1]
+
+        class Kept(Exception):
+            pass
+
+        def kept(*args):
+            raise Kept
+
+        seed = RecordingSeed(12)
+        monkeypatch.setattr(detection_mod, "sample_planted_fixed_community", kept)
+        excluded = 0
+        for t in range(40):
+            try:
+                outcome = _planted_trial(spec, seed, t)
+            except Kept:
+                continue
+            assert outcome is None
+            reference = Seed(12).stream(t, arm=Arm.PLANTED)
+            reference.random(params.n)
+            assert made[-1].bit_generator.state == reference.bit_generator.state
+            excluded += 1
+        assert 0 < excluded < 40
+
+    @pytest.mark.parametrize(
+        "kind, n, p, d, k",
+        [
+            ("global-triangle", 60, 0.5, 8, 30),
+            ("global-triangle", 40, 0.3, 64, 12),
+            ("scan", 20, 0.5, 4, 10),
+            ("cycle", 30, 0.4, 16, 15),
+        ],
+    )
+    def test_planted_outcomes_equal_the_full_draw(self, kind, n, p, d, k):
+        params = ModelParams(n=n, p=p, d=d, k=k)
+        extra = {"ell": 4} if kind == "cycle" else {}
+        spec = make_test_spec(kind, params, **extra)
+        seed = Seed(21)
+        outcomes = [_planted_trial(spec, seed, t) for t in range(40)]
+        assert outcomes == [planted_trial_full_draw(spec, seed, t) for t in range(40)]
+        assert None in outcomes and set(outcomes) - {None}
 
     def test_scan_oracle_uses_community_prefix(self):
         params = ModelParams(n=18, p=0.5, d=4, k=12)

@@ -8,6 +8,9 @@ import pytest
 from scipy.special import gammaln, ndtr
 from scipy.stats import kstest
 
+from geodetect import ensembles as ensembles_mod
+from geodetect import graphs as graphs_mod
+from geodetect import stats as stats_mod
 from geodetect.ensembles import (
     composite_planted_graph,
     lkj_log_kernel,
@@ -18,6 +21,7 @@ from geodetect.ensembles import (
     threshold_map_beta,
 )
 from geodetect.graphs import (
+    Arm,
     ModelParams,
     Seed,
     sample_planted_fixed_community,
@@ -361,3 +365,122 @@ class TestLkjKernel:
         kern = np.array([math.exp(lkj_log_kernel([y], 2, d)) for y in centers[keep]])
         ratio = dens / kern
         assert ratio.max() / ratio.min() <= 1.2  # constant within ~10% per side
+
+
+def _stack(draw, streams):
+    """draw(rng) of each stream, each part stacked over a leading axis."""
+    return tuple(np.stack(parts) for parts in zip(*(draw(rng) for rng in streams)))
+
+
+class TestStackedArithmetic:
+    """Each per-draw function equals its stacked form, item by item, with ==."""
+
+    TRIALS = 6
+
+    def streams(self, arm=0):
+        return [Seed(71).stream(t, arm=arm) for t in range(self.TRIALS)]
+
+    @pytest.mark.parametrize("k, d", [(7, 40), (7, 7), (7, 4), (1, 5)], ids=["bartlett", "k=d", "latent", "k=1"])
+    def test_wisharts_and_deviations(self, k, d):
+        spherical = _stack(lambda rng: graphs_mod._gram_draws(k, d, rng), self.streams())
+        gram, latents = ensembles_mod._spherical_wishart_of(spherical)
+        deviations = ensembles_mod._deviations(gram)
+        wishart = ensembles_mod._wishart_of(
+            _stack(lambda rng: graphs_mod._gram_draws(k, d, rng), self.streams(1))
+        )
+        for t, (rng, rng1) in enumerate(zip(self.streams(), self.streams(1))):
+            one = sample_spherical_wishart(k, d, rng)
+            assert np.array_equal(gram[t], one.matrix)
+            assert (one.latents is None) == (latents is None) == (d >= k)
+            if latents is not None:
+                assert np.array_equal(latents[t], one.latents)
+            assert deviations[t] == ensembles_mod.spectral_deviation(one)
+            assert np.array_equal(wishart[t], sample_wishart(k, d, rng1).matrix)
+
+    def test_goe_and_threshold_maps(self):
+        n, d = 9, 16
+        z = np.stack([rng.standard_normal((n, n)) for rng in self.streams()])
+        goe = ensembles_mod._goe_shifted(z, d)
+        wish = ensembles_mod._wishart_of(
+            _stack(lambda rng: graphs_mod._gram_draws(n, d, rng), self.streams(1))
+        )
+        for p in (0.0, 0.3, 1.0, 1.5):
+            alpha = ensembles_mod._alpha_edges(goe, p, d)
+            for t, rng in enumerate(self.streams()):
+                one = sample_goe_shifted(n, d, rng).matrix
+                assert np.array_equal(goe[t], one)
+                assert np.array_equal(alpha[t], threshold_map_alpha(one, p, d).edges)
+        beta = ensembles_mod._beta_edges(wish, 0.1)
+        for t in range(self.TRIALS):
+            assert np.array_equal(beta[t], threshold_map_beta(wish[t], 0.1).edges)
+
+    def test_beta_checks_every_diagonal_of_the_stack(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, -2.0, 0.5]), np.diag([0.0, 1.0, 1.0])])
+        with pytest.raises(ValueError, match="diagonal entry 1 is -2;"):
+            ensembles_mod._beta_edges(stack, 0.1)
+        with pytest.raises(ValueError, match="diagonal entry 1 is -2;"):
+            threshold_map_beta(stack[1], 0.1)
+
+    @pytest.mark.parametrize(
+        "n, members, p, d",
+        [
+            (12, [], 0.4, 8),
+            (12, [5], 0.4, 8),
+            (12, [2, 9], 0.4, 8),
+            (12, range(12), 1.0, 8),
+            (14, [0, 3, 4, 8, 13], 0.3, 16),  # Bartlett block
+            (14, range(1, 12), 0.3, 6),  # latent block
+        ],
+    )
+    def test_planted_routes_and_triangle_counts(self, n, members, p, d):
+        members = np.asarray(list(members), dtype=int)
+        params = ModelParams(n=n, p=p, d=d, k=max(members.size, 1))
+        composite = ensembles_mod._composite_edges(members, params, _stack(
+            lambda rng: ensembles_mod._composite_draws(members.size, params, rng),
+            self.streams(),
+        ))
+        direct, latents = graphs_mod._fixed_community_edges(members, params, _stack(
+            lambda rng: graphs_mod._fixed_community_draws(members.size, params, rng),
+            self.streams(1),
+        ))
+        tri = {
+            route: stats_mod._signed_triangle_counts(
+                graphs_mod.symmetric_matrix(edges, n, np.float32), p
+            )
+            for route, edges in (("composite", composite), ("direct", direct))
+        }
+        for t, (rng, rng1) in enumerate(zip(self.streams(), self.streams(1))):
+            g1 = composite_planted_graph(members, params, rng)
+            s2 = sample_planted_fixed_community(members, params, rng1)
+            assert np.array_equal(composite[t], g1.edges)
+            assert np.array_equal(direct[t], s2.graph.edges)
+            assert (latents is None) == (s2.latents is None)
+            if latents is not None:
+                assert np.array_equal(latents[t], s2.latents)
+            assert tri["composite"][t] == signed_triangle_count(g1, p)
+            assert tri["direct"][t] == signed_triangle_count(s2.graph, p)
+
+    def test_chunked_loops_equal_the_per_draw_functions(self, monkeypatch):
+        # a budget of three 8 x 8 matrices: chunks of 3 trials, the last one short
+        monkeypatch.setattr(ensembles_mod, "_CHUNK_BYTES", 3 * 8 * 64)
+        seed, trials = Seed(72), 8
+        assert [len(c) for c in ensembles_mod._chunks(trials, 8)] == [3, 3, 2]
+        for d in (20, 5):  # the Bartlett and the latent route
+            deviations = ensembles_mod.spectral_deviations(8, d, trials, seed)
+            assert deviations.tolist() == [
+                ensembles_mod.spectral_deviation(
+                    sample_spherical_wishart(8, d, seed.stream(t, arm=Arm.WISHART))
+                )
+                for t in range(trials)
+            ]
+
+    def test_route_check_refuses_what_the_samplers_refuse(self):
+        params = ModelParams(n=6, p=0.3, d=8, k=3)
+        with pytest.raises(ValueError, match=r"\[0, n\)"):
+            ensembles_mod.route_check([0, 6], params, 4, Seed(1))
+        with pytest.raises(ValueError, match="n >= 2"):
+            ensembles_mod.route_check([], ModelParams(n=1, p=0.3, d=8, k=1), 4, Seed(1))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            ensembles_mod.route_check([0, 1], params, 0, Seed(1))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            ensembles_mod.spectral_deviations(3, 5, 0, Seed(1))
