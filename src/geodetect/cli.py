@@ -125,7 +125,8 @@ _SCHEMA = {
     },
     "wishart": {
         "k": (_integer(1), 20), "d": (_integer(1), 2000), "trials": (_integer(1), 200),
-        "n": (_integer(2), None), "community_size": (_integer(0), None), "p": (_real(), 0.5),
+        # community_size and p are read only with n: n // 2 and 0.5 when n is set alone
+        "n": (_integer(2), None), "community_size": (_integer(0), None), "p": (_real(), None),
     },
 }
 
@@ -401,11 +402,16 @@ def cmd_wishart(args) -> int:
     cfg = load_config(args.config)
     section = _settings(cfg, "wishart", args, "trials")
     k, d, trials, n = section["k"], section["d"], section["trials"], section["n"]
-    if n is not None:
+    if n is None:
+        unread = [key for key in ("community_size", "p") if section[key] is not None]
+        if unread:
+            raise ConfigError(f"[wishart] {' and '.join(unread)} set without n, which reads them")
+    else:
         size = n // 2 if section["community_size"] is None else section["community_size"]
         if size > n:
             raise ConfigError(f"[wishart] community_size = {size} exceeds n = {n}")
-        params = _model("wishart", n=n, p=section["p"], d=d, k=max(size, 1))
+        p = 0.5 if section["p"] is None else section["p"]
+        params = _model("wishart", n=n, p=p, d=d, k=max(size, 1))
     seed, out = _json_run(cfg, args, "wishart")
 
     deviations = spectral_deviations(k, d, trials, seed)

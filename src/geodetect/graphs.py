@@ -232,17 +232,9 @@ class PlantedSample:
     def members(self) -> np.ndarray:
         return np.flatnonzero(self.community)
 
-    def latent_of(self, vertex: int) -> np.ndarray:
-        if self.latents is None:
-            raise ValueError("latents were not materialized for this sample")
-        if not self.community[vertex]:
-            raise KeyError(f"vertex {vertex} is not in the community")
-        row = int(np.searchsorted(self.members, vertex))
-        return self.latents[row]
-
 
 _WORD = 2**32
-_COSINE_BLOCK = 4096  # samples per block of _bartlett_cosines' arithmetic
+_COSINE_BLOCK = 4096  # samples per block of _pair_cosines' Bartlett arithmetic
 
 
 @unique
@@ -268,32 +260,22 @@ class Arm(IntEnum):
 class Seed:
     """Master seed with a stable per-trial stream derivation rule.
 
-    Identical (master, key, arm, trial) always yields a bit-identical sample
+    Identical (master, arm, trial) always yields a bit-identical sample
     within this implementation, no matter how trials are scheduled, and two
-    different tuples never share entropy.  master lies in [0, 2**64); arm,
-    trial and the spawn-key entries lie in [0, 2**32).  key is the
-    SeedSequence spawn key of a child seed (see spawn); a top-level seed has
-    the empty key.
+    different tuples never share entropy.  master lies in [0, 2**64); arm
+    and trial lie in [0, 2**32).
     """
 
     master: int
-    key: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not 0 <= self.master < 2**64:
             raise ValueError(f"master seed must lie in [0, 2**64), got {self.master}")
-        _check_word("spawn key entry", *self.key)
-
-    def spawn(self, child: int) -> Seed:
-        """Child seed with spawn key key + (child,).
-
-        Its streams differ from its parent's and from every other child's.
-        """
-        return Seed(self.master, (*self.key, int(child)))
 
     def stream(self, trial: int, arm: int = 0) -> np.random.Generator:
         master, arm, trial = int(self.master), int(arm), int(trial)
-        _check_word("arm and trial", arm, trial)
+        if not (0 <= arm < _WORD and 0 <= trial < _WORD):
+            raise ValueError(f"arm and trial must lie in [0, 2**32), got {(arm, trial)}")
         # SeedSequence turns the list into 32-bit words, splitting an int >=
         # 2**32 in two, and pads fewer than four words with zeros: a one-word
         # master reads as (master, arm, trial, 0).  A two-word master goes
@@ -302,12 +284,7 @@ class Seed:
             entropy = [master, arm, trial]
         else:
             entropy = [arm, trial, master % _WORD, master // _WORD]
-        return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=self.key))
-
-
-def _check_word(what: str, *values):
-    if not all(0 <= v < _WORD for v in values):
-        raise ValueError(f"{what} must lie in [0, 2**32), got {values}")
+        return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _tau(p: float, d: int) -> float:
@@ -329,29 +306,6 @@ def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph(n, rng.random(m) < p)
 
 
-def _unit_gram(s: int, d: int, rng: np.random.Generator, shape=(), pairs=None):
-    """Gram matrices of s i.i.d. uniform unit vectors on S^{d-1}, batched over shape.
-
-    Returns (gram, latents) with shapes shape + (s, s) and shape + (s, d), from
-    the draws of _gram_draws; latents are None on the Bartlett route (see
-    _unit_gram_of).  Only off-diagonal entries are meaningful.
-
-    With pairs, a sequence of (i, j), gram is shape + (len(pairs),): the
-    normalized inner products of those pairs only, from the same draws in the
-    same order.  The latent route gathers them from the dense Gram; the
-    Bartlett route computes them from the factor's entries (see
-    _bartlett_cosines) and never assembles an s x s matrix.
-    """
-    draws = _gram_draws(s, d, rng, tuple(shape))
-    if pairs is not None and d >= s:
-        return _bartlett_cosines(*draws, pairs), None
-    gram, latents = _unit_gram_of(draws)
-    if pairs is not None:
-        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        gram = gram[..., rows, cols]
-    return gram, latents
-
-
 def _gram_draws(s: int, d: int, rng: np.random.Generator, shape=()) -> tuple:
     """The draws behind Gram matrices of s vectors in dimension d, batched over shape.
 
@@ -359,9 +313,9 @@ def _gram_draws(s: int, d: int, rng: np.random.Generator, shape=()) -> tuple:
     shape + (s, d) standard normal latents, (z,), only where the Bartlett
     decomposition does not exist.  For d >= s it draws the Bartlett factor,
     (diag, lower) (see _bartlett_factor), at O(s^2) draws whatever d is.
-    The arithmetic on them (_wishart_of, _unit_gram_of) runs on any stack of
-    such tuples over a leading axis, so draws from separate generators can be
-    stacked first.
+    The arithmetic on them (_wishart_of, _unit_gram_of, _pair_cosines) runs
+    on any stack of such tuples over a leading axis, so draws from separate
+    generators can be stacked first.
     """
     if d < s:
         return (rng.standard_normal((*shape, s, d)),)
@@ -416,18 +370,25 @@ def _bartlett_factor(s: int, d: int, rng: np.random.Generator, shape=()):
     return diag, lower
 
 
-def _bartlett_cosines(diag: np.ndarray, lower: np.ndarray, pairs) -> np.ndarray:
-    """W_ij / (sqrt(W_ii) sqrt(W_jj)) of Bartlett factors (see _bartlett_factor), for the given pairs only.
+def _pair_cosines(draws: tuple) -> np.ndarray:
+    """Normalized inner products of every pair i < j from _gram_draws, in
+    _upper_pairs order, shape (..., s(s-1)/2).
 
-    Returns shape + (len(pairs),) for factors of shape + (s,).  Each W_ij = sum
-    of L_ik L_jk is accumulated over k <= min(i, j) in ascending k, and only
-    the diagonal entries the pairs touch are formed.  The arithmetic runs over
-    blocks of _COSINE_BLOCK samples in place on a few scratch arrays: at
-    lowdeg's chunk sizes, fresh pages for each temporary cost more than the
-    products themselves, and the block's scratch is all that is held beside
-    the factor and the output.
+    The latent route gathers them from the dense Gram of _unit_gram_of.  The
+    Bartlett route forms W_ij / (sqrt(W_ii) sqrt(W_jj)) from the factor's
+    entries (see _bartlett_factor) and never assembles an s x s matrix: each
+    W_ij = sum of L_ik L_jk is accumulated over k <= min(i, j) in ascending
+    k.  Its arithmetic runs over blocks of _COSINE_BLOCK samples in place on
+    a few scratch arrays: at lowdeg's chunk sizes, fresh pages for each
+    temporary cost more than the products themselves, and the block's
+    scratch is all that is held beside the factor and the output.
     """
+    if len(draws) == 1:
+        rows, cols = _upper_pairs(draws[0].shape[-2])
+        return _unit_gram_of(draws)[0][..., rows, cols]
+    diag, lower = draws
     shape, s = diag.shape[:-1], diag.shape[-1]
+    pairs = list(zip(*(x.tolist() for x in _upper_pairs(s))))
     samples = math.prod(shape)
     diag, lower = diag.reshape(samples, s), lower.reshape(samples, s * (s - 1) // 2)
     out = np.empty((samples, len(pairs)))
@@ -446,10 +407,10 @@ def _bartlett_cosines(diag: np.ndarray, lower: np.ndarray, pairs) -> np.ndarray:
                 out += np.multiply(entry(i, k), entry(j, k), out=tmp)
             return out
 
-        norms = {}
-        for x in {x for pair in pairs for x in pair}:
+        norms = []
+        for x in range(s):
             w = inner(x, x, np.empty_like(acc))
-            norms[x] = np.sqrt(w, out=w)
+            norms.append(np.sqrt(w, out=w))
         for col, (i, j) in enumerate(pairs):
             w = inner(i, j, acc)
             np.divide(w, np.multiply(norms[i], norms[j], out=tmp), out=out[block, col])
@@ -468,7 +429,7 @@ def sample_full_geometric(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     tau = _tau(p, d)
-    gram, latents = _unit_gram(n, d, rng)
+    gram, latents = _unit_gram_of(_gram_draws(n, d, rng))
     return Graph(n, gram[_upper_pairs(n)] >= tau), latents
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .graphs import Arm, ModelParams, Seed, _unit_gram
+from .graphs import Arm, ModelParams, Seed, _gram_draws, _pair_cosines, _upper_pairs
 from .sphere import solve_threshold
 
 __all__ = [
@@ -40,7 +40,8 @@ _MC_CHUNK = 65_536
 
 
 def _pair_slots(v: int) -> list[tuple[int, int]]:
-    return list(combinations(range(v), 2))
+    """The pairs i < j of v vertices in the canonical pair order: slot b is bit b of a code."""
+    return list(zip(*(x.tolist() for x in _upper_pairs(v))))
 
 
 @lru_cache(maxsize=None)
@@ -169,40 +170,56 @@ class FourierEstimate:
 
 
 def _pattern_codes(
-    v: int, pairs, params: ModelParams, rng: np.random.Generator, batch: int
+    v: int, params: ModelParams, rng: np.random.Generator, batch: int
 ) -> np.ndarray:
-    """Edge patterns of batch geometric samples as integer codes, shape (batch,).
+    """Edge patterns of batch geometric samples on v vertices as integer codes, shape (batch,).
 
     Bit b of a sample's code is the indicator 1{<u_i, u_j> >= tau} of the
-    pair (i, j) = pairs[b].  Only the normalized inner products of the given
-    pairs are formed, from one v x v Gram draw per sample: whenever d >= v
-    straight from the Bartlett factor (v chi-squares and v(v-1)/2 normals per
-    sample), with no (batch, v, v) array; only d < v draws, and briefly
-    holds, the batch's v*d latent coordinates and their dense Gram.  A pair's
-    inner product does not depend on which other pairs are requested.
-    Community membership and the p-coins off the community are never
-    simulated; the readers of the codes apply their exact effect, the factor
-    (k/n)^v.
+    pair (i, j) = _pair_slots(v)[b]: every one of the C(v, 2) pairs, read
+    from one v x v Gram draw per sample (see graphs._pair_cosines).  Whenever
+    d >= v they come straight from the Bartlett factor (v chi-squares and
+    v(v-1)/2 normals per sample), with no (batch, v, v) array; only d < v
+    draws, and briefly holds, the batch's v*d latent coordinates and their
+    dense Gram.  Community membership and the p-coins off the community are
+    never simulated; the readers of the codes apply their exact effect, the
+    factor (k/n)^v.
     """
     tau = solve_threshold(params.p, params.d).tau
-    cosines, _ = _unit_gram(v, params.d, rng, shape=(batch,), pairs=pairs)
+    cosines = _pair_cosines(_gram_draws(v, params.d, rng, (batch,)))
     codes = np.zeros(batch, dtype=np.int64)
-    for b in range(len(pairs)):
+    for b in range(cosines.shape[-1]):
         np.bitwise_or(codes, 1 << b, out=codes, where=cosines[:, b] >= tau)
     return codes
 
 
-def _pattern_counts(v: int, pairs, params: ModelParams, trials: int, seed: Seed) -> np.ndarray:
-    """Histogram of the edge patterns of trials samples, 2^len(pairs) int64 bins.
+def _pattern_counts(v: int, params: ModelParams, trials: int, seed: Seed) -> np.ndarray:
+    """Histogram of the edge patterns of trials samples on v vertices, 2^C(v, 2) int64 bins.
 
     Chunk c of up to _MC_CHUNK samples draws from seed.stream(c, arm=Arm.FOURIER).
     """
-    counts = np.zeros(1 << len(pairs), dtype=np.int64)
+    counts = np.zeros(1 << math.comb(v, 2), dtype=np.int64)
     for chunk, start in enumerate(range(0, trials, _MC_CHUNK)):
         rng = seed.stream(chunk, arm=Arm.FOURIER)
-        codes = _pattern_codes(v, pairs, params, rng, min(_MC_CHUNK, trials - start))
+        codes = _pattern_codes(v, params, rng, min(_MC_CHUNK, trials - start))
         counts += np.bincount(codes, minlength=counts.size)
     return counts
+
+
+def _marginal(graph: SmallGraph, v: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """graph's own codes and their histogram, from a histogram of patterns on v vertices.
+
+    Returns (own, own_counts): own[c] is the code of pattern c restricted to
+    graph's edges, bit b for edge b, and own_counts the 2^e int64 histogram
+    of those codes.
+    """
+    index = {slot: b for b, slot in enumerate(_pair_slots(v))}
+    codes = np.arange(counts.size)
+    own = np.zeros(counts.size, dtype=np.int64)
+    for b, edge in enumerate(graph.edges):
+        own |= ((codes >> index[edge]) & 1) << b
+    own_counts = np.zeros(1 << graph.e, dtype=np.int64)
+    np.add.at(own_counts, own, counts)
+    return own, own_counts
 
 
 def _signed_products(graph: SmallGraph, params: ModelParams) -> np.ndarray:
@@ -243,7 +260,9 @@ def fourier_coefficient_mc(
     whole isomorphism class.  The Monte Carlo mean is the full geometric
     model's coefficient times the exact probability (k/n)^v that every vertex
     of the embedding is a community member, so a vanishing k/n gives a zero
-    coefficient.  The graph's edge patterns are counted into 2^e bins.
+    coefficient.  The patterns of all C(v, 2) pairs are counted into
+    2^C(v, 2) bins and marginalised onto the graph's edges, as each row of
+    low_degree_advantage is.
     """
     if graph.v > params.n:
         raise ValueError(f"graph needs {graph.v} vertices but n = {params.n}")
@@ -251,23 +270,22 @@ def fourier_coefficient_mc(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if isinstance(seed, int):
         seed = Seed(seed)
-    counts = _pattern_counts(graph.v, graph.edges, params, trials, seed)
-    return _estimate(graph, params, counts, trials)
+    counts = _pattern_counts(graph.v, params, trials, seed)
+    return _estimate(graph, params, _marginal(graph, graph.v, counts)[1], trials)
 
 
 @dataclass(frozen=True)
 class AdvantageReport:
     """Truncated low-degree advantage: sum of embedding-count weighted phi^2.
 
-    A diagnostic restricted to subgraphs on at most v_max vertices, not the
-    full low-degree likelihood ratio.  Squares are bias-corrected by
-    subtracting the squared standard error.
+    A diagnostic restricted to the subgraphs of the rows, not the full
+    low-degree likelihood ratio.  Squares are bias-corrected by subtracting
+    the squared standard error.  Each row is (graph, phi, stderr, skipped),
+    with skipped true for an analytic zero.
     """
 
     value: float
     error: float
-    v_max: int
-    degree_cap: int
     rows: tuple
 
 
@@ -298,21 +316,15 @@ def low_degree_advantage(
     if isinstance(seed, int):
         seed = Seed(seed)
     graphs = [g for g in enumerate_graphs_upto(v_max) if 1 <= g.e <= degree_cap]
-    slots = _pair_slots(v_max)
     if not all(g.has_tree_component for g in graphs):
-        counts = _pattern_counts(v_max, slots, params, trials, seed)
-    index = {slot: b for b, slot in enumerate(slots)}
-    codes = np.arange(1 << len(slots))
+        counts = _pattern_counts(v_max, params, trials, seed)
     total = 0.0
     rows, weights, phis, per_code = [], [], [], []
     for graph in graphs:
         if graph.has_tree_component:
             rows.append((graph, 0.0, 0.0, True))
             continue
-        # the code of each v_max pattern restricted to the graph's edges, in its edge order
-        own = sum(((codes >> index[edge]) & 1) << b for b, edge in enumerate(graph.edges))
-        own_counts = np.zeros(1 << graph.e, dtype=np.int64)
-        np.add.at(own_counts, own, counts)
+        own, own_counts = _marginal(graph, v_max, counts)
         est = _estimate(graph, params, own_counts, trials)
         count = graph.embedding_count(params.n)
         total += count * (est.phi**2 - est.stderr**2)
@@ -333,8 +345,6 @@ def low_degree_advantage(
     return AdvantageReport(
         value=total,
         error=math.sqrt(max(float(var), 0.0)),
-        v_max=v_max,
-        degree_cap=degree_cap,
         rows=tuple(rows),
     )
 

@@ -19,7 +19,8 @@ from geodetect.graphs import (
     Arm,
     ModelParams,
     Seed,
-    _unit_gram,
+    _gram_draws,
+    _unit_gram_of,
     sample_planted,
     sample_planted_fixed_community,
 )
@@ -265,9 +266,10 @@ def exhaustive_scan_blocks(a, k_minus, constraint=None):
 
 
 def unit_gram_latent(s: int, d: int, rng, shape=()):
-    """graphs._unit_gram's latent route at any d: s uniform unit vectors, then their Gram.
+    """The library's latent Gram route at any d: s uniform unit vectors, then their Gram.
 
-    For d < s it makes the same draws as _unit_gram, in the same order.
+    For d < s it makes the same draws as graphs._unit_gram_of(graphs._gram_draws(...)),
+    in the same order.
     """
     u = sample_uniform_sphere(d, rng, size=(*tuple(shape), s))
     return u @ u.swapaxes(-1, -2), u
@@ -348,7 +350,7 @@ def edge_indicators_with_membership(v: int, pairs, params, rng, batch: int) -> n
     """
     tau = solve_threshold(params.p, params.d).tau
     member = rng.random((batch, v)) < params.k / params.n
-    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,))
+    gram, _ = _unit_gram_of(_gram_draws(v, params.d, rng, (batch,)))
     out = np.empty((batch, len(pairs)))
     for col, (i, j) in enumerate(pairs):
         both = member[:, i] & member[:, j]
@@ -358,13 +360,13 @@ def edge_indicators_with_membership(v: int, pairs, params, rng, batch: int) -> n
 
 
 def edge_indicators_dense(v: int, pairs, params, rng, batch: int) -> np.ndarray:
-    """The bits of lowdeg._pattern_codes through the dense Gram: the batch's v x v
-    blocks, then one gather, shape (batch, len(pairs)).
+    """The bits of lowdeg._pattern_codes at the given pairs through the dense
+    Gram: the batch's v x v blocks, then one gather, shape (batch, len(pairs)).
 
     Makes the same draws in the same order as the library on both routes.
     """
     tau = solve_threshold(params.p, params.d).tau
-    gram, _ = _unit_gram(v, params.d, rng, shape=(batch,))
+    gram, _ = _unit_gram_of(_gram_draws(v, params.d, rng, (batch,)))
     rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     return gram[:, rows, cols] >= tau
 

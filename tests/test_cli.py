@@ -412,6 +412,12 @@ class TestConfigValidation:
                 "wishart", "[wishart]\nk = 3\nd = 10\nn = 1\np = 0.3\ntrials = 5\n",
                 id="wishart-n-1",
             ),
+            # community_size and p are read only with n
+            pytest.param("wishart", "[wishart]\nk = 4\np = -7\n", id="wishart-p-without-n"),
+            pytest.param(
+                "wishart", "[wishart]\nk = 4\ncommunity_size = 99\n",
+                id="wishart-community-size-without-n",
+            ),
             pytest.param("test", BASE_CONFIG.replace("d = 8", "d = 0"), id="model-d"),
             pytest.param("lowdeg", LOWDEG_CONFIG.replace("d = 8", "d = 0"), id="lowdeg-model-d"),
             pytest.param("test", BASE_CONFIG.replace("p = 0.5", "p = x"), id="model-non-numeric"),

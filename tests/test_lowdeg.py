@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from geodetect import lowdeg
-from geodetect.graphs import ModelParams, Seed, _unit_gram
+from geodetect.graphs import ModelParams, Seed, _gram_draws, _unit_gram_of
 from geodetect.lowdeg import (
+    _marginal,
     _pair_slots,
     _pattern_codes,
     enumerate_graphs_upto,
@@ -206,7 +207,7 @@ class TestFourierMc:
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            _pattern_codes(4, FOUR_CYCLE.edges, params, rng, 2048)
+            _pattern_codes(4, params, rng, 2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -258,10 +259,12 @@ class TestGeometryOnly:
     def test_indicators_draw_only_the_gram_block(self, d):
         params = ModelParams(n=40, p=0.3, d=d, k=20)
         got_rng, want_rng = np.random.default_rng(63), np.random.default_rng(63)
-        got = _pattern_codes(HOUSE.v, HOUSE.edges, params, got_rng, 500)
-        gram, _ = _unit_gram(HOUSE.v, d, want_rng, shape=(500,))
+        got = _pattern_codes(HOUSE.v, params, got_rng, 500)
+        gram, _ = _unit_gram_of(_gram_draws(HOUSE.v, d, want_rng, (500,)))
         tau = solve_threshold(0.3, d).tau
-        want = sum((gram[:, i, j] >= tau) << b for b, (i, j) in enumerate(HOUSE.edges))
+        # bit b is the b-th pair of all C(v, 2) in lexicographic order
+        slots = combinations(range(HOUSE.v), 2)
+        want = sum((gram[:, i, j] >= tau) << b for b, (i, j) in enumerate(slots))
         assert np.array_equal(got, want)
         assert got_rng.random() == want_rng.random()  # nothing drawn after the block
 
@@ -281,13 +284,16 @@ class TestGeometryOnly:
 
 
 class TestEdgeIndicators:
-    """_pattern_codes reads the pairs straight from the Bartlett factor; the
-    dense gather of the full Gram is the oracle, draw for draw."""
+    """_pattern_codes reads every pair straight from the Bartlett factor, and
+    _marginal restricts the codes to a graph's edges; the dense gather of the
+    full Gram is the oracle, draw for draw."""
 
     @staticmethod
     def assert_dense_equal(graph, params, seed, batch=65_536):
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _pattern_codes(graph.v, graph.edges, params, got_rng, batch)
+        codes = _pattern_codes(graph.v, params, got_rng, batch)
+        own, _ = _marginal(graph, graph.v, np.zeros(1 << math.comb(graph.v, 2), dtype=np.int64))
+        got = own[codes]
         bits = edge_indicators_dense(graph.v, graph.edges, params, want_rng, batch)
         want = bits.astype(np.int64) @ (1 << np.arange(graph.e, dtype=np.int64))
         assert got.shape == (batch,) and np.array_equal(got, want), graph
@@ -309,6 +315,59 @@ class TestEdgeIndicators:
         params = ModelParams(n=200, p=0.3, d=d, k=100)
         self.assert_dense_equal(small_graph_from_edges(v, []), params, seed=v + d, batch=1000)
 
+    @pytest.mark.parametrize("d", [64, 4])
+    def test_marginal_counts_equal_the_codes_histogram(self, d):
+        # the histogram over all pairs, marginalised, is the histogram of the
+        # graph's own codes
+        params = ModelParams(n=200, p=0.3, d=d, k=100)
+        codes = _pattern_codes(5, params, np.random.default_rng(7), 5000)
+        counts = np.bincount(codes, minlength=1 << 10)
+        own, own_counts = _marginal(HOUSE, 5, counts)
+        assert np.array_equal(own_counts, np.bincount(own[codes], minlength=1 << HOUSE.e))
+
+
+class TestPinnedValues:
+    """Seeded values recorded (numpy 2.4, x86-64) when fourier_coefficient_mc
+    still counted only its own edges' patterns: marginalising the all-pairs
+    histogram must reproduce them exactly.  The histograms are integers, so
+    only numpy's float sums and powers over them could move a last bit."""
+
+    GRAPHS = {
+        "triangle": TRIANGLE,
+        "four-cycle": FOUR_CYCLE,
+        "house": HOUSE,
+        "K4": small_graph_from_edges(4, combinations(range(4), 2)),
+    }
+    PINNED = {
+        4: {
+            "triangle": "(0.030628439593837507, 0.002435904914409143)",
+            "four-cycle": "(0.004948507180650038, 0.001109287134370641)",
+            "house": "(0.0018613675628981754, 0.0007452205772064849)",
+            "K4": "(-0.001432890616564085, 0.0015109671770576491)",
+            "advantage": "(3090.164375693207, 2760.9951848272517)",
+        },
+        64: {
+            "triangle": "(0.008871596370903737, 0.002381499264007033)",
+            "four-cycle": "(0.0034868669690098267, 0.00117021576460337)",
+            "house": "(0.0006574613972573157, 0.0005792414434854122)",
+            "K4": "(0.0004897329302091213, 0.0012112243881398559)",
+            "advantage": "(1074.5103567842107, 1206.0354854973082)",
+        },
+    }
+
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_coefficients_and_advantage_unchanged(self, d):
+        # d = 4 draws the house and the advantage's v_max = 5 on latents, and
+        # the rest on the Bartlett route; d = 64 puts everything on Bartlett
+        params = ModelParams(n=60, p=0.3, d=d, k=30)
+        got = {}
+        for name, graph in self.GRAPHS.items():
+            est = fourier_coefficient_mc(graph, params, 3000, Seed(2101))
+            got[name] = repr((est.phi, est.stderr))
+        report = low_degree_advantage(params, v_max=5, degree_cap=7, trials=3000, seed=Seed(2102))
+        got["advantage"] = repr((report.value, report.error))
+        assert got == self.PINNED[d]
+
 
 class TestAdvantage:
     def test_chunk_streams_never_shared_across_masters(self, monkeypatch):
@@ -318,13 +377,13 @@ class TestAdvantage:
         histograms, states = [], []
         count_patterns, code_patterns = lowdeg._pattern_counts, lowdeg._pattern_codes
 
-        def counts(v, pairs, params, trials, seed):
-            histograms.append((v, tuple(pairs), trials))
-            return count_patterns(v, pairs, params, trials, seed)
+        def counts(v, params, trials, seed):
+            histograms.append((v, trials))
+            return count_patterns(v, params, trials, seed)
 
-        def codes(v, pairs, params, rng, batch):
+        def codes(v, params, rng, batch):
             states.append(rng.bit_generator.state["state"]["state"])
-            return code_patterns(v, pairs, params, rng, batch)
+            return code_patterns(v, params, rng, batch)
 
         def refuse(*args):
             raise AssertionError("the advantage estimates no graph on its own")
@@ -337,7 +396,7 @@ class TestAdvantage:
         for master in (11, 11 + 7919, 11 + 2 * 7919):
             report = low_degree_advantage(params, v_max=5, degree_cap=10, trials=300, seed=Seed(master))
             assert sum(not skipped for *_, skipped in report.rows) == 23  # a cycle in every component
-        assert histograms == 3 * [(5, tuple(_pair_slots(5)), 300)]
+        assert histograms == 3 * [(5, 300)]
         assert len(states) == 9 and len(set(states)) == 9
 
     def test_chunk_memory_budget(self):
@@ -405,10 +464,9 @@ class TestAdvantage:
             low_degree_advantage(params, v_max=v_max, degree_cap=degree_cap, trials=trials, seed=Seed(0))
 
     def test_direct_calls_keep_the_top_level_stream(self):
-        # a top-level Seed has the empty spawn key: [master, arm, trial] entropy
+        # a one-word master seeds chunk 0 of the Fourier arm with [master, arm, trial]
         expected = np.random.default_rng(np.random.SeedSequence([36, 2, 0])).random(4)
         assert np.array_equal(Seed(36).stream(0, arm=2).random(4), expected)
-        assert not np.array_equal(Seed(36).spawn(0).stream(0, arm=2).random(4), expected)
 
     def test_tiny_community_is_noise(self):
         params = ModelParams(n=60, p=0.5, d=64, k=1e-6)
