@@ -10,6 +10,7 @@ statistic strictly exceeds the threshold.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -20,6 +21,8 @@ from .graphs import (
     Graph,
     ModelParams,
     Seed,
+    _community_block,
+    _edge_coins,
     _planted_members,
     sample_null,
     sample_planted_fixed_community,
@@ -28,6 +31,8 @@ from .sphere import signed_cycle_expectation
 from .stats import (
     MAX_CYCLE_LENGTH,
     ScanConfig,
+    _coin_counts,
+    _split_triangle_count,
     constrained_scan_statistic,
     scan_statistic,
     signed_cycle_count,
@@ -256,13 +261,82 @@ def _null_trial(spec: TestSpec, seed: Seed, trial: int) -> bool:
     return _decide(value, spec.threshold) == "planted"
 
 
+class _GroupMemo:
+    """Values keyed by trial for one group of trials at a time: a value of
+    another group drops the last group's values, so the memo holds one
+    group's trials.  A lock keeps it whole when rows run on threads."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._group, self._values = None, {}
+
+    def get(self, group, trial: int, compute):
+        with self._lock:
+            if group == self._group and trial in self._values:
+                return self._values[trial]
+        value = compute()
+        with self._lock:
+            if group != self._group:
+                self._group, self._values = group, {}
+            self._values[trial] = value
+        return value
+
+    def cache_clear(self):
+        with self._lock:
+            self._group, self._values = None, {}
+
+
+_coin_memo = _GroupMemo()
+
+
+def _planted_coins(params: ModelParams, seed: Seed, trial: int):
+    """The part of planted trial t that d does not enter: None when the
+    community size falls outside [k_minus, k_plus], else (size, state,
+    counts), with the generator state after the edge coins and the
+    _CoinCounts of the coins.
+
+    A trial's stream gives its membership uniforms, then its coins, then the
+    community's Gram draws, so the first two are the same at every d.  They
+    are memoised by trial within one (n, p, k, seed) group: a sweep over d
+    draws each trial's coins once, and the memo holds one group's trials.
+    """
+
+    def draw():
+        rng = seed.stream(trial, arm=Arm.PLANTED)
+        members = _planted_members(params, rng)
+        if not params.k_minus <= members.size <= params.k_plus:
+            return None
+        counts = _coin_counts(_edge_coins(params.n, params.p, rng), members, params.n)
+        return members.size, rng.bit_generator.state, counts
+
+    return _coin_memo.get((params.n, params.p, params.k, seed), trial, draw)
+
+
+def _planted_triangles(params: ModelParams, seed: Seed, trial: int):
+    """signed_triangle_count of planted trial t's graph, or None when the trial
+    is excluded: the memoised coin part and the community block, drawn from
+    the state after the coins, give the count of sample_planted's graph."""
+    coins = _planted_coins(params, seed, trial)
+    if coins is None:
+        return None
+    size, state, counts = coins
+    rng = np.random.Generator(np.random.PCG64())  # its own seed is overwritten here
+    rng.bit_generator.state = state
+    return _split_triangle_count(counts, _community_block(size, params, rng), params.p)
+
+
 def _planted_trial(spec: TestSpec, seed: Seed, trial: int):
     """Returns None when the community size falls outside [k_minus, k_plus],
     else True when the planted draw is missed.
 
     The trial draws sample_planted(spec.params, rng); an excluded trial stops
-    after the membership uniforms, before its graph is drawn.
+    after the membership uniforms, before its graph is drawn.  The global
+    triangle count reads the trial's coins from a memo and draws only the
+    community's block at each d (_planted_triangles).
     """
+    if spec.scan is None and spec.ell == 3:
+        value = _planted_triangles(spec.params, seed, trial)
+        return None if value is None else _decide(value, spec.threshold) == "null"
     rng = seed.stream(trial, arm=Arm.PLANTED)
     members = _planted_members(spec.params, rng)
     if not spec.params.k_minus <= members.size <= spec.params.k_plus:

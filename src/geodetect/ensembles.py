@@ -22,6 +22,7 @@ from .graphs import (
     ModelParams,
     Seed,
     _community_members,
+    _community_pairs,
     _fixed_community_draws,
     _fixed_community_edges,
     _gram_draws,
@@ -29,7 +30,6 @@ from .graphs import (
     _unit_gram_of,
     _upper_pairs,
     _wishart_of,
-    pair_index,
     symmetric_matrix,
 )
 from .stats import _signed_triangle_counts
@@ -208,8 +208,7 @@ def _composite_edges(members: np.ndarray, params: ModelParams, draws: tuple) -> 
     edges = _alpha_edges(_goe_shifted(z, params.d), params.p, params.d)
     if block:
         inner = _beta_edges(_wishart_of(tuple(block)), _tau(params.p, params.d))
-        su, sv = _upper_pairs(members.size)
-        edges[..., pair_index(members[su], members[sv], params.n)] = inner
+        edges[..., _community_pairs(members, params.n)] = inner
     return edges
 
 

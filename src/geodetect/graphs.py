@@ -435,10 +435,28 @@ def sample_full_geometric(
 
 def _community_members(community, n: int) -> np.ndarray:
     """The distinct vertices of a community, ascending; each must lie in [0, n)."""
-    members = np.asarray(sorted(set(int(v) for v in np.asarray(community).ravel())), dtype=int)
+    members = np.asarray(community).ravel().astype(int)
+    members.sort()
+    # the distinct entries of the sorted copy; np.unique would import numpy.ma,
+    # about 1.3 MiB of resident memory in a process that needs nothing else of it
+    distinct = np.ones(members.size, dtype=bool)
+    distinct[1:] = members[1:] != members[:-1]
+    members = members[distinct]
     if members.size and (members[0] < 0 or members[-1] >= n):
         raise ValueError("community vertices must lie in [0, n)")
     return members
+
+
+def _community_pairs(members: np.ndarray, n: int) -> np.ndarray:
+    """Flat pair indices of a community's pairs, members ascending, in the
+    row-major order of its strict upper triangle: pair (members[a],
+    members[b]), a < b, in the order of np.triu_indices(members.size, k=1).
+
+    The one rule for where a community's pairs sit in an edge field.  It is
+    built per call: a cache would hold one entry per community size.
+    """
+    su, sv = np.triu_indices(members.size, k=1)
+    return pair_index(members[su], members[sv], n)
 
 
 def sample_planted_fixed_community(
@@ -459,8 +477,25 @@ def _fixed_community_draws(size: int, params: ModelParams, rng: np.random.Genera
     coins (a uniform below p), then, for a community of at least one member,
     its Gram draws (see _gram_draws).  The coins are compared as they are
     drawn, so that the uniforms are not held."""
-    coins = rng.random(params.n * (params.n - 1) // 2) < params.p
+    coins = _edge_coins(params.n, params.p, rng)
     return (coins, *(_gram_draws(size, params.d, rng) if size >= 1 else ()))
+
+
+def _edge_coins(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The n(n-1)/2 edge coins of a planted draw, in flat pair order: a uniform below p."""
+    return rng.random(n * (n - 1) // 2) < p
+
+
+def _community_block(size: int, params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """The community's own edges, drawn after its coins: a size x size bool
+    matrix whose entry (a, b), a < b, says that the normalized inner product
+    of members a and b reaches tau, the rule of _fixed_community_edges; the
+    diagonal and the lower triangle are False.  A community without a pair
+    draws nothing."""
+    if size < 2:
+        return np.zeros((size, size), dtype=bool)
+    gram, _ = _unit_gram_of(_gram_draws(size, params.d, rng))
+    return np.triu(gram >= _tau(params.p, params.d), 1)
 
 
 def _fixed_community_edges(members: np.ndarray, params: ModelParams, draws: tuple):
@@ -474,9 +509,8 @@ def _fixed_community_edges(members: np.ndarray, params: ModelParams, draws: tupl
         tau = _tau(params.p, params.d)
         gram, latents = _unit_gram_of(tuple(gram_draws))
         if members.size >= 2:
-            # not _upper_pairs: its cache would hold one entry per community size
-            su, sv = np.triu_indices(members.size, k=1)
-            edges[..., pair_index(members[su], members[sv], params.n)] = gram[..., su, sv] >= tau
+            upper = np.triu(np.ones((members.size,) * 2, dtype=bool), 1)
+            edges[..., _community_pairs(members, params.n)] = gram[..., upper] >= tau
     return edges, latents
 
 

@@ -5,14 +5,16 @@ G_ij - p, so every statistic here has mean zero under the Erdos-Renyi null.
 The global triangle count comes from integer counts of G itself: with T
 triangles, W wedges and E edges it is T - p W + p^2 (n-2) E - p^3 C(n, 3),
 exact from one float32 product of the 0/1 adjacency and rounded once
-(signed_triangle_count).  Every other statistic reads the centered adjacency
-Abar (centered_adjacency); the triangle count of a subset, or of each subset a
-local search tries, is Tr(Abar^3)/6 of its block, and the exhaustive scan adds
-each pair completion of a prefix to the prefix's count, and its wedge sums to
-the prefix's wedge sums (_exhaustive_scan).  The
-tests check the global count against exact rational arithmetic and an explicit
-pair loop, and the exhaustive scan against a block-by-block scorer, all kept in
-tests/oracles.py.
+(signed_triangle_count).  A planted graph's counts also add up from those of
+its edge coins outside the community and of the community's block
+(_split_triangle_count), so the coins' part can be reused at every d.  Every
+other statistic reads the centered adjacency Abar (centered_adjacency); the
+triangle count of a subset, or of each subset a local search tries, is
+Tr(Abar^3)/6 of its block, and the exhaustive scan adds each pair completion
+of a prefix to the prefix's count, and its wedge sums to the prefix's wedge
+sums (_exhaustive_scan).  The tests check the global count against exact
+rational arithmetic and an explicit pair loop, and the exhaustive scan against
+a block-by-block scorer, all kept in tests/oracles.py.
 
 The ell = 3 cycle count is that global triangle count.  Every longer cycle
 count, ell = 4 to 7, comes from one engine.  Moebius inversion over
@@ -31,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,32 +79,105 @@ def signed_triangle_count(graph: Graph, p: float) -> float:
 
 
 def _signed_triangle_counts(adjacency: np.ndarray, p: float) -> list[float]:
-    """signed_triangle_count of each float32 0/1 adjacency of a (B, n, n) stack.
-
-    Expanding the product gives S = T - p W + p^2 (n-2) E - p^3 C(n, 3) in
-    integer counts: triangles T, wedges W = sum_i C(deg_i, 2) and edges E.
-    T = Tr(G^3)/6 comes from one float32 product of the 0/1 adjacency G.  Its
-    entries and partial sums are integers below n < 2^24, so the product is
-    exact in any BLAS order and for any stack; the float64 sums are exact
-    while n^3 < 2^53.  With p = a/b exactly, S is one int / int, which Python
-    rounds correctly: the result is the float nearest the exact value.
-    """
+    """signed_triangle_count of each float32 0/1 adjacency of a (B, n, n) stack."""
     n = adjacency.shape[-1]
+    triangles, deg = _triangles_and_degrees(adjacency)
+    wedges, edges = _wedges(deg).tolist(), (deg.sum(axis=-1) // 2).tolist()
+    return [_signed_from_counts(n, p, *counts) for counts in zip(triangles, wedges, edges)]
+
+
+def _triangles_and_degrees(adjacency: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """(T, deg) of each float32 0/1 symmetric adjacency G of a stack (..., m, m):
+    T, its triangle count, a Python int per matrix, and deg, the int64
+    degrees, shape (..., m).
+
+    T = Tr(G^3)/6 comes from one float32 product.  Its entries and partial sums
+    are integers below m < 2^24, so the product is exact in any BLAS order and
+    for any stack; the float64 sums are exact while m^3 < 2^53.
+    """
     walks = adjacency @ adjacency
-    deg = np.diagonal(walks, axis1=-2, axis2=-1).astype(np.float64)  # (G^2)_ii = deg_i
+    deg = np.diagonal(walks, axis1=-2, axis2=-1).astype(np.int64)  # (G^2)_ii = deg_i
     walks *= adjacency  # 6 T = sum of (G^2 o G)
     six_t = walks.sum(axis=(-2, -1), dtype=np.float64)
-    two_e = deg.sum(axis=-1)
-    deg_sq = (deg * deg).sum(axis=-1)
+    return [int(x) // 6 for x in np.ravel(six_t).tolist()], deg
+
+
+def _wedges(deg: np.ndarray) -> np.ndarray:
+    """W = sum_i C(deg_i, 2) of int64 degrees (..., m), reduced over the last axis."""
+    return (deg * (deg - 1)).sum(axis=-1) // 2
+
+
+def _signed_from_counts(n: int, p: float, t: int, w: int, e: int) -> float:
+    """S = T - p W + p^2 (n-2) E - p^3 C(n, 3), the signed triangle count of an
+    n-vertex graph with T triangles, W wedges and E edges (Python ints).
+
+    Expanding the product over i < j < l of (G_ij - p)(G_jl - p)(G_il - p)
+    gives this sum.  With p = a/b exactly, S is one int / int, which Python
+    rounds correctly: the result is the float nearest the exact value.
+    """
     a, b = float(p).as_integer_ratio()
-    counts = []
-    for six_t_i, two_e_i, deg_sq_i in zip(six_t.tolist(), two_e.tolist(), deg_sq.tolist()):
-        t, two_e_i = int(six_t_i) // 6, int(two_e_i)
-        w = (int(deg_sq_i) - two_e_i) // 2  # sum of deg_i (deg_i - 1) / 2
-        e = two_e_i // 2
-        num = ((t * b - w * a) * b + (n - 2) * e * a * a) * b - math.comb(n, 3) * a**3
-        counts.append(num / b**3)
-    return counts
+    num = ((t * b - w * a) * b + (n - 2) * e * a * a) * b - math.comb(n, 3) * a**3
+    return num / b**3
+
+
+class _CoinCounts(NamedTuple):
+    """The integer counts of a planted draw's coin graph C: its coins on every
+    pair but the community's own, whose S x S pairs are 0 in C.
+
+    triangles, edges and wedges_outside (the wedges centred outside S) are
+    Python ints; degrees holds C's int64 degrees of the members and cross the
+    members' rows of C on the outsiders, X = C[S, outside], bit-packed along
+    each row.  With the community's block H they give the graph's count
+    (_split_triangle_count).
+    """
+
+    n: int
+    triangles: int
+    edges: int
+    wedges_outside: int
+    degrees: np.ndarray
+    cross: np.ndarray
+
+
+def _coin_counts(coins: np.ndarray, members: np.ndarray, n: int) -> _CoinCounts:
+    """_CoinCounts of a flat field of n(n-1)/2 coins and the community's
+    ascending members.  Its peak is that of signed_triangle_count on the whole
+    graph: the float32 n x n coin adjacency and its product."""
+    c = symmetric_matrix(coins, n, np.float32)
+    c[np.ix_(members, members)] = 0
+    outside = np.ones(n, dtype=bool)
+    outside[members] = False
+    cross = np.packbits(c[np.ix_(members, outside)] != 0, axis=1)
+    (triangles,), deg = _triangles_and_degrees(c)
+    return _CoinCounts(
+        n=n, triangles=triangles, edges=int(deg.sum()) // 2,
+        wedges_outside=int(_wedges(deg[outside])), degrees=deg[members], cross=cross,
+    )
+
+
+def _split_triangle_count(coins: _CoinCounts, block: np.ndarray, p: float) -> float:
+    """signed_triangle_count of the graph G whose edges are the coins of C and,
+    on the community's pairs, the block H: an s x s bool matrix, True only at
+    (a, b), a < b, when members a and b are joined (graphs._community_block).
+
+    A triangle of G has at most one member, and is a triangle of C; or two
+    members u < v, an H edge uv and the X X^T common outside neighbours of u
+    and v; or three members, a triangle of H.  So T(G) = T(C) + sum_{u<v}
+    H_uv (X X^T)_uv + T(H), deg_G = deg_C + deg_H and E(G) = E(C) + E(H), all
+    integers: the count is exact and rounded as the whole graph's.  The work
+    is the s x (n - s) product and H's own count, no n x n array.
+    """
+    s = block.shape[-1]
+    h = block.astype(np.float32)
+    h += h.T
+    x = np.unpackbits(coins.cross, axis=1, count=coins.n - s).astype(np.float32)
+    common = x @ x.T
+    common *= h  # each pair u < v twice
+    (t_h,), deg_h = _triangles_and_degrees(h)
+    deg = coins.degrees + deg_h
+    t = coins.triangles + int(common.sum(dtype=np.float64)) // 2 + t_h
+    e = coins.edges + int(deg_h.sum()) // 2
+    return _signed_from_counts(coins.n, p, t, coins.wedges_outside + int(_wedges(deg)), e)
 
 
 def _prefix_blocks(n: int, size: int):

@@ -282,6 +282,38 @@ class TestSweepCommand:
         assert len(read_rows(out)) == 3
         assert len(calls) == 6
 
+    def test_planted_coins_drawn_once_per_trial(self, tmp_path, monkeypatch):
+        # the global triangle test draws each planted trial's membership and
+        # coins once per sweep over d, and no whole planted graph
+        import geodetect.detection as detection_mod
+
+        memberships, coins = [], []
+        real_members, real_coins = detection_mod._planted_members, detection_mod._edge_coins
+
+        def counted_members(params, rng):
+            memberships.append(params.n)
+            return real_members(params, rng)
+
+        def counted_coins(n, p, rng):
+            coins.append(n)
+            return real_coins(n, p, rng)
+
+        def no_graph(*args):
+            raise AssertionError("the whole planted graph was drawn")
+
+        monkeypatch.setattr(detection_mod, "_planted_members", counted_members)
+        monkeypatch.setattr(detection_mod, "_edge_coins", counted_coins)
+        monkeypatch.setattr(detection_mod, "sample_planted_fixed_community", no_graph)
+        detection_mod._coin_memo.cache_clear()
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16,32\n")
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--trials", "6"]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 3
+        assert len(memberships) == 6
+        assert len(coins) == 6 - int(rows[0]["excluded"]) > 0
+
     def test_null_memo_changes_no_row(self, tmp_path):
         import geodetect.detection as detection_mod
 

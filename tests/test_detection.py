@@ -7,6 +7,7 @@ import pytest
 
 from geodetect.detection import (
     TestSpec,
+    _planted_triangles,
     _planted_trial,
     calibrate_cycle_constant,
     constraint_params,
@@ -26,7 +27,7 @@ from geodetect.graphs import (
     sample_planted,
 )
 from geodetect.sphere import signed_cycle_expectation
-from geodetect.stats import ScanConfig, wedge_sums
+from geodetect.stats import ScanConfig, signed_triangle_count, wedge_sums
 from oracles import planted_trial_full_draw
 
 
@@ -116,6 +117,106 @@ class TestCalibration:
         assert res.constant >= 1.0
 
 
+class TestPlantedCoinMemo:
+    @pytest.mark.parametrize(
+        "n, p, k, ds, sizes",
+        [
+            (12, 0.3, 12, (4, 16), {12}),  # s = n: latents at d = 4, Bartlett at d = 16
+            (12, 1.0, 12, (4, 16), {12}),
+            (10, 0.5, 0.01, (4, 64), {0}),
+            (10, 0.3, 1.5, (4, 64), {1, 2}),
+            (40, 0.5, 20, (8, 64), {18, 22}),  # d = 8 < s and d = 64 >= s
+        ],
+    )
+    def test_split_count_equals_the_drawn_graph(self, monkeypatch, n, p, k, ds, sizes):
+        # the memoised coin part and each d's block give the count of
+        # sample_planted's graph, by ==, from a cold memo and from a memo hit
+        import geodetect.detection as detection_mod
+
+        draws = []
+        real = detection_mod._edge_coins
+        monkeypatch.setattr(
+            detection_mod, "_edge_coins", lambda *args: draws.append(1) or real(*args)
+        )
+        seed, trials = Seed(5), 16
+        for cold in (True, False):
+            detection_mod._coin_memo.cache_clear()
+            seen = set()
+            for d in ds:
+                params = ModelParams(n=n, p=p, d=d, k=k)
+                if cold:
+                    detection_mod._coin_memo.cache_clear()
+                draws.clear()
+                for t in range(trials):
+                    sample = sample_planted(params, seed.stream(t, arm=Arm.PLANTED))
+                    value = _planted_triangles(params, seed, t)
+                    if not params.k_minus <= sample.members.size <= params.k_plus:
+                        assert value is None
+                        continue
+                    seen.add(sample.members.size)
+                    assert value == signed_triangle_count(sample.graph, p), (d, t)
+                kept_trials = trials - sum(
+                    _planted_triangles(params, seed, t) is None for t in range(trials)
+                )
+                assert len(draws) == (kept_trials if cold or d == ds[0] else 0)
+            assert sizes <= seen  # the community sizes the case is for
+
+    def test_memo_holds_one_group(self):
+        import geodetect.detection as detection_mod
+
+        detection_mod._coin_memo.cache_clear()
+        first = ModelParams(n=30, p=0.5, d=8, k=15)
+        for t in range(5):
+            _planted_triangles(first, Seed(3), t)
+        assert len(detection_mod._coin_memo._values) == 5
+        for params, seed in ((ModelParams(n=30, p=0.5, d=8, k=12), Seed(3)), (first, Seed(4))):
+            for t in range(2):
+                _planted_triangles(params, seed, t)
+            assert detection_mod._coin_memo._group == (30, 0.5, params.k, seed)
+            assert len(detection_mod._coin_memo._values) == 2
+
+    def test_threads_sharing_the_memo_read_their_own_group(self):
+        # threads of two groups keep replacing each other's entries; a value
+        # read from the other group's entries would differ from the cold one
+        import sys
+        import threading
+
+        import geodetect.detection as detection_mod
+
+        groups = [ModelParams(n=8, p=0.5, d=8, k=k) for k in (3, 5)]
+        trials, seed = 8, Seed(6)
+        expected = []
+        for params in groups:
+            detection_mod._coin_memo.cache_clear()
+            expected.append([_planted_triangles(params, seed, t) for t in range(trials)])
+        detection_mod._coin_memo.cache_clear()
+        results, errors = {}, []
+
+        def work(worker):
+            try:
+                params = groups[worker % 2]
+                for _ in range(20):
+                    for t in range(trials):
+                        results[worker, t] = _planted_triangles(params, seed, t)
+                        assert results[worker, t] == expected[worker % 2][t]
+            except BaseException as exc:  # reported below, in the test's own thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(results) == 8 * trials
+
+
 class TestRunTest:
     def test_boundary_is_null(self):
         params = ModelParams(n=3, p=0.4, d=8, k=2)
@@ -193,11 +294,21 @@ class TestEstimateErrors:
         assert 0 < est.excluded < 300
 
     def test_excluded_trial_stops_after_the_membership_draw(self, monkeypatch):
-        # an excluded trial draws its n membership uniforms and no graph
+        # the global test's first draw after the membership is its coins
+        self.check_excluded_trials_stop(monkeypatch, "global-triangle", "_edge_coins")
+
+    def test_excluded_whole_graph_trial_stops_after_the_membership_draw(self, monkeypatch):
+        # a test of the whole graph draws the graph after the membership
+        self.check_excluded_trials_stop(monkeypatch, "cycle", "sample_planted_fixed_community")
+
+    @staticmethod
+    def check_excluded_trials_stop(monkeypatch, kind, graph_draw):
+        """An excluded trial draws its n membership uniforms and nothing more:
+        graph_draw, the detection name of the trial's next draw, raises when called."""
         import geodetect.detection as detection_mod
 
         params = ModelParams(n=60, p=0.5, d=8, k=30)
-        spec = make_test_spec("global-triangle", params)
+        spec = make_test_spec(kind, params, **({"ell": 4} if kind == "cycle" else {}))
         made = []
 
         class RecordingSeed(Seed):
@@ -212,7 +323,8 @@ class TestEstimateErrors:
             raise Kept
 
         seed = RecordingSeed(12)
-        monkeypatch.setattr(detection_mod, "sample_planted_fixed_community", kept)
+        monkeypatch.setattr(detection_mod, graph_draw, kept)
+        detection_mod._coin_memo.cache_clear()
         excluded = 0
         for t in range(40):
             try:

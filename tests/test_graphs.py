@@ -1,5 +1,6 @@
 """Tests for the graph representation and the three samplers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -489,6 +490,36 @@ class TestFixedCommunity:
         params = ModelParams(n=10, p=0.5, d=4, k=5)
         with pytest.raises(ValueError):
             sample_planted_fixed_community([3, 11], params, Seed(0).stream(0))
+
+    @pytest.mark.parametrize(
+        "community",
+        [
+            [4, 1, 4, 0],
+            range(2, 5),
+            np.array([[3, 1], [1, 7]]),
+            np.array([2.7, 0.2, 2.0, 7.0]),
+            [],
+            np.array([], dtype=int),
+        ],
+    )
+    def test_community_members(self, community):
+        # the distinct vertices, ascending, as int(v) of each entry gives them
+        expected = sorted({int(v) for v in np.asarray(community).ravel()})
+        members = graphs_mod._community_members(community, 8)
+        assert members.dtype.kind == "i"
+        assert members.tolist() == expected
+
+    @pytest.mark.parametrize("community", [[0, 8], [-1, 3], np.array([8.0, 1.0])])
+    def test_community_members_out_of_range(self, community):
+        with pytest.raises(ValueError, match="must lie in"):
+            graphs_mod._community_members(community, 8)
+
+    @pytest.mark.parametrize("members", [[], [3], [2, 5], [0, 1, 4, 8, 9]])
+    def test_community_pairs(self, members):
+        n = 10
+        expected = [pair_index(a, b, n) for a, b in itertools.combinations(members, 2)]
+        pairs = graphs_mod._community_pairs(np.array(members, dtype=int), n)
+        assert pairs.tolist() == expected
 
 
 class TestFixedSize:

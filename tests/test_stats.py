@@ -15,12 +15,16 @@ from geodetect.graphs import (
     Graph,
     ModelParams,
     Seed,
+    _community_pairs,
+    _edge_coins,
     pair_index,
     sample_null,
     sample_planted,
 )
 from geodetect.stats import (
     ScanConfig,
+    _coin_counts,
+    _split_triangle_count,
     centered_adjacency,
     constrained_scan_statistic,
     scan_statistic,
@@ -136,6 +140,40 @@ class TestSignedTriangles:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n * n * 4
+
+
+class TestSplitTriangleCount:
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("s", [0, 1, 2, 7, 20])
+    def test_equals_the_whole_graph_count(self, s, p):
+        # coins outside the community and a block inside it, against the graph they make
+        n = 20
+        rng = np.random.default_rng(1000 + s)
+        for density in (0.0, 0.3, 0.8, 1.0):
+            members = np.sort(rng.choice(n, s, replace=False))
+            coins = rng.random(n * (n - 1) // 2) < p
+            block = np.triu(rng.random((s, s)) < density, 1)
+            edges = coins.copy()
+            edges[_community_pairs(members, n)] = block[np.triu_indices(s, k=1)]
+            split = _split_triangle_count(_coin_counts(coins, members, n), block, p)
+            assert split == signed_triangle_count(Graph(n, edges), p)
+
+    def test_coin_part_peak_memory(self):
+        # the coin draw and its counts peak as the whole-graph count does: the
+        # float32 coin adjacency and its square, plus small buffers
+        n, members = 300, np.arange(0, 300, 2)
+        _coin_counts(_edge_coins(n, 0.3, Seed(109).stream(0)), members, n)
+        rng = Seed(109).stream(1)
+        tracemalloc.start()
+        try:
+            counts = _coin_counts(_edge_coins(n, 0.3, rng), members, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 4
+        # what a memo keeps of the trial: s(n - s) bits and s int64 degrees
+        s = members.size
+        assert counts.cross.nbytes + counts.degrees.nbytes == s * -(-(n - s) // 8) + 8 * s
 
 
 class TestSignedCycles:
