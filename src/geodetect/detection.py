@@ -10,7 +10,6 @@ statistic strictly exceeds the threshold.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -261,32 +260,11 @@ def _null_trial(spec: TestSpec, seed: Seed, trial: int) -> bool:
     return _decide(value, spec.threshold) == "planted"
 
 
-class _GroupMemo:
-    """Values keyed by trial for one group of trials at a time: a value of
-    another group drops the last group's values, so the memo holds one
-    group's trials.  A lock keeps it whole when rows run on threads."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._group, self._values = None, {}
-
-    def get(self, group, trial: int, compute):
-        with self._lock:
-            if group == self._group and trial in self._values:
-                return self._values[trial]
-        value = compute()
-        with self._lock:
-            if group != self._group:
-                self._group, self._values = group, {}
-            self._values[trial] = value
-        return value
-
-    def cache_clear(self):
-        with self._lock:
-            self._group, self._values = None, {}
-
-
-_coin_memo = _GroupMemo()
+@lru_cache(maxsize=1)
+def _coin_group(n: int, p: float, k: float, seed: Seed) -> dict:
+    """The coin parts of one (n, p, k, seed) group by trial (_planted_coins).
+    The cache keeps one group: asking for another drops the last one's dict."""
+    return {}
 
 
 def _planted_coins(params: ModelParams, seed: Seed, trial: int):
@@ -297,19 +275,19 @@ def _planted_coins(params: ModelParams, seed: Seed, trial: int):
 
     A trial's stream gives its membership uniforms, then its coins, then the
     community's Gram draws, so the first two are the same at every d.  They
-    are memoised by trial within one (n, p, k, seed) group: a sweep over d
-    draws each trial's coins once, and the memo holds one group's trials.
+    are memoised by trial in the group's dict (_coin_group): a sweep over d
+    draws each trial's coins once.
     """
-
-    def draw():
+    group = _coin_group(params.n, params.p, params.k, seed)
+    if trial not in group:
         rng = seed.stream(trial, arm=Arm.PLANTED)
         members = _planted_members(params, rng)
         if not params.k_minus <= members.size <= params.k_plus:
-            return None
-        counts = _coin_counts(_edge_coins(params.n, params.p, rng), members, params.n)
-        return members.size, rng.bit_generator.state, counts
-
-    return _coin_memo.get((params.n, params.p, params.k, seed), trial, draw)
+            group[trial] = None
+        else:
+            counts = _coin_counts(_edge_coins(params.n, params.p, rng), members, params.n)
+            group[trial] = members.size, rng.bit_generator.state, counts
+    return group[trial]
 
 
 def _planted_triangles(params: ModelParams, seed: Seed, trial: int):

@@ -208,7 +208,8 @@ def _composite_edges(members: np.ndarray, params: ModelParams, draws: tuple) -> 
     edges = _alpha_edges(_goe_shifted(z, params.d), params.p, params.d)
     if block:
         inner = _beta_edges(_wishart_of(tuple(block)), _tau(params.p, params.d))
-        edges[..., _community_pairs(members, params.n)] = inner
+        _, flat = _community_pairs(members, params.n)
+        edges[..., flat] = inner
     return edges
 
 

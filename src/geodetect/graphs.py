@@ -447,16 +447,17 @@ def _community_members(community, n: int) -> np.ndarray:
     return members
 
 
-def _community_pairs(members: np.ndarray, n: int) -> np.ndarray:
-    """Flat pair indices of a community's pairs, members ascending, in the
-    row-major order of its strict upper triangle: pair (members[a],
-    members[b]), a < b, in the order of np.triu_indices(members.size, k=1).
+def _community_pairs(members: np.ndarray, n: int):
+    """(upper, flat): a community's pairs (members[a], members[b]), a < b, in
+    the row-major order of its strict upper triangle.  upper is
+    np.triu_indices(members.size, k=1), the pairs by position in the
+    community, and flat their pair indices in an n-vertex edge field.
 
     The one rule for where a community's pairs sit in an edge field.  It is
     built per call: a cache would hold one entry per community size.
     """
-    su, sv = np.triu_indices(members.size, k=1)
-    return pair_index(members[su], members[sv], n)
+    upper = np.triu_indices(members.size, k=1)
+    return upper, pair_index(members[upper[0]], members[upper[1]], n)
 
 
 def sample_planted_fixed_community(
@@ -487,30 +488,33 @@ def _edge_coins(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def _community_block(size: int, params: ModelParams, rng: np.random.Generator) -> np.ndarray:
-    """The community's own edges, drawn after its coins: a size x size bool
-    matrix whose entry (a, b), a < b, says that the normalized inner product
-    of members a and b reaches tau, the rule of _fixed_community_edges; the
-    diagonal and the lower triangle are False.  A community without a pair
-    draws nothing."""
+    """The community's own edges, drawn after its coins: _block_edges of its
+    Gram draws, a size x size bool matrix.  A community without a pair draws
+    nothing."""
     if size < 2:
         return np.zeros((size, size), dtype=bool)
     gram, _ = _unit_gram_of(_gram_draws(size, params.d, rng))
+    return _block_edges(gram, params)
+
+
+def _block_edges(gram: np.ndarray, params: ModelParams) -> np.ndarray:
+    """A community's own edges from its unit Gram matrices (..., s, s), stacked:
+    True at (a, b), a < b, where the normalized inner product of members a and
+    b reaches tau, and False on and below the diagonal."""
     return np.triu(gram >= _tau(params.p, params.d), 1)
 
 
 def _fixed_community_edges(members: np.ndarray, params: ModelParams, draws: tuple):
     """(edges, latents) of fixed-community graphs from _fixed_community_draws,
     stacked over any leading axes: an edge is its coin, except inside the
-    community, where it is a normalized inner product of at least tau.  The
-    coins are overwritten in place."""
+    community, where it is _block_edges.  The coins are overwritten in place."""
     edges, *gram_draws = draws
     latents = None
     if gram_draws:
-        tau = _tau(params.p, params.d)
         gram, latents = _unit_gram_of(tuple(gram_draws))
         if members.size >= 2:
-            upper = np.triu(np.ones((members.size,) * 2, dtype=bool), 1)
-            edges[..., _community_pairs(members, params.n)] = gram[..., upper] >= tau
+            (su, sv), flat = _community_pairs(members, params.n)
+            edges[..., flat] = _block_edges(gram, params)[..., su, sv]
     return edges, latents
 
 

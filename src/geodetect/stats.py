@@ -126,8 +126,8 @@ class _CoinCounts(NamedTuple):
 
     triangles, edges and wedges_outside (the wedges centred outside S) are
     Python ints; degrees holds C's int64 degrees of the members and cross the
-    members' rows of C on the outsiders, X = C[S, outside], bit-packed along
-    each row.  With the community's block H they give the graph's count
+    members' rows of C on the outsiders, X = C[S, outside], as packed bits in
+    row-major order.  With the community's block H they give the graph's count
     (_split_triangle_count).
     """
 
@@ -141,24 +141,41 @@ class _CoinCounts(NamedTuple):
 
 def _coin_counts(coins: np.ndarray, members: np.ndarray, n: int) -> _CoinCounts:
     """_CoinCounts of a flat field of n(n-1)/2 coins and the community's
-    ascending members.  Its peak is that of signed_triangle_count on the whole
-    graph: the float32 n x n coin adjacency and its product."""
-    c = symmetric_matrix(coins, n, np.float32)
-    c[np.ix_(members, members)] = 0
+    ascending members.
+
+    C has no pair inside S, so a triangle of C has at most one member.  With
+    Y = C[outside, outside], T(C) = T(Y) + sum_{a<b} (X^T X)_ab Y_ab: the
+    triangles without a member, and those of each member u with an outside
+    edge ab.  The work is the (n - s)^3 product of Y and the s (n - s)^2
+    product of X, no n x n product.  Its peak is about 2 float32 n x n
+    arrays, as the whole-graph count's: the coin adjacency while X and its
+    outside rows are copied out of it, then Y, a product and X.
+    """
     outside = np.ones(n, dtype=bool)
     outside[members] = False
-    cross = np.packbits(c[np.ix_(members, outside)] != 0, axis=1)
-    (triangles,), deg = _triangles_and_degrees(c)
+    c = symmetric_matrix(coins, n, np.float32)
+    x = c[members][:, outside]
+    c = c[outside]
+    y = c[:, outside]
+    del c
+    (t_y,), deg_y = _triangles_and_degrees(y)
+    common = x.T @ x
+    common *= y  # each outside pair twice
+    triangles = t_y + int(common.sum(dtype=np.float64)) // 2
+    del common
+    degrees = x.sum(axis=1, dtype=np.float64).astype(np.int64)
+    deg_outside = deg_y + x.sum(axis=0, dtype=np.float64).astype(np.int64)
     return _CoinCounts(
-        n=n, triangles=triangles, edges=int(deg.sum()) // 2,
-        wedges_outside=int(_wedges(deg[outside])), degrees=deg[members], cross=cross,
+        n=n, triangles=triangles, edges=int(degrees.sum() + deg_outside.sum()) // 2,
+        wedges_outside=int(_wedges(deg_outside)), degrees=degrees,
+        cross=np.packbits(x != 0),  # flat: packing along axis 1 takes 5 times as long
     )
 
 
 def _split_triangle_count(coins: _CoinCounts, block: np.ndarray, p: float) -> float:
     """signed_triangle_count of the graph G whose edges are the coins of C and,
     on the community's pairs, the block H: an s x s bool matrix, True only at
-    (a, b), a < b, when members a and b are joined (graphs._community_block).
+    (a, b), a < b, when members a and b are joined (graphs._block_edges).
 
     A triangle of G has at most one member, and is a triangle of C; or two
     members u < v, an H edge uv and the X X^T common outside neighbours of u
@@ -170,7 +187,8 @@ def _split_triangle_count(coins: _CoinCounts, block: np.ndarray, p: float) -> fl
     s = block.shape[-1]
     h = block.astype(np.float32)
     h += h.T
-    x = np.unpackbits(coins.cross, axis=1, count=coins.n - s).astype(np.float32)
+    x = np.unpackbits(coins.cross, count=s * (coins.n - s)).reshape(s, coins.n - s)
+    x = x.astype(np.float32)
     common = x @ x.T
     common *= h  # each pair u < v twice
     (t_h,), deg_h = _triangles_and_degrees(h)

@@ -304,7 +304,7 @@ class TestSweepCommand:
         monkeypatch.setattr(detection_mod, "_planted_members", counted_members)
         monkeypatch.setattr(detection_mod, "_edge_coins", counted_coins)
         monkeypatch.setattr(detection_mod, "sample_planted_fixed_community", no_graph)
-        detection_mod._coin_memo.cache_clear()
+        detection_mod._coin_group.cache_clear()
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16,32\n")
         out = tmp_path / "grid.csv"

@@ -140,12 +140,12 @@ class TestPlantedCoinMemo:
         )
         seed, trials = Seed(5), 16
         for cold in (True, False):
-            detection_mod._coin_memo.cache_clear()
+            detection_mod._coin_group.cache_clear()
             seen = set()
             for d in ds:
                 params = ModelParams(n=n, p=p, d=d, k=k)
                 if cold:
-                    detection_mod._coin_memo.cache_clear()
+                    detection_mod._coin_group.cache_clear()
                 draws.clear()
                 for t in range(trials):
                     sample = sample_planted(params, seed.stream(t, arm=Arm.PLANTED))
@@ -164,16 +164,16 @@ class TestPlantedCoinMemo:
     def test_memo_holds_one_group(self):
         import geodetect.detection as detection_mod
 
-        detection_mod._coin_memo.cache_clear()
+        detection_mod._coin_group.cache_clear()
         first = ModelParams(n=30, p=0.5, d=8, k=15)
         for t in range(5):
             _planted_triangles(first, Seed(3), t)
-        assert len(detection_mod._coin_memo._values) == 5
+        assert len(detection_mod._coin_group(30, 0.5, first.k, Seed(3))) == 5
         for params, seed in ((ModelParams(n=30, p=0.5, d=8, k=12), Seed(3)), (first, Seed(4))):
             for t in range(2):
                 _planted_triangles(params, seed, t)
-            assert detection_mod._coin_memo._group == (30, 0.5, params.k, seed)
-            assert len(detection_mod._coin_memo._values) == 2
+            assert detection_mod._coin_group.cache_info().currsize == 1
+            assert len(detection_mod._coin_group(30, 0.5, params.k, seed)) == 2
 
     def test_threads_sharing_the_memo_read_their_own_group(self):
         # threads of two groups keep replacing each other's entries; a value
@@ -187,9 +187,9 @@ class TestPlantedCoinMemo:
         trials, seed = 8, Seed(6)
         expected = []
         for params in groups:
-            detection_mod._coin_memo.cache_clear()
+            detection_mod._coin_group.cache_clear()
             expected.append([_planted_triangles(params, seed, t) for t in range(trials)])
-        detection_mod._coin_memo.cache_clear()
+        detection_mod._coin_group.cache_clear()
         results, errors = {}, []
 
         def work(worker):
@@ -324,7 +324,7 @@ class TestEstimateErrors:
 
         seed = RecordingSeed(12)
         monkeypatch.setattr(detection_mod, graph_draw, kept)
-        detection_mod._coin_memo.cache_clear()
+        detection_mod._coin_group.cache_clear()
         excluded = 0
         for t in range(40):
             try:

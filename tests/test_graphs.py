@@ -518,8 +518,9 @@ class TestFixedCommunity:
     def test_community_pairs(self, members):
         n = 10
         expected = [pair_index(a, b, n) for a, b in itertools.combinations(members, 2)]
-        pairs = graphs_mod._community_pairs(np.array(members, dtype=int), n)
+        (su, sv), pairs = graphs_mod._community_pairs(np.array(members, dtype=int), n)
         assert pairs.tolist() == expected
+        assert (su.tolist(), sv.tolist()) == tuple(map(list, np.triu_indices(len(members), 1)))
 
 
 class TestFixedSize:

@@ -154,14 +154,17 @@ class TestSplitTriangleCount:
             coins = rng.random(n * (n - 1) // 2) < p
             block = np.triu(rng.random((s, s)) < density, 1)
             edges = coins.copy()
-            edges[_community_pairs(members, n)] = block[np.triu_indices(s, k=1)]
+            upper, flat = _community_pairs(members, n)
+            edges[flat] = block[upper]
             split = _split_triangle_count(_coin_counts(coins, members, n), block, p)
             assert split == signed_triangle_count(Graph(n, edges), p)
 
-    def test_coin_part_peak_memory(self):
+    @pytest.mark.parametrize("step", [2, 301])  # s = 150, and s = 1 with the largest outside block
+    def test_coin_part_peak_memory(self, step):
         # the coin draw and its counts peak as the whole-graph count does: the
-        # float32 coin adjacency and its square, plus small buffers
-        n, members = 300, np.arange(0, 300, 2)
+        # float32 coin adjacency while its blocks are copied out, then the
+        # outside block, a product and the cross block
+        n, members = 300, np.arange(0, 300, step)
         _coin_counts(_edge_coins(n, 0.3, Seed(109).stream(0)), members, n)
         rng = Seed(109).stream(1)
         tracemalloc.start()
@@ -173,7 +176,7 @@ class TestSplitTriangleCount:
         assert peak <= 2.5 * n * n * 4
         # what a memo keeps of the trial: s(n - s) bits and s int64 degrees
         s = members.size
-        assert counts.cross.nbytes + counts.degrees.nbytes == s * -(-(n - s) // 8) + 8 * s
+        assert counts.cross.nbytes + counts.degrees.nbytes == -(-s * (n - s) // 8) + 8 * s
 
 
 class TestSignedCycles:
