@@ -57,11 +57,19 @@ TEST_KINDS = ("global-triangle", "scan", "constrained-scan", "cycle")
 THRESHOLD_FRACTION = 0.5
 
 
+def _cycle_count(n: int, ell: int) -> int:
+    """The number of ell-cycles of the complete graph on n vertices."""
+    return math.comb(n, ell) * math.factorial(ell - 1) // 2
+
+
+def _planted_cycle_mean(params: ModelParams, series) -> float:
+    """The planted-model mean of the global signed cycle count of the series' length."""
+    return _cycle_count(params.n, series.ell) * (params.k / params.n) ** series.ell * series.value
+
+
 def _global_threshold(params: ModelParams, series) -> float:
     """Half the planted-model mean of the global signed cycle count of the series' length."""
-    ell = series.ell
-    n_cycles = math.comb(params.n, ell) * math.factorial(ell - 1) // 2
-    return THRESHOLD_FRACTION * n_cycles * (params.k / params.n) ** ell * series.value
+    return THRESHOLD_FRACTION * _planted_cycle_mean(params, series)
 
 
 def _scan_threshold(params: ModelParams, triangles) -> float:
@@ -230,7 +238,6 @@ class ErrorEstimate:
 
     type1: float
     type2: float
-    trials: int
     type1_half_width: float
     type2_half_width: float
     excluded: int
@@ -348,7 +355,6 @@ def estimate_errors(spec: TestSpec, trials: int, seed: Seed | int) -> ErrorEstim
     return ErrorEstimate(
         type1=type1,
         type2=type2,
-        trials=trials,
         type1_half_width=ErrorEstimate.half_width(type1, trials),
         type2_half_width=ErrorEstimate.half_width(type2, len(valid)) if valid else math.nan,
         excluded=excluded,
@@ -365,7 +371,5 @@ def cycle_test_snr(params: ModelParams, ell: int) -> float:
     if ell < 3:
         raise ValueError(f"cycle length must be >= 3, got {ell}")
     series = signed_cycle_expectation(ell, params.p, params.d)
-    n_cycles = math.comb(params.n, ell) * math.factorial(ell - 1) / 2.0
-    mean_shift = n_cycles * (params.k / params.n) ** ell * series.value
-    null_sd = math.sqrt(n_cycles * (params.p * (1.0 - params.p)) ** ell)
-    return mean_shift / null_sd
+    null_sd = math.sqrt(_cycle_count(params.n, ell) * (params.p * (1.0 - params.p)) ** ell)
+    return _planted_cycle_mean(params, series) / null_sd

@@ -193,10 +193,9 @@ def composite_planted_graph(
 
 def _composite_draws(size: int, params: ModelParams, rng: np.random.Generator) -> tuple:
     """The draws of one composite graph, in order: the shifted GOE's n x n
-    normals, then, for a community with a pair, the Wishart block's (see
-    graphs._gram_draws)."""
+    normals, then the community's Wishart block's (see graphs._gram_draws)."""
     z = rng.standard_normal((params.n, params.n))
-    return (z, *(_gram_draws(size, params.d, rng) if size >= 2 else ()))
+    return (z, *_gram_draws(size, params.d, rng))
 
 
 def _composite_edges(members: np.ndarray, params: ModelParams, draws: tuple) -> np.ndarray:
@@ -206,10 +205,8 @@ def _composite_edges(members: np.ndarray, params: ModelParams, draws: tuple) -> 
     pairs."""
     z, *block = draws
     edges = _alpha_edges(_goe_shifted(z, params.d), params.p, params.d)
-    if block:
-        inner = _beta_edges(_wishart_of(tuple(block)), _tau(params.p, params.d))
-        _, flat = _community_pairs(members, params.n)
-        edges[..., flat] = inner
+    _, flat = _community_pairs(members, params.n)
+    edges[..., flat] = _beta_edges(_wishart_of(tuple(block)), _tau(params.p, params.d))
     return edges
 
 
@@ -220,10 +217,7 @@ def spectral_deviation(draw) -> float:
 
 def _deviations(gram: np.ndarray) -> np.ndarray:
     """spectral_deviation of each matrix of a stack, shape gram.shape[:-2]."""
-    k = gram.shape[-1]
-    if k == 1:
-        return np.zeros(gram.shape[:-2])
-    eig = np.linalg.eigvalsh(gram - np.eye(k))
+    eig = np.linalg.eigvalsh(gram - np.eye(gram.shape[-1]))
     return np.abs(eig).max(axis=-1)
 
 

@@ -298,12 +298,7 @@ def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    m = n * (n - 1) // 2
-    if p <= 0.0:
-        return Graph(n, np.zeros(m, dtype=bool))
-    if p >= 1.0:
-        return Graph(n, np.ones(m, dtype=bool))
-    return Graph(n, rng.random(m) < p)
+    return Graph(n, _edge_coins(n, p, rng))
 
 
 def _gram_draws(s: int, d: int, rng: np.random.Generator, shape=()) -> tuple:
@@ -475,24 +470,21 @@ def sample_planted_fixed_community(
 
 def _fixed_community_draws(size: int, params: ModelParams, rng: np.random.Generator) -> tuple:
     """The draws of one fixed-community graph, in order: the n(n-1)/2 edge
-    coins (a uniform below p), then, for a community of at least one member,
-    its Gram draws (see _gram_draws).  The coins are compared as they are
-    drawn, so that the uniforms are not held."""
-    coins = _edge_coins(params.n, params.p, rng)
-    return (coins, *(_gram_draws(size, params.d, rng) if size >= 1 else ()))
+    coins (a uniform below p), then the community's Gram draws (see
+    _gram_draws).  The coins are compared as they are drawn, so that the
+    uniforms are not held."""
+    return (_edge_coins(params.n, params.p, rng), *_gram_draws(size, params.d, rng))
 
 
 def _edge_coins(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """The n(n-1)/2 edge coins of a planted draw, in flat pair order: a uniform below p."""
+    """The n(n-1)/2 edge coins of a null or planted draw, in flat pair order:
+    a uniform below p, so every coin at p = 1 and none at p = 0."""
     return rng.random(n * (n - 1) // 2) < p
 
 
 def _community_block(size: int, params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     """The community's own edges, drawn after its coins: _block_edges of its
-    Gram draws, a size x size bool matrix.  A community without a pair draws
-    nothing."""
-    if size < 2:
-        return np.zeros((size, size), dtype=bool)
+    Gram draws, a size x size bool matrix."""
     gram, _ = _unit_gram_of(_gram_draws(size, params.d, rng))
     return _block_edges(gram, params)
 
@@ -509,12 +501,9 @@ def _fixed_community_edges(members: np.ndarray, params: ModelParams, draws: tupl
     stacked over any leading axes: an edge is its coin, except inside the
     community, where it is _block_edges.  The coins are overwritten in place."""
     edges, *gram_draws = draws
-    latents = None
-    if gram_draws:
-        gram, latents = _unit_gram_of(tuple(gram_draws))
-        if members.size >= 2:
-            (su, sv), flat = _community_pairs(members, params.n)
-            edges[..., flat] = _block_edges(gram, params)[..., su, sv]
+    gram, latents = _unit_gram_of(tuple(gram_draws))
+    (su, sv), flat = _community_pairs(members, params.n)
+    edges[..., flat] = _block_edges(gram, params)[..., su, sv]
     return edges, latents
 
 

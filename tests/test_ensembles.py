@@ -314,6 +314,16 @@ class TestSpectralDeviation:
 
         assert spectral_deviation(sample_spherical_wishart(1, 50, Seed(67).stream(0))) == 0.0
 
+    def test_one_by_one(self):
+        # ||W - I|| of a 1 x 1 matrix is |W - 1|; the spherical draw has W = 1 exactly
+        from geodetect.ensembles import spectral_deviation
+
+        assert spectral_deviation(np.array([[2.0]])) == 1.0
+        for d in (1, 10):
+            draw = sample_wishart(1, d, Seed(67).stream(d))
+            assert spectral_deviation(draw) == abs(draw.matrix[0, 0] - 1.0) > 0.0
+        assert ensembles_mod.spectral_deviations(1, 10, 5, Seed(67)).tolist() == [0.0] * 5
+
     def test_permutation_invariance(self):
         from geodetect.ensembles import spectral_deviation
 
@@ -473,6 +483,31 @@ class TestStackedArithmetic:
                 )
                 for t in range(trials)
             ]
+
+    @pytest.mark.parametrize("members", [[], [4]])
+    def test_communities_without_a_pair(self, members):
+        # the general path at sizes 0 and 1: the direct route is its coins, and
+        # the composite route the Gaussian threshold of its shifted GOE draw
+        n, p, d, trials, seed = 9, 0.4, 8, 5, Seed(74)
+        params = ModelParams(n=n, p=p, d=d, k=1)
+        sums = {"direct": [0.0, 0.0], "composite": [0.0, 0.0]}
+        for t in range(trials):
+            coins = graphs_mod._edge_coins(n, p, seed.stream(t, arm=Arm.FIXED_COMMUNITY))
+            goe = sample_goe_shifted(n, d, seed.stream(t, arm=Arm.COMPOSITE)).matrix
+            alpha = ensembles_mod._alpha_edges(goe, p, d)
+            direct = sample_planted_fixed_community(
+                members, params, seed.stream(t, arm=Arm.FIXED_COMMUNITY)
+            )
+            composite = composite_planted_graph(members, params, seed.stream(t, arm=Arm.COMPOSITE))
+            assert np.array_equal(direct.graph.edges, coins)
+            assert np.array_equal(composite.edges, alpha)
+            for route, edges in (("direct", coins), ("composite", alpha)):
+                sums[route][0] += edges.sum() / (n * (n - 1) // 2)
+                sums[route][1] += signed_triangle_count(graphs_mod.Graph(n, edges), p)
+        report = ensembles_mod.route_check(members, params, trials, seed)
+        for route, (edge_sum, tri_sum) in sums.items():
+            assert report["edge_marginal"][route] == edge_sum / trials
+            assert report["f_tri_mean"][route] == tri_sum / trials
 
     def test_route_check_refuses_what_the_samplers_refuse(self):
         params = ModelParams(n=6, p=0.3, d=8, k=3)
