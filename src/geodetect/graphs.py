@@ -80,24 +80,14 @@ def pair_index(i, j, n: int):
 
 
 @lru_cache(maxsize=8)
-def _pair_order(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The canonical pair order of order n, built once: (mask, (rows, cols)).
-
-    mask is the n x n strict upper-triangle boolean mask, and (rows, cols) its
-    nonzero positions in row-major order, np.triu_indices(n, k=1): the (i, j)
-    of each flat pair index.  A boolean mask fills in that same order.  The
-    arrays are shared between callers, so they are read-only.
-    """
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    rows, cols = np.nonzero(mask)
-    for x in (mask, rows, cols):
-        x.flags.writeable = False
-    return mask, (rows, cols)
-
-
 def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, k=1) from the cached pair order (see _pair_order)."""
-    return _pair_order(n)[1]
+    """np.triu_indices(n, k=1), built once per order: the (i, j) of each flat
+    pair index.  The arrays are shared between callers, so they are read-only.
+    """
+    rows, cols = np.triu_indices(n, k=1)
+    for x in (rows, cols):
+        x.flags.writeable = False
+    return rows, cols
 
 
 def symmetric_matrix(values, n: int, dtype=float) -> np.ndarray:
@@ -108,8 +98,10 @@ def symmetric_matrix(values, n: int, dtype=float) -> np.ndarray:
     """
     a = np.zeros((*np.shape(values)[:-1], n, n), dtype=dtype)
     # a mask of a's own shape fills in row-major order, matrix by matrix, and
-    # builds no index arrays
-    a[np.broadcast_to(_pair_order(n)[0], a.shape)] = np.ravel(values)
+    # builds no index arrays; it is made per call, so no n x n array is kept
+    upper = np.tri(n, dtype=bool)
+    np.logical_not(upper, out=upper)  # the strict upper triangle
+    a[np.broadcast_to(upper, a.shape)] = np.ravel(values)
     a += a.swapaxes(-1, -2)  # the lower triangle is 0, so this mirrors the upper one
     return a
 

@@ -20,7 +20,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .graphs import Arm, ModelParams, Seed, _gram_draws, _pair_cosines, _upper_pairs
+from .graphs import Arm, ModelParams, Seed, _gram_draws, _pair_cosines, _upper_pairs, pair_index
 from .sphere import solve_threshold
 
 __all__ = [
@@ -40,21 +40,20 @@ _MC_CHUNK = 65_536
 
 
 def _pair_slots(v: int) -> list[tuple[int, int]]:
-    """The pairs i < j of v vertices in the canonical pair order: slot b is bit b of a code."""
+    """The pairs i < j of v vertices in pair order: (i, j) is bit pair_index(i, j, v) of a code."""
     return list(zip(*(x.tolist() for x in _upper_pairs(v))))
 
 
 @lru_cache(maxsize=None)
 def _slot_powers(v: int) -> np.ndarray:
-    """Slot images of every vertex permutation as bit weights, shape (C(v,2), v!).
+    """Pair images of every vertex permutation as bit weights, shape (C(v,2), v!).
 
-    Entry [b, r] is 1 << (slot of the image of slot b under the r-th
+    Entry [b, r] is 1 << (pair index of the image of pair b under the r-th
     permutation), so a mask's image is the sum of the rows of its set bits.
     """
     slots = _pair_slots(v)
-    index = {slot: b for b, slot in enumerate(slots)}
     targets = [
-        [index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in slots]
+        [pair_index(min(perm[i], perm[j]), max(perm[i], perm[j]), v) for i, j in slots]
         for perm in permutations(range(v))
     ]
     return np.left_shift(1, np.array(targets, dtype=np.int64).T)
@@ -127,7 +126,7 @@ def small_graph_from_edges(v: int, edges) -> SmallGraph:
     tree_comp = any(
         sum(1 for (a, b) in edge_set if a in comp) == len(comp) - 1 for comp in comps
     )
-    mask = sum(1 << b for b, slot in enumerate(_pair_slots(v)) if slot in edge_set)
+    mask = sum(1 << pair_index(i, j, v) for i, j in edge_set)
     images = _permuted_masks(v, mask)
     return SmallGraph(
         v=v,
@@ -212,11 +211,10 @@ def _marginal(graph: SmallGraph, v: int, counts: np.ndarray) -> tuple[np.ndarray
     graph's edges, bit b for edge b, and own_counts the 2^e int64 histogram
     of those codes.
     """
-    index = {slot: b for b, slot in enumerate(_pair_slots(v))}
     codes = np.arange(counts.size)
     own = np.zeros(counts.size, dtype=np.int64)
-    for b, edge in enumerate(graph.edges):
-        own |= ((codes >> index[edge]) & 1) << b
+    for b, (i, j) in enumerate(graph.edges):
+        own |= ((codes >> pair_index(i, j, v)) & 1) << b
     own_counts = np.zeros(1 << graph.e, dtype=np.int64)
     np.add.at(own_counts, own, counts)
     return own, own_counts

@@ -10,11 +10,13 @@ its edge coins outside the community and of the community's block
 (_split_triangle_count), so the coins' part can be reused at every d.  Every
 other statistic reads the centered adjacency Abar (centered_adjacency); the
 triangle count of a subset, or of each subset a local search tries, is
-Tr(Abar^3)/6 of its block, and the exhaustive scan adds each pair completion
-of a prefix to the prefix's count, and its wedge sums to the prefix's wedge
-sums (_exhaustive_scan).  The tests check the global count against exact
-rational arithmetic and an explicit pair loop, and the exhaustive scan against
-a block-by-block scorer, all kept in tests/oracles.py.
+Tr(Abar^3)/6 of its block.  A given subset's block (wedge sums, subset
+triangles, oracle scans) comes from its own pairs of the edge field
+(_subset_signed), with no n x n matrix.  The exhaustive scan adds each pair
+completion of a prefix to the prefix's count, and its wedge sums to the
+prefix's wedge sums (_exhaustive_scan).  The tests check the global count
+against exact rational arithmetic and an explicit pair loop, and the
+exhaustive scan against a block-by-block scorer, all kept in tests/oracles.py.
 
 The ell = 3 cycle count is that global triangle count.  Every longer cycle
 count, ell = 4 to 7, comes from one engine.  Moebius inversion over
@@ -37,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Arm, Graph, Seed, _upper_pairs, symmetric_matrix
+from .graphs import Arm, Graph, Seed, _community_pairs, _upper_pairs, symmetric_matrix
 
 __all__ = [
     "ScanConfig",
@@ -362,13 +364,16 @@ def _wedge_matrix(sub_signed: np.ndarray) -> np.ndarray:
 
 
 def _subset_signed(graph: Graph, p: float, subset) -> tuple[np.ndarray, np.ndarray]:
+    """(verts, block): the subset's vertices ascending and its k x k block of
+    the centered adjacency, read from its own pairs of the edge field."""
     verts = np.asarray(sorted(int(v) for v in subset), dtype=int)
     if verts.size and (verts[0] < 0 or verts[-1] >= graph.n):
         raise ValueError("subset vertices must lie in [0, n)")
-    if np.unique(verts).size != verts.size:
+    # sorted neighbours, as graphs._community_members: np.unique would import numpy.ma
+    if np.any(verts[1:] == verts[:-1]):
         raise ValueError("subset contains duplicate vertices")
-    a = centered_adjacency(graph, p)
-    return verts, a[np.ix_(verts, verts)]
+    _, flat = _community_pairs(verts, graph.n)
+    return verts, symmetric_matrix(graph.edges[flat] - p, verts.size)
 
 
 def wedge_sums(graph: Graph, p: float, subset) -> dict[tuple[int, int], float]:

@@ -87,16 +87,12 @@ class TestGraph:
                 assert np.array_equal(built, symmetric_matrix_fancy(values, n, dtype)), (n, dtype)
 
     def test_pair_order_is_one_cached_rule(self):
+        # the one pair cache: np.triu_indices, built once per order and shared read-only
         for n in (1, 2, 3, 64, 300):
-            mask, pairs = graphs_mod._pair_order(n)
+            pairs = graphs_mod._upper_pairs(n)
             assert graphs_mod._upper_pairs(n) is pairs
-            assert mask.dtype == bool and mask.shape == (n, n)
-            for x in (mask, *pairs):
-                assert not x.flags.writeable
-            # a boolean mask fills in the order of its nonzero positions
-            for got, want in zip(np.nonzero(mask), pairs):
-                assert np.array_equal(got, want)
-            for got, want in zip(pairs, np.triu_indices(n, k=1)):
+            for got, want in zip(pairs, np.triu_indices(n, k=1), strict=True):
+                assert not got.flags.writeable
                 assert np.array_equal(got, want)
 
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodetect import graphs as graphs_mod
 from geodetect import stats as stats_mod
 from geodetect.graphs import (
     Arm,
@@ -140,6 +141,19 @@ class TestSignedTriangles:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n * n * 4
+
+    def test_nothing_held_after_a_cold_count(self):
+        # the fill mask is built per call and no pair order of order n is cached
+        n = 2000
+        g = sample_null(n, 0.3, Seed(107).stream(1))
+        graphs_mod._upper_pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            signed_triangle_count(g, 0.3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
 
 
 class TestSplitTriangleCount:
@@ -367,7 +381,7 @@ class TestWedgeSums:
 
     def test_duplicate_subset_rejected(self):
         g = sample_null(5, 0.5, Seed(105).stream(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="subset contains duplicate vertices"):
             wedge_sums(g, 0.5, [1, 1, 2])
 
 
@@ -391,6 +405,57 @@ class TestSubsetTriangles:
             for i, j, l in combinations(subset, 3)
         )
         assert subset_signed_triangles(g, 0.2, subset) == pytest.approx(expected, abs=1e-12)
+
+
+class TestSubsetBlock:
+    """A subset's statistics read its own pairs, the same bits as a gather from Abar."""
+
+    @pytest.mark.parametrize(
+        "subset", [[9, 2, 14, 5, 11], [9.7, 2.0, 14.2, 5.5], [], [6], list(range(17))]
+    )
+    def test_equals_the_n_by_n_route(self, subset):
+        n, p = 17, 0.3
+        g = sample_null(n, p, Seed(113).stream(len(subset)))
+        verts = np.array(sorted(int(v) for v in subset), dtype=int)
+        block = centered_adjacency(g, p)[np.ix_(verts, verts)]
+        got_verts, got = stats_mod._subset_signed(g, p, subset)
+        assert np.array_equal(got_verts, verts)
+        assert got.dtype == block.dtype and got.shape == block.shape
+        assert np.array_equal(got, block)
+        assert subset_signed_triangles(g, p, subset) == stats_mod._triangle_sum(block)
+        w = stats_mod._wedge_matrix(block)
+        assert wedge_sums(g, p, subset) == {
+            (int(verts[a]), int(verts[b])): float(w[a, b])
+            for a, b in combinations(range(verts.size), 2)
+        }
+        plain = ScanConfig(k_minus=verts.size, mode="planted-oracle")
+        loose = ScanConfig(k_minus=verts.size, mode="planted-oracle", sigma_sq=math.inf, B=math.inf)
+        value, _ = scan_statistic(g, p, plain, oracle_subset=subset)
+        assert value == stats_mod._triangle_sum(block)
+        assert constrained_scan_statistic(g, p, loose, oracle_subset=subset)[0] == value
+
+    def test_peak_memory_is_of_the_subset(self):
+        # below one byte per vertex pair of the graph: no n x n array is built
+        n, k_minus, p = 2000, 90, 0.3
+        g = sample_null(n, p, Seed(113).stream(100))
+        subset = np.sort(Seed(113).stream(101).choice(n, k_minus, replace=False))
+        plain = ScanConfig(k_minus=k_minus, mode="planted-oracle")
+        loose = ScanConfig(k_minus=k_minus, mode="planted-oracle", sigma_sq=math.inf, B=math.inf)
+        calls = [
+            lambda: scan_statistic(g, p, plain, oracle_subset=subset),
+            lambda: constrained_scan_statistic(g, p, loose, oracle_subset=subset),
+            lambda: wedge_sums(g, p, subset),
+            lambda: subset_signed_triangles(g, p, subset),
+        ]
+        for call in calls:
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n
 
 
 def brute_scan(graph, p, k_minus, sigma_sq=None, bound=None):
