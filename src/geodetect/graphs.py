@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphere import _normalise_rows, solve_threshold
+from .sphere import _BLOCK_ELEMENTS, _normalise_rows, solve_threshold
 
 __all__ = [
     "ModelParams",
@@ -226,7 +226,7 @@ class PlantedSample:
 
 
 _WORD = 2**32
-_COSINE_BLOCK = 4096  # samples per block of _pair_cosines' Bartlett arithmetic
+_COSINE_BLOCK = 4096  # samples per block of _gram_draw_blocks
 
 
 @unique
@@ -350,11 +350,34 @@ def _bartlett_factor(s: int, d: int, rng: np.random.Generator, shape=()):
     shape + (s,) and shape + (s(s-1)/2,); L_ij for j < i is
     lower[..., i(i-1)/2 + j].
     """
-    df = d - np.arange(s)
-    diag = rng.chisquare(np.broadcast_to(df, (*shape, s)) if shape else df)
-    np.sqrt(diag, out=diag)
-    lower = rng.standard_normal((*shape, s * (s - 1) // 2))
-    return diag, lower
+    return _bartlett_diag(s, d, rng, shape), rng.standard_normal((*shape, s * (s - 1) // 2))
+
+
+def _bartlett_diag(s: int, d: int, rng: np.random.Generator, shape=()) -> np.ndarray:
+    """The diagonal of _bartlett_factor, drawn first: sqrt(L_ii^2), L_ii^2 ~ chi^2_{d-i}."""
+    diag = rng.chisquare(d - np.arange(s), size=(*shape, s))  # size= broadcasts in place
+    return np.sqrt(diag, out=diag)
+
+
+def _gram_draw_blocks(s: int, d: int, rng: np.random.Generator, batch: int):
+    """_gram_draws(s, d, rng, (batch,)) as consecutive blocks of up to
+    _COSINE_BLOCK samples, each drawn only when it is asked for.
+
+    The blocks hold the same numbers, drawn in the same stream order, as the
+    one call.  The latent route draws each block's (block, s, d) latents in
+    turn.  The Bartlett route draws the batch's s chi-squares per sample
+    first, as _bartlett_factor does, and then each block's rows of the
+    strictly-lower normals.  A caller holds the diagonal and one block.
+    """
+    starts = range(0, batch, _COSINE_BLOCK)
+    if d < s:
+        for start in starts:
+            yield _gram_draws(s, d, rng, (min(_COSINE_BLOCK, batch - start),))
+        return
+    diag = _bartlett_diag(s, d, rng, (batch,))
+    for start in starts:
+        block = diag[start : start + _COSINE_BLOCK]
+        yield block, rng.standard_normal((len(block), s * (s - 1) // 2))
 
 
 def _pair_cosines(draws: tuple) -> np.ndarray:
@@ -365,10 +388,10 @@ def _pair_cosines(draws: tuple) -> np.ndarray:
     Bartlett route forms W_ij / (sqrt(W_ii) sqrt(W_jj)) from the factor's
     entries (see _bartlett_factor) and never assembles an s x s matrix: each
     W_ij = sum of L_ik L_jk is accumulated over k <= min(i, j) in ascending
-    k.  Its arithmetic runs over blocks of _COSINE_BLOCK samples in place on
-    a few scratch arrays: at lowdeg's chunk sizes, fresh pages for each
-    temporary cost more than the products themselves, and the block's
-    scratch is all that is held beside the factor and the output.
+    k, in place on a few scratch arrays of one double per sample.  It scores
+    all of its draws at once, so a large batch is passed in the blocks of
+    _gram_draw_blocks: at lowdeg's chunk sizes, fresh pages for each
+    temporary cost more than the products themselves.
     """
     if len(draws) == 1:
         rows, cols = _upper_pairs(draws[0].shape[-2])
@@ -377,30 +400,28 @@ def _pair_cosines(draws: tuple) -> np.ndarray:
     shape, s = diag.shape[:-1], diag.shape[-1]
     pairs = list(zip(*(x.tolist() for x in _upper_pairs(s))))
     samples = math.prod(shape)
-    diag, lower = diag.reshape(samples, s), lower.reshape(samples, s * (s - 1) // 2)
+    # sample axis last, so that each factor entry below is one contiguous array
+    diag_t = diag.reshape(samples, s).T.copy()
+    lower_t = lower.reshape(samples, s * (s - 1) // 2).T.copy()
     out = np.empty((samples, len(pairs)))
-    for start in range(0, samples, _COSINE_BLOCK):
-        block = slice(start, start + _COSINE_BLOCK)
-        # sample axis last, so that each factor entry below is one contiguous array
-        diag_t, lower_t = diag[block].T.copy(), lower[block].T.copy()
-        acc, tmp = np.empty(diag_t.shape[1]), np.empty(diag_t.shape[1])
+    acc, tmp = np.empty(samples), np.empty(samples)
 
-        def entry(i, k):
-            return diag_t[i] if k == i else lower_t[i * (i - 1) // 2 + k]
+    def entry(i, k):
+        return diag_t[i] if k == i else lower_t[i * (i - 1) // 2 + k]
 
-        def inner(i, j, out):
-            np.multiply(entry(i, 0), entry(j, 0), out=out)
-            for k in range(1, min(i, j) + 1):
-                out += np.multiply(entry(i, k), entry(j, k), out=tmp)
-            return out
+    def inner(i, j, out):
+        np.multiply(entry(i, 0), entry(j, 0), out=out)
+        for k in range(1, min(i, j) + 1):
+            out += np.multiply(entry(i, k), entry(j, k), out=tmp)
+        return out
 
-        norms = []
-        for x in range(s):
-            w = inner(x, x, np.empty_like(acc))
-            norms.append(np.sqrt(w, out=w))
-        for col, (i, j) in enumerate(pairs):
-            w = inner(i, j, acc)
-            np.divide(w, np.multiply(norms[i], norms[j], out=tmp), out=out[block, col])
+    norms = []
+    for x in range(s):
+        w = inner(x, x, np.empty(samples))
+        norms.append(np.sqrt(w, out=w))
+    for col, (i, j) in enumerate(pairs):
+        w = inner(i, j, acc)
+        np.divide(w, np.multiply(norms[i], norms[j], out=tmp), out=out[:, col])
     return out.reshape(*shape, len(pairs))
 
 
@@ -470,8 +491,22 @@ def _fixed_community_draws(size: int, params: ModelParams, rng: np.random.Genera
 
 def _edge_coins(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """The n(n-1)/2 edge coins of a null or planted draw, in flat pair order:
-    a uniform below p, so every coin at p = 1 and none at p = 0."""
-    return rng.random(n * (n - 1) // 2) < p
+    a uniform below p, so every coin at p = 1 and none at p = 0.
+
+    The uniforms are drawn in blocks of _BLOCK_ELEMENTS into one buffer and
+    compared into the bool field block by block, the same numbers in the
+    same order as one rng.random(n(n-1)/2): the draw holds the field and
+    one block of doubles, not a double per pair.
+    """
+    m = n * (n - 1) // 2
+    # the buffer before the field, as one rng.random(m) < p allocates them: the
+    # other order left about 0.1 MiB more peak RSS in a sweep at n = 300
+    uniforms = np.empty(min(m, _BLOCK_ELEMENTS))
+    coins = np.empty(m, dtype=bool)
+    for start in range(0, m, _BLOCK_ELEMENTS):
+        block = coins[start : start + _BLOCK_ELEMENTS]
+        np.less(rng.random(out=uniforms[: block.size]), p, out=block)
+    return coins
 
 
 def _community_block(size: int, params: ModelParams, rng: np.random.Generator) -> np.ndarray:

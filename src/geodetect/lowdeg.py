@@ -20,7 +20,15 @@ from itertools import permutations
 
 import numpy as np
 
-from .graphs import Arm, ModelParams, Seed, _gram_draws, _pair_cosines, _upper_pairs, pair_index
+from .graphs import (
+    Arm,
+    ModelParams,
+    Seed,
+    _gram_draw_blocks,
+    _pair_cosines,
+    _upper_pairs,
+    pair_index,
+)
 from .sphere import solve_threshold
 
 __all__ = [
@@ -175,19 +183,25 @@ def _pattern_codes(
 
     Bit b of a sample's code is the indicator 1{<u_i, u_j> >= tau} of the
     pair (i, j) = _pair_slots(v)[b]: every one of the C(v, 2) pairs, read
-    from one v x v Gram draw per sample (see graphs._pair_cosines).  Whenever
-    d >= v they come straight from the Bartlett factor (v chi-squares and
-    v(v-1)/2 normals per sample), with no (batch, v, v) array; only d < v
-    draws, and briefly holds, the batch's v*d latent coordinates and their
-    dense Gram.  Community membership and the p-coins off the community are
-    never simulated; the readers of the codes apply their exact effect, the
+    from one v x v Gram draw per sample (see graphs._pair_cosines).  The
+    draws come in the blocks of graphs._gram_draw_blocks, each scored as it
+    is drawn, so the batch holds its codes, the Bartlett route's v
+    chi-squares per sample and one block: whenever d >= v a block is the
+    rest of its factor (v(v-1)/2 normals per sample), with no (block, v, v)
+    array; only d < v draws a block's v*d latent coordinates and their dense
+    Gram.  Community membership and the p-coins off the community are never
+    simulated; the readers of the codes apply their exact effect, the
     factor (k/n)^v.
     """
     tau = solve_threshold(params.p, params.d).tau
-    cosines = _pair_cosines(_gram_draws(v, params.d, rng, (batch,)))
     codes = np.zeros(batch, dtype=np.int64)
-    for b in range(cosines.shape[-1]):
-        np.bitwise_or(codes, 1 << b, out=codes, where=cosines[:, b] >= tau)
+    start = 0
+    for draws in _gram_draw_blocks(v, params.d, rng, batch):
+        cosines = _pair_cosines(draws)
+        block = codes[start : start + len(cosines)]
+        for b in range(cosines.shape[-1]):
+            np.bitwise_or(block, 1 << b, out=block, where=cosines[:, b] >= tau)
+        start += len(cosines)
     return codes
 
 

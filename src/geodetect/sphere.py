@@ -59,7 +59,7 @@ _NEWTON_MAX_STEPS = 200
 _HALF_RATIO_SERIES = (
     -1.0 / 8.0, 1.0 / 192.0, -1.0 / 640.0, 17.0 / 14336.0, -31.0 / 18432.0, 691.0 / 180224.0
 )
-_NORM_BLOCK_ELEMENTS = 1_000_000  # per row block of _normalise_rows
+_BLOCK_ELEMENTS = 1_000_000  # per block of _normalise_rows and of graphs._edge_coins
 
 
 class QuadratureWarning(UserWarning):
@@ -441,11 +441,11 @@ def _normalise_rows(z: np.ndarray) -> np.ndarray:
 
     z must be C-contiguous, so that its rows are a view.  Works in row blocks: each row reduces on its own, so the result is the
     same for any stack of rows, but the squared-entry temporary stays near
-    _NORM_BLOCK_ELEMENTS.  Returns z.
+    _BLOCK_ELEMENTS.  Returns z.
     """
     d = z.shape[-1]
     rows = z.reshape(-1, d)
-    step = max(1, _NORM_BLOCK_ELEMENTS // d)
+    step = max(1, _BLOCK_ELEMENTS // d)
     for start in range(0, rows.shape[0], step):
         block = rows[start : start + step]
         block /= np.linalg.norm(block, axis=-1, keepdims=True)

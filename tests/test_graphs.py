@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from geodetect.graphs import (
     sample_planted_fixed_size,
 )
 from geodetect.lowdeg import fourier_coefficient_mc, small_graph_from_edges
-from geodetect.sphere import solve_threshold
+from geodetect.sphere import _BLOCK_ELEMENTS, solve_threshold
 from geodetect.stats import signed_triangle_count
 from oracles import symmetric_matrix_fancy, unit_gram_latent
 
@@ -200,6 +201,27 @@ class TestSampleNull:
         se = math.sqrt(p * (1 - p) / total)
         assert abs(count / total - p) <= 3 * se
 
+    @pytest.mark.parametrize("n", [1500, 2])  # 1,124,250 pairs: a block and part of one
+    def test_edge_coins_are_one_draw_of_uniforms(self, n):
+        m = n * (n - 1) // 2
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(graphs_mod._edge_coins(n, 0.3, rng), ref.random(m) < 0.3)
+        assert rng.random() == ref.random()
+        assert n == 2 or _BLOCK_ELEMENTS < m < 2 * _BLOCK_ELEMENTS
+
+    def test_peak_memory_is_the_edge_field(self):
+        # n = 4000: 8.0e6 pairs, 7.6 MiB of bools, held twice while the Graph
+        # copies them, and one 7.6 MiB block of uniforms; a double per pair
+        # would be 61 MiB
+        rng = Seed(3).stream(0)
+        tracemalloc.start()
+        try:
+            sample_null(4000, 0.3, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
 
 class TestFullGeometric:
     @pytest.mark.parametrize("n", [0, -3])
@@ -345,7 +367,7 @@ class TestUnitGram:
     @pytest.mark.parametrize("shape", [(), (3,), (2, 5000)])
     def test_pair_cosines_are_the_dense_gram_in_pair_order(self, s, d, shape):
         # the latent route gathers the dense Gram; the Bartlett route forms
-        # each pair from the factor, in another summation order, in blocks.
+        # each pair from the factor, in another summation order.
         # Two draws from one seed, since the latent route normalises in place
         draws = graphs_mod._gram_draws(s, d, np.random.default_rng(9), shape)
         cosines = graphs_mod._pair_cosines(draws)
@@ -356,6 +378,22 @@ class TestUnitGram:
             assert np.array_equal(cosines, gram[..., iu[0], iu[1]])
         else:
             assert np.allclose(cosines, gram[..., iu[0], iu[1]], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("s, d", [(5, 64), (5, 5), (5, 4), (6, 2)])
+    @pytest.mark.parametrize("batch", [2 * graphs_mod._COSINE_BLOCK + 17, 100])
+    def test_draw_blocks_are_one_batched_draw(self, s, d, batch):
+        # both routes: the same numbers in the same stream order as one call
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        blocks = list(graphs_mod._gram_draw_blocks(s, d, rng, batch))
+        whole = graphs_mod._gram_draws(s, d, ref, (batch,))
+        assert [len(b[0]) for b in blocks] == [
+            min(graphs_mod._COSINE_BLOCK, batch - start)
+            for start in range(0, batch, graphs_mod._COSINE_BLOCK)
+        ]
+        assert len(blocks[0]) == len(whole) == (1 if d < s else 2)
+        for parts, full in zip(zip(*blocks), whole):
+            assert np.array_equal(np.concatenate(parts), full)
+        assert rng.random() == ref.random()
 
     def test_one_threshold_solve_per_density_and_dimension(self):
         # a (p, d) no other test uses, so its first solve is a cache miss

@@ -225,7 +225,7 @@ class TestFourierMc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 8 * 2**20
 
     def test_embedding_size_guard(self):
         params = ModelParams(n=3, p=0.5, d=8, k=2)
@@ -411,7 +411,7 @@ class TestAdvantage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("d", [64, 4])
     def test_rows_equal_the_padded_graphs_coefficients(self, d):
