@@ -28,10 +28,13 @@ from .graphs import (
 )
 from .sphere import signed_cycle_expectation
 from .stats import (
+    _CHUNK_BYTES,
     MAX_CYCLE_LENGTH,
     ScanConfig,
     _coin_counts,
+    _local_search,
     _split_triangle_count,
+    centered_adjacency,
     constrained_scan_statistic,
     scan_statistic,
     signed_cycle_count,
@@ -218,6 +221,34 @@ def _statistic(p: float, ell: int | None, scan: ScanConfig | None, graph: Graph,
     return value
 
 
+def _stacked(scan: ScanConfig | None) -> bool:
+    """True when a statistic scores a run of graphs in one call: a local search."""
+    return scan is not None and scan.mode == "local-search"
+
+
+def _local_search_values(p: float, scan: ScanConfig, graphs: list) -> list:
+    """The local-search statistic of each graph, scored in one stacked call
+    (stats._local_search)."""
+    a = np.empty((len(graphs), graphs[0].n, graphs[0].n))
+    for i, graph in enumerate(graphs):
+        a[i] = centered_adjacency(graph, p)
+    return [value for value, _ in _local_search(a, scan)]
+
+
+def _trial_chunks(trials: int, n: int, scan: ScanConfig | None) -> list[range]:
+    """The runs of trials whose graphs are scored together, of equal lengths
+    within one: a local search stacks at most about _CHUNK_BYTES of them,
+    every other statistic one at a time.
+
+    A graph's matrix takes 8 n^2 bytes, and a sweep of each of its climbs
+    about as much again: the climb's n x k rows of it and two k x (n - k)
+    arrays, at most 9/8 of it in all.
+    """
+    size = max(1, _CHUNK_BYTES // (8 * n * n * (1 + scan.restarts))) if _stacked(scan) else 1
+    size = -(-trials // -(-trials // size))  # the same number of runs, evened out
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
 def statistic_value(spec: TestSpec, graph: Graph, oracle_subset=None):
     """The raw statistic for a graph, or None for an infeasible constrained scan."""
     return _statistic(spec.params.p, spec.ell, spec.scan, graph, oracle_subset)
@@ -250,21 +281,17 @@ class ErrorEstimate:
 
 
 @lru_cache(maxsize=1 << 14)
-def _null_statistic(n: int, p: float, ell, scan: ScanConfig | None, seed: Seed, trial: int):
-    """Statistic of a seeded null draw.
+def _null_statistic(n: int, p: float, ell, scan: ScanConfig | None, seed: Seed, trials: range):
+    """Statistics of the seeded null draws of a run of trials (_trial_chunks), a tuple.
 
-    The key holds exactly what the null draw and the statistic read: no kind, d
-    or threshold, and k only through the scan's k_minus.  A sweep over d, or two
-    tests of one statistic, therefore draws and scores each null graph once.
+    The key holds exactly what the null draws and the statistic read: no kind,
+    d or threshold, and k only through the scan's k_minus.  A sweep over d, or
+    two tests of one statistic, therefore draws and scores each null graph once.
     """
-    graph = sample_null(n, p, seed.stream(trial, arm=Arm.NULL))
-    return _statistic(p, ell, scan, graph, None)
-
-
-def _null_trial(spec: TestSpec, seed: Seed, trial: int) -> bool:
-    """True when the null draw raises a false alarm."""
-    value = _null_statistic(spec.params.n, spec.params.p, spec.ell, spec.scan, seed, trial)
-    return _decide(value, spec.threshold) == "planted"
+    graphs = [sample_null(n, p, seed.stream(t, arm=Arm.NULL)) for t in trials]
+    if _stacked(scan):
+        return tuple(_local_search_values(p, scan, graphs))
+    return tuple(_statistic(p, ell, scan, g, None) for g in graphs)
 
 
 @lru_cache(maxsize=1)
@@ -310,26 +337,35 @@ def _planted_triangles(params: ModelParams, seed: Seed, trial: int):
     return _split_triangle_count(counts, _community_block(size, params, rng), params.p)
 
 
-def _planted_trial(spec: TestSpec, seed: Seed, trial: int):
-    """Returns None when the community size falls outside [k_minus, k_plus],
-    else True when the planted draw is missed.
+def _planted_trials(spec: TestSpec, seed: Seed, trials: range) -> list:
+    """For each planted trial of the run: None when the community size falls
+    outside [k_minus, k_plus], else True when the planted draw is missed.
 
-    The trial draws sample_planted(spec.params, rng); an excluded trial stops
+    Each trial draws sample_planted(spec.params, rng); an excluded trial stops
     after the membership uniforms, before its graph is drawn.  The global
     triangle count reads the trial's coins from a memo and draws only the
     community's block at each d (_planted_triangles).
     """
     if spec.scan is None and spec.ell == 3:
-        value = _planted_triangles(spec.params, seed, trial)
-        return None if value is None else _decide(value, spec.threshold) == "null"
-    rng = seed.stream(trial, arm=Arm.PLANTED)
-    members = _planted_members(spec.params, rng)
-    if not spec.params.k_minus <= members.size <= spec.params.k_plus:
-        return None
-    graph = sample_planted_fixed_community(members, spec.params, rng).graph
-    # a scan is scored on the smallest k_minus members
-    oracle = None if spec.scan is None else members[: spec.scan.k_minus]
-    return run_test(spec, graph, oracle) == "null"
+        values = [_planted_triangles(spec.params, seed, t) for t in trials]
+        return [None if v is None else _decide(v, spec.threshold) == "null" for v in values]
+    kept, graphs, oracles = [], [], []
+    for t in trials:
+        rng = seed.stream(t, arm=Arm.PLANTED)
+        members = _planted_members(spec.params, rng)
+        kept.append(spec.params.k_minus <= members.size <= spec.params.k_plus)
+        if kept[-1]:
+            graphs.append(sample_planted_fixed_community(members, spec.params, rng).graph)
+            # a scan is scored on the smallest k_minus members
+            oracles.append(None if spec.scan is None else members[: spec.scan.k_minus])
+    if not graphs:
+        return [None] * len(kept)
+    if _stacked(spec.scan):
+        values = _local_search_values(spec.params.p, spec.scan, graphs)
+        missed = iter([_decide(v, spec.threshold) == "null" for v in values])
+    else:
+        missed = iter([run_test(spec, g, o) == "null" for g, o in zip(graphs, oracles)])
+    return [next(missed) if k else None for k in kept]
 
 
 def estimate_errors(spec: TestSpec, trials: int, seed: Seed | int) -> ErrorEstimate:
@@ -338,15 +374,19 @@ def estimate_errors(spec: TestSpec, trials: int, seed: Seed | int) -> ErrorEstim
     Planted trials whose community size falls outside [k_minus, k_plus] are
     excluded and counted rather than resampled, so the membership law is not
     biased.  Trial streams are derived from (seed, arm, index), so a trial's
-    outcome never depends on which trials ran before it.
+    outcome never depends on which trials ran before it, or with it: a
+    local search scores each run of _trial_chunks in one stacked call.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if isinstance(seed, int):
         seed = Seed(seed)
 
-    alarms = [_null_trial(spec, seed, t) for t in range(trials)]
-    misses = [_planted_trial(spec, seed, t) for t in range(trials)]
+    params, alarms, misses = spec.params, [], []
+    for chunk in _trial_chunks(trials, params.n, spec.scan):
+        values = _null_statistic(params.n, params.p, spec.ell, spec.scan, seed, chunk)
+        alarms += [_decide(v, spec.threshold) == "planted" for v in values]
+        misses += _planted_trials(spec, seed, chunk)
 
     type1 = sum(alarms) / trials
     valid = [m for m in misses if m is not None]

@@ -94,15 +94,18 @@ def symmetric_matrix(values, n: int, dtype=float) -> np.ndarray:
     """n x n symmetric matrix carrying flat pair values off the diagonal, 0 on it.
 
     values may carry leading axes, shape (..., n(n-1)/2); the result is then a
-    stack of matrices, shape (..., n, n).
+    stack of matrices, shape (..., n, n).  Each value is written twice, so a
+    -0.0 stays -0.0 on both sides (an edge field holds none).
     """
     a = np.zeros((*np.shape(values)[:-1], n, n), dtype=dtype)
     # a mask of a's own shape fills in row-major order, matrix by matrix, and
     # builds no index arrays; it is made per call, so no n x n array is kept
     upper = np.tri(n, dtype=bool)
     np.logical_not(upper, out=upper)  # the strict upper triangle
-    a[np.broadcast_to(upper, a.shape)] = np.ravel(values)
-    a += a.swapaxes(-1, -2)  # the lower triangle is 0, so this mirrors the upper one
+    # cast once: a masked fill that casts as it goes takes twice as long
+    mask, values = np.broadcast_to(upper, a.shape), np.ravel(values).astype(dtype, copy=False)
+    a[mask] = values
+    a.swapaxes(-1, -2)[mask] = values  # the same fill of the transpose: the lower triangle
     return a
 
 

@@ -54,7 +54,10 @@ __all__ = [
 
 
 MAX_CYCLE_LENGTH = 7
-_CHUNK_BYTES = 2**20  # per array of a block of prefixes in the exhaustive scan
+# per array of a block of prefixes in the exhaustive scan; a local search keeps
+# a chunk of trials (detection._trial_chunks), and the blocks one pass tests,
+# within about as much
+_CHUNK_BYTES = 2**20
 _A, _ONE = ("A",), ("one",)  # Abar and the all-ones vertex weight
 
 
@@ -455,61 +458,162 @@ def _start_stream() -> np.random.Generator:
     return Seed(0).stream(0, arm=Arm.LOCAL_SEARCH)
 
 
-def _local_search(a: np.ndarray, cfg: ScanConfig):
-    """Best of `restarts` first-improvement swap hill-climbs over size-k_minus subsets.
+def _blocks(a: np.ndarray, base: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The block of rows[i] and cols[i] of the matrix of a stack a whose first
+    row, in a viewed as (G n, n), is base[i]: one flat take for every i."""
+    n = a.shape[-1]
+    return a.reshape(-1).take(((base[:, None] + rows) * n)[:, :, None] + cols[:, None, :])
 
-    Each climb starts from a random subset drawn from _start_stream().  A
-    sweep tries the swaps (member at pos -> outsider w) with pos in ascending
-    order of the member's triangle contribution c[pos] and w ascending, and
-    takes the first whose _triangle_sum beats the current one and whose block
-    cfg admits.  One matmul scores every swap of a sweep: with C = a[outside, S],
-    Q = C @ a[S, S] and q_w = sum_j Q[w, j] C[w, j],
+
+def _sweep_swaps(a, swept, base, current, tol, exact) -> tuple[list, np.ndarray]:
+    """The swaps a sweep of each climb c in swept, (base[c], current[c]),
+    tries in order (_local_search): an (L, 3) array of (c, pos, w) per climb,
+    and whether the order of c' alone placed them.
+
+    A candidate row is a member with a swap of gain > -tol; the swaps of a
+    member before the first candidate row fail the exact test, whatever
+    their order.  When the lowest candidate row by c' leads every other by
+    more than 2 tol, it leads them by c too, so its first swap goes first; on
+    a miss the climb sweeps again with exact[c] set.  On a near-tie, or with
+    exact[c] set, the climb tries the swaps of every candidate row, its
+    members sorted by the einsum's c.
+    """
+    base, current, tol, exact = base[swept], current[swept], tol[swept], exact[swept]
+    m, k = current.shape
+    n, ar = a.shape[-1], np.arange(m)
+    outsider = np.ones((m, n), dtype=bool)
+    outsider[ar[:, None], current] = False
+    outside = outsider.nonzero()[1].reshape(m, n - k)
+    rows = _blocks(a, base, np.concatenate([current, outside], axis=1), current)
+    rq = rows @ rows[:, :k]  # A @ A on the members' rows, Q on the outsiders'
+    rq *= rows
+    del rows  # before the k x (n - k) arrays are made
+    contrib, cq = rq[:, :k].sum(axis=-1) / 2.0, rq[:, k:]
+    lift = 0.5 * cq.sum(axis=-1)[:, None, :] - cq.swapaxes(1, 2)  # gain + c
+    cand = lift > (contrib - tol[:, None])[:, :, None]  # gain > -tol, up to a rounding
+    key = np.where(cand.any(axis=-1), contrib, np.inf)
+    pos = key.argmin(axis=1)
+    low = key[ar, pos]
+    key[ar, pos] = np.inf
+    # a comparison, not a difference: inf - inf would warn
+    placed = (key.min(axis=1) > low + 2.0 * tol) & ~exact
+    lead = np.empty((m, 3), dtype=np.int64)  # the lowest candidate row's first swap
+    lead[:, 0], lead[:, 1], lead[:, 2] = swept, pos, outside[ar, cand[ar, pos].argmax(axis=1)]
+    swaps = [lead[i : i + 1] if one else lead[:0] for i, one in enumerate(placed.tolist())]
+    tied = (~placed & (low < np.inf)).nonzero()[0]
+    if tied.size:
+        blocks = _blocks(a, base[tied], current[tied], current[tied])
+        exact_c = np.stack([np.einsum("ij,jk,ki->i", b, b, b) for b in blocks]) / 2.0
+        order = np.argsort(exact_c, axis=1)  # each row as np.argsort of it alone
+        keep = cand[tied[:, None], order]
+        climb, rank, col = np.nonzero(keep)
+        pairs = np.empty((climb.size, 3), dtype=np.int64)
+        pairs[:, 0], pairs[:, 1] = swept[tied[climb]], order[climb, rank]
+        pairs[:, 2] = outside[tied[climb], col]
+        ends = np.cumsum(keep.sum(axis=(1, 2))).tolist()
+        for i, start, stop in zip(tied.tolist(), [0, *ends], ends):
+            swaps[i] = pairs[start:stop]
+    return swaps, placed
+
+
+def _local_search(a: np.ndarray, cfg: ScanConfig) -> list:
+    """Best of `restarts` first-improvement swap hill-climbs over size-k_minus
+    subsets, for each matrix of a (G, n, n) stack: a list of G (value,
+    subset), (None, None) where no subset qualifies.
+
+    Each matrix's climbs start from the `restarts` random subsets drawn from
+    _start_stream(), and all G * restarts climbs run in lockstep.  A sweep of
+    a climb tries the swaps (member at pos -> outsider w) with pos in
+    ascending order of the member's triangle contribution c[pos] =
+    np.einsum("ij,jk,ki->i", A, A, A)[pos] / 2 of its block A = a[S, S], as
+    np.argsort orders it, and w ascending; it takes the first whose
+    _triangle_sum beats the current one and whose block cfg admits.  One
+    product scores every swap: with C = a[outside, S], Q = C @ A and q_w =
+    sum_j Q[w, j] C[w, j],
 
         gain[pos, w] = q_w / 2 - C[w, pos] Q[w, pos] - c[pos]
 
     (a_uu = 0, so this is -c[pos] + b^T A_{S-pos} b / 2 with b = C[w, S-pos]).
-    Only swaps with gain > -tol get the exact test; the rest cannot pass it,
-    so every accepted swap, value and constraint call is the one the exact
-    test alone would give.  Returns (None, None) when no subset qualifies.
+    Only swaps with gain > -tol get the exact test; the rest cannot pass it.
+
+    Each pass sweeps the climbs that moved with stacked products, which read
+    the cheaper c' = ((A @ A) * A).sum(-1) / 2 and take the einsum only on a
+    near-tie (_sweep_swaps).  It then tests the next swaps of every climb in
+    one stacked _triangle_sum call, and one _feasible call: the first swap of
+    a sweep alone, twice as many after each miss, all within about
+    _CHUNK_BYTES.  Both sums add at most k^3 products of entries bounded by
+    m, so each is off by about 1e-16 k^4 m^3, far below tol for any k_minus
+    under 1e6: every accepted swap, value and constraint verdict is the one
+    the exact test alone would give, in the einsum order.
     """
-    n, k_minus, rng = a.shape[0], cfg.k_minus, _start_stream()
-    if k_minus > n:
-        return None, None
-    # both sums add at most k^3 products of entries bounded by m, so each is
-    # off by about 1e-16 k^4 m^3: far below tol for any k_minus under 1e6
-    tol = 1e-9 * k_minus**3 * float(np.abs(a).max(initial=0.0)) ** 3
-    best_val, best_set = -math.inf, None
-    for _ in range(cfg.restarts):
-        current = np.sort(rng.permutation(n)[:k_minus])
-        val = _triangle_sum(a[current[:, None], current])
-        improved = True
-        while improved:
-            improved = False
-            inside = a[current[:, None], current]
-            # triangle contribution of each member
-            contrib = np.einsum("ij,jk,ki->i", inside, inside, inside) / 2.0
-            order = np.argsort(contrib)
-            member = np.zeros(n, dtype=bool)
-            member[current] = True
-            outside = np.flatnonzero(~member)
-            cross = a[outside[:, None], current]
-            cq = cross * (cross @ inside)
-            gain = 0.5 * cq.sum(axis=1) - cq.T - contrib[:, None]
-            # remove the worst contributor first, outsiders in ascending order
-            for flat in np.flatnonzero(gain[order] > -tol):
-                row, col = divmod(int(flat), outside.size)
-                trial = current.copy()
-                trial[order[row]] = outside[col]
-                trial.sort()
-                sub = a[trial[:, None], trial]
-                tval = _triangle_sum(sub)
-                if tval > val and cfg.admits(sub):
-                    current, val = trial, tval
-                    improved = True
-                    break
-        if val > best_val and cfg.admits(a[current[:, None], current]):
-            best_val, best_set = val, current
-    return (None, None) if best_set is None else (best_val, best_set)
+    stack, n, k = a.shape[0], a.shape[-1], cfg.k_minus
+    if k > n:
+        return [(None, None)] * stack
+    rng, restarts = _start_stream(), cfg.restarts
+    starts = [np.sort(rng.permutation(n)[:k]) for _ in range(restarts)]
+    current = np.array(starts * stack, dtype=np.int64).reshape(stack * restarts, k)
+    base = np.repeat(np.arange(stack) * n, restarts)  # each climb's matrix (_blocks)
+    top = np.maximum(a.max(axis=(-2, -1), initial=0.0), -a.min(axis=(-2, -1), initial=0.0))
+    tol = np.repeat(1e-9 * k**3 * top**3, restarts)
+    climbs = np.arange(base.size)
+    val = _triangle_sum(_blocks(a, base, current, current))
+    # queues[c] = [swaps, next, width, cheap]: the swaps of climb c's sweep,
+    # the next to try, how many the next pass tries, and whether c' alone
+    # placed them.  exact[c]: c's next sweep sorts by the einsum.  Subsets of
+    # 0 or n vertices have no swap.
+    swept, queues = (climbs if 0 < k < n else climbs[:0]), {}
+    exact = np.zeros(climbs.size, dtype=bool)
+    while swept.size or queues:
+        again = []
+        if swept.size:
+            swaps, cheap = _sweep_swaps(a, swept, base, current, tol, exact)
+            for c, swaps, cheap in zip(swept.tolist(), swaps, cheap.tolist()):
+                if swaps.size:
+                    queues[c] = [swaps, 0, 1, cheap]
+        if not queues:
+            break
+        # the blocks of a pass, and the copies the tests make of them, stay
+        # within about _CHUNK_BYTES
+        cap = max(1, _CHUNK_BYTES // (32 * k * k * len(queues)))
+        runs = {c: q[0][q[1] : q[1] + min(q[2], cap)] for c, q in queues.items()}
+        swaps = np.concatenate(list(runs.values()))
+        owner = swaps[:, 0]
+        trial = current[owner]
+        trial[np.arange(owner.size), swaps[:, 1]] = swaps[:, 2]
+        trial.sort(axis=1)
+        sub = _blocks(a, base[owner], trial, trial)
+        tval = _triangle_sum(sub)
+        ok = tval > val[owner]
+        if cfg.sigma_sq is not None and ok.any():
+            ok[ok] = _feasible(sub[ok], cfg.sigma_sq, cfg.B)
+        hits, start = ok.tolist(), 0
+        for c, run in runs.items():
+            q, stop = queues[c], start + len(run)
+            if True in hits[start:stop]:
+                i = hits.index(True, start, stop)
+                current[c], val[c], exact[c] = trial[i], tval[i], False
+                del queues[c]
+                again.append(c)
+            elif q[1] + len(run) == len(q[0]):
+                del queues[c]  # a local optimum, unless c' alone placed the swaps
+                if q[3]:
+                    exact[c] = True
+                    again.append(c)
+            else:
+                q[1], q[2] = q[1] + len(run), 2 * q[2]
+            start = stop
+        swept = np.array(again, dtype=np.int64)
+    admitted = np.ones(climbs.size, dtype=bool)
+    if cfg.sigma_sq is not None:
+        admitted = _feasible(_blocks(a, base, current, current), cfg.sigma_sq, cfg.B)
+    results = []
+    for g in range(stack):
+        best_val, best = -math.inf, None
+        for c in range(g * restarts, (g + 1) * restarts):
+            if val[c] > best_val and admitted[c]:
+                best_val, best = float(val[c]), c
+        results.append((None, None) if best is None else (best_val, current[best].copy()))
+    return results
 
 
 def _scan_impl(graph: Graph, p: float, cfg: ScanConfig, oracle_subset):
@@ -524,7 +628,7 @@ def _scan_impl(graph: Graph, p: float, cfg: ScanConfig, oracle_subset):
         return (_triangle_sum(sub), verts) if cfg.admits(sub) else (None, None)
     a = centered_adjacency(graph, p)
     if cfg.mode == "local-search":
-        return _local_search(a, cfg)
+        return _local_search(a[None], cfg)[0]
     cfg.check_exhaustive(graph.n)
     return _exhaustive_scan(a, cfg)
 
@@ -606,7 +710,11 @@ def scan_statistic(graph: Graph, p: float, cfg: ScanConfig, oracle_subset=None):
     ascending order of their triangle contribution and the outsiders in
     ascending order, and takes the first that raises the exact sum; one
     matmul scores every swap of the sweep, and only the swaps whose score
-    could beat the current sum are recomputed exactly.
+    could beat the current sum are recomputed exactly.  The climbs run in
+    lockstep, a stack of one graph here (estimate_errors stacks a chunk of
+    trials): a pass sweeps them with stacked products, ordering the members
+    by a cheap contribution and by the einsum only on near-ties, and tests
+    their next swaps in one stacked call (_local_search).
     Returns (value, subset), or (None, None) when k_minus > n.
     """
     if cfg.sigma_sq is not None:

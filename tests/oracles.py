@@ -184,6 +184,15 @@ def symmetric_matrix_fancy(values, n: int, dtype=float) -> np.ndarray:
     return a
 
 
+def symmetric_matrix_added(values, n: int, dtype=float) -> np.ndarray:
+    """graphs.symmetric_matrix by addition: the pair values filled into the
+    upper triangle of zeros, then the transpose added, for a stack too."""
+    a = np.zeros((*np.shape(values)[:-1], n, n), dtype=dtype)
+    a[np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), 1), a.shape)] = np.ravel(values)
+    a += a.swapaxes(-1, -2)  # the lower triangle is 0, so this mirrors the upper one
+    return a
+
+
 def cycle_vertex_orders(ell: int) -> list[tuple[int, ...]]:
     """Distinct cyclic orders of ell labeled vertices, each unordered cycle once.
 
@@ -410,9 +419,9 @@ def advantage_by_sample_products(params, v_max: int, degree_cap: int, trials: in
 
 
 def planted_trial_full_draw(spec, seed, trial: int):
-    """detection._planted_trial that draws the whole planted graph before it
-    checks the community size: None when the size is outside [k_minus,
-    k_plus], else True when the planted draw is missed."""
+    """detection._planted_trials of one trial, drawing the whole planted
+    graph before it checks the community size: None when the size is outside
+    [k_minus, k_plus], else True when the planted draw is missed."""
     sample = sample_planted(spec.params, seed.stream(trial, arm=Arm.PLANTED))
     members = sample.members
     if not spec.params.k_minus <= members.size <= spec.params.k_plus:

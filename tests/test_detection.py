@@ -1,6 +1,7 @@
 """Tests for thresholds, decision rules, and the Monte Carlo error harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from geodetect.detection import (
     TestSpec,
     _planted_triangles,
-    _planted_trial,
+    _planted_trials,
     calibrate_cycle_constant,
     constraint_params,
     cycle_test_snr,
@@ -27,7 +28,13 @@ from geodetect.graphs import (
     sample_planted,
 )
 from geodetect.sphere import signed_cycle_expectation
-from geodetect.stats import ScanConfig, signed_triangle_count, wedge_sums
+from geodetect.stats import (
+    ScanConfig,
+    constrained_scan_statistic,
+    scan_statistic,
+    signed_triangle_count,
+    wedge_sums,
+)
 from oracles import planted_trial_full_draw
 
 
@@ -293,6 +300,54 @@ class TestEstimateErrors:
         est = estimate_errors(spec, 300, Seed(12))
         assert 0 < est.excluded < 300
 
+    @pytest.mark.parametrize("kind", ["scan", "constrained-scan"])
+    def test_local_search_trials_score_as_their_own_scans(self, monkeypatch, kind):
+        # the rows cannot show this: at these sizes every null trial alarms.
+        # Each chunk's stacked search gives each trial's graph the value
+        # scan_statistic gives it alone, null and planted graphs alike
+        import geodetect.detection as detection_mod
+
+        params, seed, trials = ModelParams(n=64, p=0.3, d=16, k=26), Seed(31), 13
+        spec = make_test_spec(kind, params, scan_mode="local-search", restarts=2)
+        assert len(detection_mod._trial_chunks(trials, params.n, spec.scan)) > 1
+        scored, stacked = [], detection_mod._local_search_values
+
+        def recorded(p, scan, graphs):
+            values = stacked(p, scan, graphs)
+            scored.extend(zip(graphs, values))
+            return values
+
+        monkeypatch.setattr(detection_mod, "_local_search_values", recorded)
+        detection_mod._null_statistic.cache_clear()
+        estimate_errors(spec, trials, seed)
+        graphs = [sample_null(params.n, params.p, seed.stream(t, arm=Arm.NULL)) for t in range(trials)]
+        for t in range(trials):
+            sample = sample_planted(params, seed.stream(t, arm=Arm.PLANTED))
+            if params.k_minus <= sample.members.size <= params.k_plus:
+                graphs.append(sample.graph)
+        assert sorted(g.edges.tobytes() for g, _ in scored) == sorted(g.edges.tobytes() for g in graphs)
+        search = scan_statistic if kind == "scan" else constrained_scan_statistic
+        for graph, value in scored:
+            assert value == search(graph, params.p, spec.scan)[0]
+
+    def test_local_search_arm_peak_memory(self):
+        # the scan-cycle benchmark's constrained arm, at twice its 12 trials:
+        # chunks of stacked graphs stay within the chunk budget, where one
+        # stack of all 24 would peak at about 2.7 MiB
+        import geodetect.detection as detection_mod
+
+        params = ModelParams(n=64, p=0.3, d=16, k=26)
+        spec = make_test_spec("constrained-scan", params, scan_mode="local-search", restarts=2)
+        estimate_errors(spec, 2, Seed(2))  # lazy imports and caches
+        detection_mod._null_statistic.cache_clear()
+        tracemalloc.start()
+        try:
+            estimate_errors(spec, 24, Seed(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
     def test_excluded_trial_stops_after_the_membership_draw(self, monkeypatch):
         # the global test's first draw after the membership is its coins
         self.check_excluded_trials_stop(monkeypatch, "global-triangle", "_edge_coins")
@@ -328,7 +383,7 @@ class TestEstimateErrors:
         excluded = 0
         for t in range(40):
             try:
-                outcome = _planted_trial(spec, seed, t)
+                (outcome,) = _planted_trials(spec, seed, range(t, t + 1))
             except Kept:
                 continue
             assert outcome is None
@@ -352,7 +407,7 @@ class TestEstimateErrors:
         extra = {"ell": 4} if kind == "cycle" else {}
         spec = make_test_spec(kind, params, **extra)
         seed = Seed(21)
-        outcomes = [_planted_trial(spec, seed, t) for t in range(40)]
+        outcomes = _planted_trials(spec, seed, range(40))
         assert outcomes == [planted_trial_full_draw(spec, seed, t) for t in range(40)]
         assert None in outcomes and set(outcomes) - {None}
 
@@ -364,8 +419,6 @@ class TestEstimateErrors:
         oracle = sample.members[: params.k_minus]
         expected = statistic_value(spec, sample.graph, oracle)
         cfg = ScanConfig(k_minus=params.k_minus, mode="planted-oracle")
-        from geodetect.stats import scan_statistic
-
         direct, _ = scan_statistic(sample.graph, 0.5, cfg, oracle_subset=oracle)
         assert expected == pytest.approx(direct, abs=1e-12)
 

@@ -26,7 +26,7 @@ from geodetect.graphs import (
 from geodetect.lowdeg import fourier_coefficient_mc, small_graph_from_edges
 from geodetect.sphere import _BLOCK_ELEMENTS, solve_threshold
 from geodetect.stats import signed_triangle_count
-from oracles import symmetric_matrix_fancy, unit_gram_latent
+from oracles import symmetric_matrix_added, symmetric_matrix_fancy, unit_gram_latent
 
 
 class TestModelParams:
@@ -86,6 +86,27 @@ class TestGraph:
                 built = graphs_mod.symmetric_matrix(values, n, dtype)
                 assert built.dtype == dtype and built.flags.c_contiguous
                 assert np.array_equal(built, symmetric_matrix_fancy(values, n, dtype)), (n, dtype)
+
+    def test_symmetric_matrix_matches_addition_bit_for_bit(self):
+        # the second fill of the transposed view builds the matrix the old
+        # addition of the transpose built, to the bit, one matrix or a stack
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 64, 300):
+            m = n * (n - 1) // 2
+            for shape in ((m,), (3, m), (2, 2, m)):
+                for dtype in (bool, np.float32, np.float64):
+                    values = rng.random(shape) < 0.4 if dtype is bool else rng.standard_normal(shape)
+                    built = graphs_mod.symmetric_matrix(values, n, dtype)
+                    added = symmetric_matrix_added(values, n, dtype)
+                    assert built.shape == added.shape == (*shape[:-1], n, n)
+                    assert built.dtype == dtype and built.flags.c_contiguous
+                    assert built.tobytes() == added.tobytes(), (n, shape, dtype)
+
+    def test_symmetric_matrix_keeps_negative_zero(self):
+        # the one difference from the addition: -0.0 + 0.0 is +0.0
+        built = graphs_mod.symmetric_matrix(np.array([-0.0, 1.0, -0.0]), 3)
+        assert np.signbit(built[0, 1]) and np.signbit(built[1, 0])
+        assert not np.signbit(symmetric_matrix_added(np.array([-0.0, 1.0, -0.0]), 3)[0, 1])
 
     def test_pair_order_is_one_cached_rule(self):
         # the one pair cache: np.triu_indices, built once per order and shared read-only

@@ -661,6 +661,85 @@ class TestLocalSearch:
         assert_local_search_matches_oracle(g, p, k, 3, constraint=(math.inf, math.inf))
 
 
+def assert_stack_matches_each_graph(graphs, p, k_minus, restarts, constraint=None):
+    """One lockstep search of the stacked graphs gives, graph by graph, what
+    the scan of each graph alone and the swap-loop oracle give."""
+    sigma_sq, bound = constraint or (None, None)
+    cfg = ScanConfig(k_minus, "local-search", restarts, sigma_sq, bound)
+    a = np.stack([centered_adjacency(g, p) for g in graphs])
+    stacked = stats_mod._local_search(a, cfg)
+    assert len(stacked) == len(graphs)
+    for graph, (value, subset) in zip(graphs, stacked):
+        if k_minus > graph.n:  # no subset, and the swap loop draws none
+            assert (value, subset) == (None, None)
+            continue
+        alone = assert_local_search_matches_oracle(graph, p, k_minus, restarts, constraint)
+        assert value == alone[0] and type(value) is type(alone[0])
+        assert (subset is None) == (alone[1] is None)
+        assert subset is None or np.array_equal(subset, alone[1])
+    return stacked
+
+
+def clique_union(cliques: int, size: int) -> Graph:
+    """Disjoint equal cliques: members of cliques they share equally with the
+    subset tie exactly in their triangle contributions."""
+    return graph_from_edges(cliques * size, [
+        (c * size + i, c * size + j) for c in range(cliques) for i, j in combinations(range(size), 2)
+    ])
+
+
+@pytest.mark.filterwarnings("error")  # the margin test must not form inf - inf
+class TestLockstepSearch:
+    @pytest.mark.parametrize("p", [0.3, 0.123456])
+    @pytest.mark.parametrize("constraint", [None, (1e4, 30.0), (8.0, 1.5)])
+    def test_stack_matches_each_graph(self, p, constraint):
+        # climbs of different lengths side by side: an edgeless graph, whose
+        # every swap ties, stops at once; null and planted graphs climb on
+        # (the tight constraint at n = 64, k_minus = 23 admits no subset)
+        params = ModelParams(n=64, p=p, d=8, k=26)
+        graphs = [sample_null(64, p, Seed(122).stream(t)) for t in range(3)]
+        graphs += [sample_planted(params, Seed(123).stream(0)).graph, graph_from_edges(64, [])]
+        stacked = assert_stack_matches_each_graph(graphs, p, 23, 2, constraint)
+        if constraint is None:
+            assert len({value for value, _ in stacked}) == len(graphs)
+
+    @pytest.mark.parametrize("k_minus", [0, 1, 2, 12, 13])
+    def test_edge_sizes(self, k_minus):
+        graphs = [sample_null(12, 0.3, Seed(124).stream(t)) for t in range(3)]
+        stacked = assert_stack_matches_each_graph(graphs, 0.3, k_minus, 3)
+        assert_stack_matches_each_graph(graphs, 0.3, k_minus, 3, constraint=(1.0, 0.6))
+        assert all(value is None for value, _ in stacked) == (k_minus == 13)
+
+    def test_exact_ties_take_the_einsum_order(self, monkeypatch):
+        # members alone in their cliques tie exactly, from the start on; the
+        # climbs sort them by the einsum, and take the cheap order elsewhere
+        graphs, p, restarts = [clique_union(6, 5), clique_union(5, 6)], 0.3, 4
+        a = np.stack([centered_adjacency(g, p) for g in graphs])
+        for graph in graphs:
+            assert_local_search_matches_oracle(graph, p, 10, restarts)
+        counts = {"cheap": 0, "einsum": 0}
+        sweep, einsum = stats_mod._sweep_swaps, np.einsum
+
+        def counted_sweep(*args):
+            swaps, cheap = sweep(*args)
+            counts["cheap"] += int(cheap.sum())
+            return swaps, cheap
+
+        def counted_einsum(*args, **kwargs):
+            counts["einsum"] += 1
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(stats_mod, "_sweep_swaps", counted_sweep)
+        monkeypatch.setattr(stats_mod.np, "einsum", counted_einsum)
+        stacked = stats_mod._local_search(a, ScanConfig(10, "local-search", restarts))
+        monkeypatch.undo()
+        for graph, (value, subset) in zip(graphs, stacked):
+            alone = scan_statistic(graph, p, ScanConfig(10, "local-search", restarts))
+            assert value == alone[0] and np.array_equal(subset, alone[1])
+        # each climb ends with one sweep, so einsum sweeps past that many moved on
+        assert counts["einsum"] > len(graphs) * restarts and counts["cheap"] > 0
+
+
 class TestConstrainedScan:
     def test_vacuous_constraints_match_scan(self):
         g = sample_null(9, 0.4, Seed(111).stream(0))
