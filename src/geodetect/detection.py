@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import starmap
+from threading import Lock
 
 import numpy as np
 
@@ -28,13 +30,11 @@ from .graphs import (
 )
 from .sphere import signed_cycle_expectation
 from .stats import (
-    _CHUNK_BYTES,
     MAX_CYCLE_LENGTH,
     ScanConfig,
     _coin_counts,
-    _local_search,
+    _local_search_runs,
     _split_triangle_count,
-    centered_adjacency,
     constrained_scan_statistic,
     scan_statistic,
     signed_cycle_count,
@@ -209,49 +209,28 @@ def make_test_spec(
     )
 
 
-def _statistic(p: float, ell: int | None, scan: ScanConfig | None, graph: Graph, oracle_subset):
-    if scan is None:
-        return signed_cycle_count(graph, p, ell)
-    if scan.mode == "planted-oracle" and oracle_subset is None:
-        # under the null there is no community; exchangeability makes any
-        # fixed subset equivalent, so use the first k_minus vertices
-        oracle_subset = np.arange(scan.k_minus)
-    search = scan_statistic if scan.sigma_sq is None else constrained_scan_statistic
-    value, _ = search(graph, p, scan, oracle_subset)
-    return value
+def _scores(p: float, ell: int | None, scan: ScanConfig | None, pairs, count: int = 1):
+    """The statistic of each (graph, oracle subset) pair of an iterable of
+    about `count`, lazily and in order: None for an infeasible constrained scan.
 
-
-def _stacked(scan: ScanConfig | None) -> bool:
-    """True when a statistic scores a run of graphs in one call: a local search."""
-    return scan is not None and scan.mode == "local-search"
-
-
-def _local_search_values(p: float, scan: ScanConfig, graphs: list) -> list:
-    """The local-search statistic of each graph, scored in one stacked call
-    (stats._local_search)."""
-    a = np.empty((len(graphs), graphs[0].n, graphs[0].n))
-    for i, graph in enumerate(graphs):
-        a[i] = centered_adjacency(graph, p)
-    return [value for value, _ in _local_search(a, scan)]
-
-
-def _trial_chunks(trials: int, n: int, scan: ScanConfig | None) -> list[range]:
-    """The runs of trials whose graphs are scored together, of equal lengths
-    within one: a local search stacks at most about _CHUNK_BYTES of them,
-    every other statistic one at a time.
-
-    A graph's matrix takes 8 n^2 bytes, and a sweep of each of its climbs
-    about as much again: the climb's n x k rows of it and two k x (n - k)
-    arrays, at most 9/8 of it in all.
+    A local search scores the graphs in stacked runs sized for `count`
+    (stats._local_search_runs); every other statistic takes one graph at a
+    time, so only one graph of the iterable is alive at once.
     """
-    size = max(1, _CHUNK_BYTES // (8 * n * n * (1 + scan.restarts))) if _stacked(scan) else 1
-    size = -(-trials // -(-trials // size))  # the same number of runs, evened out
-    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+    if scan is None:
+        return starmap(lambda graph, _: signed_cycle_count(graph, p, ell), pairs)
+    if scan.mode == "local-search":
+        return _local_search_runs((graph for graph, _ in pairs), count, p, scan)
+    search = scan_statistic if scan.sigma_sq is None else constrained_scan_statistic
+    # under the null there is no community; exchangeability makes any fixed
+    # subset equivalent, so an oracle scan without one reads the first k_minus
+    first = np.arange(scan.k_minus) if scan.mode == "planted-oracle" else None
+    return starmap(lambda g, s: search(g, p, scan, first if s is None else s)[0], pairs)
 
 
 def statistic_value(spec: TestSpec, graph: Graph, oracle_subset=None):
     """The raw statistic for a graph, or None for an infeasible constrained scan."""
-    return _statistic(spec.params.p, spec.ell, spec.scan, graph, oracle_subset)
+    return next(_scores(spec.params.p, spec.ell, spec.scan, [(graph, oracle_subset)]))
 
 
 def _decide(value, threshold: float) -> str:
@@ -275,97 +254,99 @@ class ErrorEstimate:
 
     @staticmethod
     def half_width(rate: float, trials: int) -> float:
-        if trials <= 0:
-            return math.nan
-        return 1.96 * math.sqrt(rate * (1.0 - rate) / trials)
+        return 1.96 * math.sqrt(rate * (1.0 - rate) / trials) if trials > 0 else math.nan
 
 
-@lru_cache(maxsize=1 << 14)
-def _null_statistic(n: int, p: float, ell, scan: ScanConfig | None, seed: Seed, trials: range):
-    """Statistics of the seeded null draws of a run of trials (_trial_chunks), a tuple.
+@lru_cache(maxsize=1)
+def _null_group(n: int, p: float, seed: Seed, trials: int) -> tuple[dict, Lock]:
+    """The null statistics of one (n, p, seed, trials) group by (ell, scan),
+    and the lock they are made under: a second worker waits for an entry, not
+    drawing it again.  The cache keeps one group: another drops the last."""
+    return {}, Lock()
 
-    The key holds exactly what the null draws and the statistic read: no kind,
-    d or threshold, and k only through the scan's k_minus.  A sweep over d, or
-    two tests of one statistic, therefore draws and scores each null graph once.
+
+def _null_values(spec: TestSpec, seed: Seed, trials: int) -> tuple:
+    """The statistic of each seeded null trial t < trials, a tuple.
+
+    The draws read only (n, p, seed) and the statistic only (p, ell, scan):
+    no kind, d or threshold, and k only through the scan's k_minus.  The
+    values are memoised by (ell, scan) in the group's dict (_null_group), so
+    a sweep over d, or two tests of one statistic, draws and scores each null
+    graph once: grid points run in (n, p, d, k) order, one group at a time.
     """
-    graphs = [sample_null(n, p, seed.stream(t, arm=Arm.NULL)) for t in trials]
-    if _stacked(scan):
-        return tuple(_local_search_values(p, scan, graphs))
-    return tuple(_statistic(p, ell, scan, g, None) for g in graphs)
+    params, key = spec.params, (spec.ell, spec.scan)
+    group, lock = _null_group(params.n, params.p, seed, trials)
+    with lock:
+        if key not in group:
+            pairs = (
+                (sample_null(params.n, params.p, seed.stream(t, arm=Arm.NULL)), None)
+                for t in range(trials)
+            )
+            group[key] = tuple(_scores(params.p, spec.ell, spec.scan, pairs, trials))
+    return group[key]
 
 
 @lru_cache(maxsize=1)
 def _coin_group(n: int, p: float, k: float, seed: Seed) -> dict:
-    """The coin parts of one (n, p, k, seed) group by trial (_planted_coins).
+    """The coin parts of one (n, p, k, seed) group by trial (_planted_triangles).
     The cache keeps one group: asking for another drops the last one's dict."""
     return {}
 
 
-def _planted_coins(params: ModelParams, seed: Seed, trial: int):
-    """The part of planted trial t that d does not enter: None when the
-    community size falls outside [k_minus, k_plus], else (size, state,
-    counts), with the generator state after the edge coins and the
-    _CoinCounts of the coins.
+def _planted_triangles(params: ModelParams, seed: Seed, trial: int):
+    """signed_triangle_count of planted trial t's graph, or None when the
+    community size falls outside [k_minus, k_plus].
 
     A trial's stream gives its membership uniforms, then its coins, then the
-    community's Gram draws, so the first two are the same at every d.  They
-    are memoised by trial in the group's dict (_coin_group): a sweep over d
-    draws each trial's coins once.
+    community's Gram draws, so the first two are the same at every d.  Their
+    part is memoised by trial in the group's dict (_coin_group): None for an
+    excluded trial, else the generator state after the coins and the
+    _CoinCounts of the coins.  A sweep over d draws each trial's coins once;
+    each d draws the community block from that state, and the two parts give
+    the count of sample_planted's graph.
     """
     group = _coin_group(params.n, params.p, params.k, seed)
     if trial not in group:
         rng = seed.stream(trial, arm=Arm.PLANTED)
         members = _planted_members(params, rng)
-        if not params.k_minus <= members.size <= params.k_plus:
-            group[trial] = None
-        else:
+        if params.k_minus <= members.size <= params.k_plus:
             counts = _coin_counts(_edge_coins(params.n, params.p, rng), members, params.n)
-            group[trial] = members.size, rng.bit_generator.state, counts
-    return group[trial]
-
-
-def _planted_triangles(params: ModelParams, seed: Seed, trial: int):
-    """signed_triangle_count of planted trial t's graph, or None when the trial
-    is excluded: the memoised coin part and the community block, drawn from
-    the state after the coins, give the count of sample_planted's graph."""
-    coins = _planted_coins(params, seed, trial)
-    if coins is None:
+            group[trial] = rng.bit_generator.state, counts
+        else:
+            group[trial] = None
+    if group[trial] is None:
         return None
-    size, state, counts = coins
+    state, counts = group[trial]
     rng = np.random.Generator(np.random.PCG64())  # its own seed is overwritten here
     rng.bit_generator.state = state
-    return _split_triangle_count(counts, _community_block(size, params, rng), params.p)
+    block = _community_block(counts.degrees.size, params, rng)
+    return _split_triangle_count(counts, block, params.p)
 
 
-def _planted_trials(spec: TestSpec, seed: Seed, trials: range) -> list:
-    """For each planted trial of the run: None when the community size falls
-    outside [k_minus, k_plus], else True when the planted draw is missed.
+def _planted_values(spec: TestSpec, seed: Seed, trials: range) -> list:
+    """The statistic of each kept planted trial of the range, in order.
 
-    Each trial draws sample_planted(spec.params, rng); an excluded trial stops
-    after the membership uniforms, before its graph is drawn.  The global
-    triangle count reads the trial's coins from a memo and draws only the
-    community's block at each d (_planted_triangles).
+    Each trial draws sample_planted(spec.params, rng); a trial whose community
+    size falls outside [k_minus, k_plus] is left out, and stops after the
+    membership uniforms, before its graph is drawn.  A scan is scored on the
+    smallest k_minus members.  The global triangle count reads the trial's
+    coins from a memo and draws only the community's block at each d
+    (_planted_triangles).
     """
+    params = spec.params
     if spec.scan is None and spec.ell == 3:
-        values = [_planted_triangles(spec.params, seed, t) for t in trials]
-        return [None if v is None else _decide(v, spec.threshold) == "null" for v in values]
-    kept, graphs, oracles = [], [], []
-    for t in trials:
-        rng = seed.stream(t, arm=Arm.PLANTED)
-        members = _planted_members(spec.params, rng)
-        kept.append(spec.params.k_minus <= members.size <= spec.params.k_plus)
-        if kept[-1]:
-            graphs.append(sample_planted_fixed_community(members, spec.params, rng).graph)
-            # a scan is scored on the smallest k_minus members
-            oracles.append(None if spec.scan is None else members[: spec.scan.k_minus])
-    if not graphs:
-        return [None] * len(kept)
-    if _stacked(spec.scan):
-        values = _local_search_values(spec.params.p, spec.scan, graphs)
-        missed = iter([_decide(v, spec.threshold) == "null" for v in values])
-    else:
-        missed = iter([run_test(spec, g, o) == "null" for g, o in zip(graphs, oracles)])
-    return [next(missed) if k else None for k in kept]
+        values = (_planted_triangles(params, seed, t) for t in trials)
+        return [v for v in values if v is not None]
+
+    def kept():
+        for t in trials:
+            rng = seed.stream(t, arm=Arm.PLANTED)
+            members = _planted_members(params, rng)
+            if params.k_minus <= members.size <= params.k_plus:
+                oracle = None if spec.scan is None else members[: spec.scan.k_minus]
+                yield sample_planted_fixed_community(members, params, rng).graph, oracle
+
+    return list(_scores(params.p, spec.ell, spec.scan, kept(), len(trials)))
 
 
 def estimate_errors(spec: TestSpec, trials: int, seed: Seed | int) -> ErrorEstimate:
@@ -374,30 +355,23 @@ def estimate_errors(spec: TestSpec, trials: int, seed: Seed | int) -> ErrorEstim
     Planted trials whose community size falls outside [k_minus, k_plus] are
     excluded and counted rather than resampled, so the membership law is not
     biased.  Trial streams are derived from (seed, arm, index), so a trial's
-    outcome never depends on which trials ran before it, or with it: a
-    local search scores each run of _trial_chunks in one stacked call.
+    outcome never depends on which trials ran before it, or with it: a local
+    search scores its graphs in stacked runs (_scores).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if isinstance(seed, int):
         seed = Seed(seed)
 
-    params, alarms, misses = spec.params, [], []
-    for chunk in _trial_chunks(trials, params.n, spec.scan):
-        values = _null_statistic(params.n, params.p, spec.ell, spec.scan, seed, chunk)
-        alarms += [_decide(v, spec.threshold) == "planted" for v in values]
-        misses += _planted_trials(spec, seed, chunk)
-
-    type1 = sum(alarms) / trials
-    valid = [m for m in misses if m is not None]
-    excluded = trials - len(valid)
-    type2 = sum(valid) / len(valid) if valid else math.nan
+    null = _null_values(spec, seed, trials)
+    planted = _planted_values(spec, seed, range(trials))
+    type1 = sum(_decide(v, spec.threshold) == "planted" for v in null) / trials
+    misses = sum(_decide(v, spec.threshold) == "null" for v in planted)
+    type2 = misses / len(planted) if planted else math.nan
+    half_width = ErrorEstimate.half_width
     return ErrorEstimate(
-        type1=type1,
-        type2=type2,
-        type1_half_width=ErrorEstimate.half_width(type1, trials),
-        type2_half_width=ErrorEstimate.half_width(type2, len(valid)) if valid else math.nan,
-        excluded=excluded,
+        type1=type1, type2=type2, type1_half_width=half_width(type1, trials),
+        type2_half_width=half_width(type2, len(planted)), excluded=trials - len(planted),
     )
 
 

@@ -21,7 +21,6 @@ from .graphs import (
     Graph,
     ModelParams,
     Seed,
-    _community_members,
     _community_pairs,
     _fixed_community_draws,
     _fixed_community_edges,
@@ -29,6 +28,7 @@ from .graphs import (
     _tau,
     _unit_gram_of,
     _upper_pairs,
+    _vertex_subset,
     _wishart_of,
     symmetric_matrix,
 )
@@ -186,7 +186,7 @@ def composite_planted_graph(
     normalized threshold applied inside S and the Gaussian threshold outside,
     has exactly the law of the planted model with community S.
     """
-    members = _community_members(community, params.n)
+    members = _vertex_subset(community, params.n)
     draws = _composite_draws(members.size, params, rng)
     return Graph(params.n, _composite_edges(members, params, draws))
 
@@ -273,7 +273,7 @@ def route_check(community, params: ModelParams, trials: int, seed: Seed) -> dict
     n, p = params.n, params.p
     if n < 2:
         raise ValueError(f"the route check needs n >= 2 for a pair, got n = {n}")
-    members = _community_members(community, n)
+    members = _vertex_subset(community, n)
     m = n * (n - 1) // 2
     edge_sums, tri_sums = [0.0, 0.0], [0.0, 0.0]
     for chunk in _chunks(trials, n):

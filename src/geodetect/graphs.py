@@ -444,17 +444,20 @@ def sample_full_geometric(
     return Graph(n, gram[_upper_pairs(n)] >= tau), latents
 
 
-def _community_members(community, n: int) -> np.ndarray:
-    """The distinct vertices of a community, ascending; each must lie in [0, n)."""
-    members = np.asarray(community).ravel().astype(int)
-    members.sort()
-    # the distinct entries of the sorted copy; np.unique would import numpy.ma,
-    # about 1.3 MiB of resident memory in a process that needs nothing else of it
-    distinct = np.ones(members.size, dtype=bool)
-    distinct[1:] = members[1:] != members[:-1]
-    members = members[distinct]
+def _vertex_subset(vertices, n: int) -> np.ndarray:
+    """The vertices of a community or subset, ascending, as ints.  Each must
+    lie in [0, n) and appear once; a bool mask is refused, since its entries
+    would read as the vertices 0 and 1."""
+    vertices = np.asarray(vertices)
+    if vertices.dtype == bool:
+        raise ValueError("a vertex subset is a list of vertices, not a bool mask")
+    members = np.sort(vertices, axis=None).astype(int)  # truncation keeps the order
     if members.size and (members[0] < 0 or members[-1] >= n):
-        raise ValueError("community vertices must lie in [0, n)")
+        raise ValueError("subset vertices must lie in [0, n)")
+    # sorted neighbours: np.unique would import numpy.ma, about 1.3 MiB of
+    # resident memory in a process that needs nothing else of it
+    if np.any(members[1:] == members[:-1]):
+        raise ValueError("the vertex subset contains duplicate vertices")
     return members
 
 
@@ -476,7 +479,7 @@ def sample_planted_fixed_community(
 ) -> PlantedSample:
     """Planted draw conditioned on the community being exactly the given set."""
     n = params.n
-    members = _community_members(community, n)
+    members = _vertex_subset(community, n)
     mask = np.zeros(n, dtype=bool)
     mask[members] = True
     draws = _fixed_community_draws(members.size, params, rng)

@@ -439,9 +439,10 @@ def sample_uniform_sphere(d: int, rng: np.random.Generator, size: int | tuple):
 def _normalise_rows(z: np.ndarray) -> np.ndarray:
     """Divides each vector along z's last axis by its Euclidean norm, in place.
 
-    z must be C-contiguous, so that its rows are a view.  Works in row blocks: each row reduces on its own, so the result is the
-    same for any stack of rows, but the squared-entry temporary stays near
-    _BLOCK_ELEMENTS.  Returns z.
+    z must be C-contiguous, so that its rows are a view.  Works in row
+    blocks: each row reduces on its own, so the result is the same for any
+    stack of rows, but the squared-entry temporary stays near _BLOCK_ELEMENTS.
+    Returns z.
     """
     d = z.shape[-1]
     rows = z.reshape(-1, d)

@@ -39,7 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Arm, Graph, Seed, _community_pairs, _upper_pairs, symmetric_matrix
+from .graphs import (
+    Arm, Graph, Seed, _community_pairs, _upper_pairs, _vertex_subset, symmetric_matrix,
+)
 
 __all__ = [
     "ScanConfig",
@@ -55,7 +57,7 @@ __all__ = [
 
 MAX_CYCLE_LENGTH = 7
 # per array of a block of prefixes in the exhaustive scan; a local search keeps
-# a chunk of trials (detection._trial_chunks), and the blocks one pass tests,
+# a run of stacked graphs (_local_search_runs), and the blocks one pass tests,
 # within about as much
 _CHUNK_BYTES = 2**20
 _A, _ONE = ("A",), ("one",)  # Abar and the all-ones vertex weight
@@ -369,12 +371,7 @@ def _wedge_matrix(sub_signed: np.ndarray) -> np.ndarray:
 def _subset_signed(graph: Graph, p: float, subset) -> tuple[np.ndarray, np.ndarray]:
     """(verts, block): the subset's vertices ascending and its k x k block of
     the centered adjacency, read from its own pairs of the edge field."""
-    verts = np.asarray(sorted(int(v) for v in subset), dtype=int)
-    if verts.size and (verts[0] < 0 or verts[-1] >= graph.n):
-        raise ValueError("subset vertices must lie in [0, n)")
-    # sorted neighbours, as graphs._community_members: np.unique would import numpy.ma
-    if np.any(verts[1:] == verts[:-1]):
-        raise ValueError("subset contains duplicate vertices")
+    verts = _vertex_subset(subset, graph.n)
     _, flat = _community_pairs(verts, graph.n)
     return verts, symmetric_matrix(graph.edges[flat] - p, verts.size)
 
@@ -616,6 +613,30 @@ def _local_search(a: np.ndarray, cfg: ScanConfig) -> list:
     return results
 
 
+def _local_search_runs(graphs, count: int, p: float, cfg: ScanConfig):
+    """The local-search statistic of each graph of an iterable of about
+    `count`, in order, None where no subset qualifies: a generator that takes
+    the graphs a run at a time and scores each run in one stacked _local_search.
+
+    A graph's matrix takes 8 n^2 bytes, and a sweep of each of its climbs
+    about as much again: the climb's n x k rows of it and two k x (n - k)
+    arrays, at most 9/8 of it in all.  A run keeps that within about
+    _CHUNK_BYTES, and the runs are evened out over `count`.
+    """
+    graphs = iter(graphs)
+    for first in graphs:  # each pass takes one run
+        n = first.n
+        size = max(1, _CHUNK_BYTES // (8 * n * n * (1 + cfg.restarts)))
+        size = -(-count // -(-count // size))  # the same number of runs, evened out
+        run = [first, *islice(graphs, size - 1)]
+        a = np.empty((len(run), n, n))
+        for i, graph in enumerate(run):
+            a[i] = centered_adjacency(graph, p)
+        values = [value for value, _ in _local_search(a, cfg)]
+        del a  # before the next run's stack is made
+        yield from values
+
+
 def _scan_impl(graph: Graph, p: float, cfg: ScanConfig, oracle_subset):
     if cfg.mode == "planted-oracle":
         if oracle_subset is None:
@@ -711,8 +732,8 @@ def scan_statistic(graph: Graph, p: float, cfg: ScanConfig, oracle_subset=None):
     ascending order, and takes the first that raises the exact sum; one
     matmul scores every swap of the sweep, and only the swaps whose score
     could beat the current sum are recomputed exactly.  The climbs run in
-    lockstep, a stack of one graph here (estimate_errors stacks a chunk of
-    trials): a pass sweeps them with stacked products, ordering the members
+    lockstep, a stack of one graph here (_local_search_runs stacks a run of
+    graphs): a pass sweeps them with stacked products, ordering the members
     by a cheap contribution and by the einsum only on near-ties, and tests
     their next swaps in one stacked call (_local_search).
     Returns (value, subset), or (None, None) when k_minus > n.

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import betainc
 
 from geodetect import __version__
-from geodetect.detection import run_test
+from geodetect.detection import statistic_value
 from geodetect.ensembles import (
     composite_planted_graph,
     sample_spherical_wishart,
@@ -419,15 +419,15 @@ def advantage_by_sample_products(params, v_max: int, degree_cap: int, trials: in
 
 
 def planted_trial_full_draw(spec, seed, trial: int):
-    """detection._planted_trials of one trial, drawing the whole planted
+    """detection._planted_values of one trial, drawing the whole planted
     graph before it checks the community size: None when the size is outside
-    [k_minus, k_plus], else True when the planted draw is missed."""
+    [k_minus, k_plus], else the statistic of the planted draw."""
     sample = sample_planted(spec.params, seed.stream(trial, arm=Arm.PLANTED))
     members = sample.members
     if not spec.params.k_minus <= members.size <= spec.params.k_plus:
         return None
     oracle = None if spec.scan is None else members[: spec.scan.k_minus]
-    return run_test(spec, sample.graph, oracle) == "null"
+    return statistic_value(spec, sample.graph, oracle)
 
 
 def wishart_report_per_trial(k, d, trials, seed, n=None, community_size=None, p=0.5) -> dict:

@@ -22,6 +22,15 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+# [test.*] sections whose null arms the memo tests run: the global test, a
+# stacked local search and a planted-oracle scan
+NULL_MEMO_SECTIONS = [
+    "[test.global-triangle]\n",
+    "[test.scan]\nmode = local-search\nrestarts = 2\n",
+    "[test.scan]\nmode = planted-oracle\n",
+]
+
+
 def strip_wall(rows):
     return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
 
@@ -200,7 +209,7 @@ class TestTestCommand:
             return real(n, p, rng)
 
         monkeypatch.setattr(detection_mod, "sample_null", counted)
-        detection_mod._null_statistic.cache_clear()
+        detection_mod._null_group.cache_clear()
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_CONFIG.replace("p = 0.5\nd = 8", "p = 0.3\nd = 16")
                        + "\n[test.cycle]\nell = 3\n")
@@ -274,13 +283,68 @@ class TestSweepCommand:
             return real(n, p, rng)
 
         monkeypatch.setattr(detection_mod, "sample_null", counted)
-        detection_mod._null_statistic.cache_clear()
+        for section in NULL_MEMO_SECTIONS:
+            calls.clear()
+            detection_mod._null_group.cache_clear()
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text(BASE_CONFIG.replace("[test.global-triangle]\n", section)
+                           + "\n[sweep]\nd = 8,16,32\n")
+            out = tmp_path / "grid.csv"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), "--trials", "6"]) == 0
+            assert len(read_rows(out)) == 3
+            assert len(calls) == 6, section
+
+    def test_null_arm_drawn_once_with_two_workers(self, tmp_path, monkeypatch):
+        # two rows of one statistic run at once: the second waits for the first's null arm
+        import geodetect.detection as detection_mod
+
+        calls = []
+        real = detection_mod.sample_null
+
+        def counted(n, p, rng):
+            calls.append(n)
+            return real(n, p, rng)
+
+        monkeypatch.setattr(detection_mod, "sample_null", counted)
+        detection_mod._null_group.cache_clear()
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16,32\n")
+        cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16,32,64\n")
         out = tmp_path / "grid.csv"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--trials", "6"]) == 0
-        assert len(read_rows(out)) == 3
-        assert len(calls) == 6
+        args = ["sweep", "--config", str(cfg), "--out", str(out), "--trials", "30"]
+        assert main([*args, "--workers", "2"]) == 0
+        assert len(read_rows(out)) == 4
+        assert len(calls) == 30
+
+    @pytest.mark.parametrize(
+        "trials, sections, draws",
+        [
+            # a trial count past 2^14: the memo holds whole groups, whatever their size
+            (17_000, "[test.global-triangle]\n", 17_000),
+            # two statistics of 9,000 trials: one group holds both
+            (9_000, "[test.global-triangle]\n[test.cycle]\nell = 4\n", 18_000),
+        ],
+        ids=["one-statistic", "two-statistics"],
+    )
+    def test_null_memo_holds_a_whole_group(self, tmp_path, monkeypatch, trials, sections, draws):
+        import geodetect.detection as detection_mod
+
+        calls = []
+        real = detection_mod.sample_null
+
+        def counted(n, p, rng):
+            calls.append(n)
+            return real(n, p, rng)
+
+        monkeypatch.setattr(detection_mod, "sample_null", counted)
+        detection_mod._null_group.cache_clear()
+        cfg = tmp_path / "cfg.ini"
+        config = "[model]\nn = 10\np = 0.5\nd = 8\nk = 2\n[sweep]\nd = 8,16\n"
+        cfg.write_text(config + sections)
+        out = tmp_path / "grid.csv"
+        args = ["sweep", "--config", str(cfg), "--out", str(out), "--trials", str(trials)]
+        assert main(args) == 0
+        assert len(read_rows(out)) == 2 * sections.count("[test.")
+        assert len(calls) == draws
 
     def test_planted_coins_drawn_once_per_trial(self, tmp_path, monkeypatch):
         # the global triangle test draws each planted trial's membership and
@@ -317,21 +381,23 @@ class TestSweepCommand:
     def test_null_memo_changes_no_row(self, tmp_path):
         import geodetect.detection as detection_mod
 
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16,32\n")
-        cold, warm, resumed = tmp_path / "cold.csv", tmp_path / "warm.csv", tmp_path / "r.csv"
-        args = ["sweep", "--config", str(cfg), "--trials", "10", "--out"]
-        detection_mod._null_statistic.cache_clear()
-        assert main([*args, str(cold)]) == 0
-        assert main([*args, str(warm)]) == 0
-        # an interrupted run: header and first row only, finished cold with --resume
-        resumed.write_text("".join(cold.read_text().splitlines(keepends=True)[:2]))
-        detection_mod._null_statistic.cache_clear()
-        assert main([*args, str(resumed), "--resume"]) == 0
-        expected = strip_wall(read_rows(cold))
-        assert len(expected) == 3
-        assert strip_wall(read_rows(warm)) == expected
-        assert strip_wall(read_rows(resumed)) == expected
+        for section in NULL_MEMO_SECTIONS:
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text(BASE_CONFIG.replace("[test.global-triangle]\n", section)
+                           + "\n[sweep]\nd = 8,16,32\n")
+            cold, warm, resumed = tmp_path / "cold.csv", tmp_path / "warm.csv", tmp_path / "r.csv"
+            args = ["sweep", "--config", str(cfg), "--trials", "10", "--out"]
+            detection_mod._null_group.cache_clear()
+            assert main([*args, str(cold)]) == 0
+            assert main([*args, str(warm)]) == 0
+            # an interrupted run: header and first row only, finished cold with --resume
+            resumed.write_text("".join(cold.read_text().splitlines(keepends=True)[:2]))
+            detection_mod._null_group.cache_clear()
+            assert main([*args, str(resumed), "--resume"]) == 0
+            expected = strip_wall(read_rows(cold))
+            assert len(expected) == 3
+            assert strip_wall(read_rows(warm)) == expected, section
+            assert strip_wall(read_rows(resumed)) == expected, section
 
     def test_repeated_points_run_once(self, tmp_path):
         # logrange:4:6:5 rounds to d = 4, 4, 5, 5, 6

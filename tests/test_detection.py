@@ -9,7 +9,7 @@ import pytest
 from geodetect.detection import (
     TestSpec,
     _planted_triangles,
-    _planted_trials,
+    _planted_values,
     calibrate_cycle_constant,
     constraint_params,
     cycle_test_snr,
@@ -303,22 +303,31 @@ class TestEstimateErrors:
     @pytest.mark.parametrize("kind", ["scan", "constrained-scan"])
     def test_local_search_trials_score_as_their_own_scans(self, monkeypatch, kind):
         # the rows cannot show this: at these sizes every null trial alarms.
-        # Each chunk's stacked search gives each trial's graph the value
-        # scan_statistic gives it alone, null and planted graphs alike
+        # Each run's stacked search gives each trial's graph the value
+        # scan_statistic gives it alone, null and planted graphs alike, and
+        # each arm's 13 trials are scored in two runs evened out to 7 graphs
         import geodetect.detection as detection_mod
+        import geodetect.stats as stats_mod
 
         params, seed, trials = ModelParams(n=64, p=0.3, d=16, k=26), Seed(31), 13
         spec = make_test_spec(kind, params, scan_mode="local-search", restarts=2)
-        assert len(detection_mod._trial_chunks(trials, params.n, spec.scan)) > 1
-        scored, stacked = [], detection_mod._local_search_values
+        scored, runs = [], []
+        real_runs, real_search = detection_mod._local_search_runs, stats_mod._local_search
 
-        def recorded(p, scan, graphs):
-            values = stacked(p, scan, graphs)
+        def recorded(graphs, count, p, scan):
+            graphs = list(graphs)
+            runs.append([])
+            values = list(real_runs(graphs, count, p, scan))
             scored.extend(zip(graphs, values))
             return values
 
-        monkeypatch.setattr(detection_mod, "_local_search_values", recorded)
-        detection_mod._null_statistic.cache_clear()
+        def stacked(a, cfg):
+            runs[-1].append(a.shape[0])
+            return real_search(a, cfg)
+
+        monkeypatch.setattr(detection_mod, "_local_search_runs", recorded)
+        monkeypatch.setattr(stats_mod, "_local_search", stacked)
+        detection_mod._null_group.cache_clear()
         estimate_errors(spec, trials, seed)
         graphs = [sample_null(params.n, params.p, seed.stream(t, arm=Arm.NULL)) for t in range(trials)]
         for t in range(trials):
@@ -326,20 +335,69 @@ class TestEstimateErrors:
             if params.k_minus <= sample.members.size <= params.k_plus:
                 graphs.append(sample.graph)
         assert sorted(g.edges.tobytes() for g, _ in scored) == sorted(g.edges.tobytes() for g in graphs)
+        null_runs, planted_runs = runs
+        assert null_runs == [7, 6]
+        assert len(planted_runs) == 2 and max(planted_runs) == 7
         search = scan_statistic if kind == "scan" else constrained_scan_statistic
         for graph, value in scored:
             assert value == search(graph, params.p, spec.scan)[0]
 
+    def test_threads_sharing_the_null_memo_draw_each_graph_once(self, monkeypatch):
+        # eight threads ask for the null arms of two statistics of one group
+        # at once; a check-then-draw without the group's lock draws one twice
+        import sys
+        import threading
+
+        import geodetect.detection as detection_mod
+
+        params, seed, trials = ModelParams(n=12, p=0.5, d=8, k=6), Seed(8), 30
+        specs = [make_test_spec("global-triangle", params), make_test_spec("cycle", params, ell=4)]
+        detection_mod._null_group.cache_clear()
+        expected = [detection_mod._null_values(spec, seed, trials) for spec in specs]
+        detection_mod._null_group.cache_clear()
+        calls, errors = [], []
+        real = detection_mod.sample_null
+
+        def counted(n, p, rng):
+            calls.append(n)
+            return real(n, p, rng)
+
+        start = threading.Barrier(8, timeout=60)
+
+        def work(worker):
+            try:
+                start.wait()
+                for _ in range(20):
+                    spec = specs[worker % 2]
+                    assert detection_mod._null_values(spec, seed, trials) == expected[worker % 2]
+            except BaseException as exc:  # reported below, in the test's own thread
+                errors.append(exc)
+
+        monkeypatch.setattr(detection_mod, "sample_null", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(calls) == 2 * trials
+
     def test_local_search_arm_peak_memory(self):
         # the scan-cycle benchmark's constrained arm, at twice its 12 trials:
-        # chunks of stacked graphs stay within the chunk budget, where one
+        # runs of stacked graphs stay within the run budget, where one
         # stack of all 24 would peak at about 2.7 MiB
         import geodetect.detection as detection_mod
 
         params = ModelParams(n=64, p=0.3, d=16, k=26)
         spec = make_test_spec("constrained-scan", params, scan_mode="local-search", restarts=2)
         estimate_errors(spec, 2, Seed(2))  # lazy imports and caches
-        detection_mod._null_statistic.cache_clear()
+        detection_mod._null_group.cache_clear()
         tracemalloc.start()
         try:
             estimate_errors(spec, 24, Seed(1))
@@ -383,10 +441,10 @@ class TestEstimateErrors:
         excluded = 0
         for t in range(40):
             try:
-                (outcome,) = _planted_trials(spec, seed, range(t, t + 1))
+                values = _planted_values(spec, seed, range(t, t + 1))
             except Kept:
                 continue
-            assert outcome is None
+            assert values == []
             reference = Seed(12).stream(t, arm=Arm.PLANTED)
             reference.random(params.n)
             assert made[-1].bit_generator.state == reference.bit_generator.state
@@ -407,9 +465,9 @@ class TestEstimateErrors:
         extra = {"ell": 4} if kind == "cycle" else {}
         spec = make_test_spec(kind, params, **extra)
         seed = Seed(21)
-        outcomes = _planted_trials(spec, seed, range(40))
-        assert outcomes == [planted_trial_full_draw(spec, seed, t) for t in range(40)]
-        assert None in outcomes and set(outcomes) - {None}
+        full = [planted_trial_full_draw(spec, seed, t) for t in range(40)]
+        assert _planted_values(spec, seed, range(40)) == [v for v in full if v is not None]
+        assert None in full and set(full) - {None}
 
     def test_scan_oracle_uses_community_prefix(self):
         params = ModelParams(n=18, p=0.5, d=4, k=12)

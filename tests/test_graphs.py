@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geodetect.graphs as graphs_mod
-from geodetect.ensembles import composite_planted_graph
+from geodetect.ensembles import composite_planted_graph, route_check
 from geodetect.graphs import (
     Arm,
     Graph,
@@ -549,25 +549,50 @@ class TestFixedCommunity:
     @pytest.mark.parametrize(
         "community",
         [
-            [4, 1, 4, 0],
+            [4, 1, 7, 0],
             range(2, 5),
-            np.array([[3, 1], [1, 7]]),
-            np.array([2.7, 0.2, 2.0, 7.0]),
+            np.array([[3, 1], [0, 7]]),
+            np.array([2.7, 0.2, 3.0, 7.0]),
             [],
             np.array([], dtype=int),
         ],
     )
     def test_community_members(self, community):
-        # the distinct vertices, ascending, as int(v) of each entry gives them
-        expected = sorted({int(v) for v in np.asarray(community).ravel()})
-        members = graphs_mod._community_members(community, 8)
+        # the vertices, ascending, as int(v) of each entry gives them
+        expected = sorted(int(v) for v in np.asarray(community).ravel())
+        members = graphs_mod._vertex_subset(community, 8)
         assert members.dtype.kind == "i"
         assert members.tolist() == expected
 
     @pytest.mark.parametrize("community", [[0, 8], [-1, 3], np.array([8.0, 1.0])])
     def test_community_members_out_of_range(self, community):
         with pytest.raises(ValueError, match="must lie in"):
-            graphs_mod._community_members(community, 8)
+            graphs_mod._vertex_subset(community, 8)
+
+    def test_samplers_refuse_repeats_and_masks(self):
+        # a repeated vertex, one made by int(v), or the bool mask of a draw
+        # would plant another community than the one given: every reader of
+        # a community refuses them, where one vertex set passes
+        params = ModelParams(n=10, p=0.5, d=4, k=5)
+        sample = sample_planted(params, Seed(23).stream(0))
+        assert sample.members.size not in (0, 2)  # its mask would read as {0, 1}
+        readers = [
+            lambda c: graphs_mod._vertex_subset(c, params.n),
+            lambda c: sample_planted_fixed_community(c, params, Seed(23).stream(1)),
+            lambda c: composite_planted_graph(c, params, Seed(23).stream(2)),
+            lambda c: route_check(c, params, 2, Seed(23)),
+        ]
+        for read in readers:
+            read(sample.members)
+            for community, match in [
+                ([4, 4, 7], "duplicate"),
+                ([2.7, 2.2], "duplicate"),
+                (sample.community, "bool mask"),
+            ]:
+                with pytest.raises(ValueError, match=match):
+                    read(community)
+        planted = sample_planted_fixed_community(sample.members, params, Seed(23).stream(1))
+        assert np.array_equal(planted.community, sample.community)
 
     @pytest.mark.parametrize("members", [[], [3], [2, 5], [0, 1, 4, 8, 9]])
     def test_community_pairs(self, members):
