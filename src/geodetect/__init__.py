@@ -9,6 +9,16 @@ diagnostics, the Wishart and shifted-GOE matrix routes, and seeded Monte Carlo
 harnesses for type I / type II error estimation.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import detection, ensembles, graphs, lowdeg, sphere, stats  # noqa: F401
+_SUBMODULES = frozenset({"cli", "detection", "ensembles", "graphs", "lowdeg", "sphere", "stats"})
+
+
+def __getattr__(name: str):
+    """A submodule, imported the first time it is read (PEP 562): `import
+    geodetect` loads none of them, so each command loads only what it runs."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

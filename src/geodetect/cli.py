@@ -6,6 +6,13 @@ so that a typo in p vs d, or a value out of range, is a config error rather
 than a ruined experiment.  tau, cycle-expectation and sample read flags only;
 the library checks those, and its ValueError is their config error.  Exit
 codes: 0 success, 2 config error, 3 numerical failure under --strict.
+
+Only graphs and sphere, which every command uses, are imported with this
+module.  Each command imports the rest of its library at its top, before it
+reads its config, and the readers of values capped by the library (a cycle
+length, v_max, a scan mode) import the cap when they read one.  So a process
+loads only what its command runs, and a function imported inside a command is
+looked up in its module at the call.
 """
 
 from __future__ import annotations
@@ -13,23 +20,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import csv
 import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .detection import estimate_errors, make_test_spec
-from .ensembles import (
-    route_check,
-    sample_spherical_wishart,
-    spectral_deviation,
-    spectral_deviations,
-)
 from .graphs import (
     Arm,
     ModelParams,
@@ -39,9 +37,7 @@ from .graphs import (
     sample_planted,
     sample_planted_fixed_size,
 )
-from .lowdeg import V_MAX, low_degree_advantage
 from .sphere import signed_cycle_expectation, solve_threshold
-from .stats import MAX_CYCLE_LENGTH, ScanConfig
 
 CSV_COLUMNS = [
     "n", "p", "d", "k", "test", "threshold", "type1", "type1_hw",
@@ -81,7 +77,21 @@ def _seed(text: str) -> int:
 
 
 def _scan_mode(text: str) -> str:
+    from .stats import ScanConfig
+
     return ScanConfig(k_minus=0, mode=text).mode  # ScanConfig checks the mode
+
+
+def _cycle_length(text: str) -> int:
+    from .stats import MAX_CYCLE_LENGTH
+
+    return _integer(3, MAX_CYCLE_LENGTH)(text)
+
+
+def _v_max(text: str) -> int:
+    from .lowdeg import V_MAX
+
+    return _integer(1, V_MAX)(text)
 
 
 def _cycle_constant(text: str) -> float | None:
@@ -118,9 +128,9 @@ _SCHEMA = {
     "test.global-triangle": {},
     "test.scan": _SCAN,
     "test.constrained-scan": {**_SCAN, "cycle_constant": (_cycle_constant, None)},
-    "test.cycle": {"ell": (_integer(3, MAX_CYCLE_LENGTH), _REQUIRED)},
+    "test.cycle": {"ell": (_cycle_length, _REQUIRED)},
     "lowdeg": {
-        "v_max": (_integer(1, V_MAX), 4), "degree_cap": (_integer(1), 10),
+        "v_max": (_v_max, 4), "degree_cap": (_integer(1), 10),
         "trials": (_integer(1), 20000),
     },
     "wishart": {
@@ -227,6 +237,8 @@ def _grid_points(cfg: dict, base: ModelParams) -> list[ModelParams]:
 
 def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed: int):
     """One ResultRow; numerical failures are recorded in-row as NaNs."""
+    from .detection import estimate_errors, make_test_spec
+
     start = time.monotonic()
     try:
         spec = make_test_spec(kind, params, **options)
@@ -256,6 +268,12 @@ def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed:
 
 def cmd_rows(args) -> int:
     """test and sweep: one CSV row per grid point and [test.*] section."""
+    import csv
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import detection  # noqa: F401 -- what _point_row runs, loaded before the config
+    from .stats import ScanConfig
+
     cfg = load_config(args.config)
     base = _model_from(cfg)
     run = _settings(cfg, "run", args, "trials", "seed", "workers", "out")
@@ -359,6 +377,8 @@ def cmd_cycle_expectation(args) -> int:
 
 
 def cmd_lowdeg(args) -> int:
+    from .lowdeg import low_degree_advantage
+
     cfg = load_config(args.config)
     params = _model_from(cfg)
     section = _settings(cfg, "lowdeg", args, "trials")
@@ -399,6 +419,13 @@ def cmd_lowdeg(args) -> int:
 
 
 def cmd_wishart(args) -> int:
+    from .ensembles import (
+        route_check,
+        sample_spherical_wishart,
+        spectral_deviation,
+        spectral_deviations,
+    )
+
     cfg = load_config(args.config)
     section = _settings(cfg, "wishart", args, "trials")
     k, d, trials, n = section["k"], section["d"], section["trials"], section["n"]

@@ -134,7 +134,7 @@ def threshold_map_alpha(m, p: float, d: float) -> Graph:
     keeps full relative precision at small p, where 1 - p would round.
     """
     x = _as_matrix(m)
-    return Graph(x.shape[0], _alpha_edges(x, p, d))
+    return Graph._adopt(x.shape[0], _alpha_edges(x, p, d))
 
 
 def _alpha_edges(x: np.ndarray, p: float, d: float) -> np.ndarray:
@@ -151,7 +151,7 @@ def _alpha_edges(x: np.ndarray, p: float, d: float) -> np.ndarray:
 def threshold_map_beta(w, tau: float) -> Graph:
     """Normalized threshold X_ij / sqrt(X_ii X_jj) > tau; needs a positive diagonal."""
     x = _as_matrix(w)
-    return Graph(x.shape[0], _beta_edges(x, tau))
+    return Graph._adopt(x.shape[0], _beta_edges(x, tau))
 
 
 def _beta_edges(x: np.ndarray, tau: float) -> np.ndarray:
@@ -188,7 +188,7 @@ def composite_planted_graph(
     """
     members = _vertex_subset(community, params.n)
     draws = _composite_draws(members.size, params, rng)
-    return Graph(params.n, _composite_edges(members, params, draws))
+    return Graph._adopt(params.n, _composite_edges(members, params, draws))
 
 
 def _composite_draws(size: int, params: ModelParams, rng: np.random.Generator) -> tuple:

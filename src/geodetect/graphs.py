@@ -119,6 +119,18 @@ class Graph:
     __slots__ = ("n", "_edges")
 
     def __init__(self, n: int, edges: np.ndarray):
+        self._hold(n, np.array(edges, dtype=bool))  # a copy: the caller keeps its array
+
+    @classmethod
+    def _adopt(cls, n: int, edges: np.ndarray) -> "Graph":
+        """The graph of a freshly made bool field that nothing else holds,
+        such as a sampler's draw: frozen in place, not copied, so a draw
+        peaks at one field rather than two."""
+        graph = cls.__new__(cls)
+        graph._hold(n, edges)
+        return graph
+
+    def _hold(self, n: int, edges: np.ndarray) -> None:
         n = int(n)
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
@@ -126,7 +138,6 @@ class Graph:
         edges = np.asarray(edges, dtype=bool)
         if edges.shape != (m,):
             raise ValueError(f"edge field must have shape ({m},), got {edges.shape}")
-        edges = edges.copy()
         edges.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_edges", edges)
@@ -190,7 +201,7 @@ class Graph:
         edges[pair_index(ij[:, 0], ij[:, 1], n)] = True
         if int(edges.sum()) != m:
             raise ValueError(f"edge list repeats a pair: {m} lines, {edges.sum()} edges")
-        return cls(n, edges)
+        return cls._adopt(n, edges)
 
     def to_bitfield_bytes(self) -> bytes:
         """Binary format: 8-byte little-endian n, then the packed edge bits."""
@@ -207,7 +218,7 @@ class Graph:
         bits = np.unpackbits(
             np.frombuffer(blob[8:], dtype=np.uint8), count=m, bitorder="little"
         )
-        return cls(n, bits.astype(bool))
+        return cls._adopt(n, bits.astype(bool))
 
 
 @dataclass(frozen=True)
@@ -293,7 +304,7 @@ def sample_null(n: int, p: float, rng: np.random.Generator) -> Graph:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    return Graph(n, _edge_coins(n, p, rng))
+    return Graph._adopt(n, _edge_coins(n, p, rng))
 
 
 def _gram_draws(s: int, d: int, rng: np.random.Generator, shape=()) -> tuple:
@@ -441,7 +452,7 @@ def sample_full_geometric(
         raise ValueError(f"n must be >= 1, got {n}")
     tau = _tau(p, d)
     gram, latents = _unit_gram_of(_gram_draws(n, d, rng))
-    return Graph(n, gram[_upper_pairs(n)] >= tau), latents
+    return Graph._adopt(n, gram[_upper_pairs(n)] >= tau), latents
 
 
 def _vertex_subset(vertices, n: int) -> np.ndarray:
@@ -484,7 +495,7 @@ def sample_planted_fixed_community(
     mask[members] = True
     draws = _fixed_community_draws(members.size, params, rng)
     edges, latents = _fixed_community_edges(members, params, draws)
-    return PlantedSample(graph=Graph(n, edges), community=mask, latents=latents)
+    return PlantedSample(graph=Graph._adopt(n, edges), community=mask, latents=latents)
 
 
 def _fixed_community_draws(size: int, params: ModelParams, rng: np.random.Generator) -> tuple:

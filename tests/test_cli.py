@@ -883,3 +883,74 @@ class TestNumpyOnlyRuntime:
         assert json.loads((tmp_path / "wishart.json").read_text())["spectral"]["draws"] == 50
         assert json.loads((tmp_path / "lowdeg.json").read_text())["rows"]
 
+
+
+# Runs `main` on the argument list given as JSON in argv[1] and prints its
+# return code, the geodetect submodules loaded, and which of the standard
+# modules that only some commands need were loaded.
+_LOAD_SET_SCRIPT = """
+import json, sys
+from geodetect.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps({
+    "code": code,
+    "geodetect": sorted(m for m in sys.modules if m.startswith("geodetect.")),
+    "stdlib": sorted(m for m in ("concurrent.futures", "csv", "statistics") if m in sys.modules),
+}))
+"""
+
+_FLAG_ONLY = ["geodetect.cli", "geodetect.graphs", "geodetect.sphere"]
+_ROWS = sorted([*_FLAG_ONLY, "geodetect.detection", "geodetect.stats"])
+
+
+class TestCommandLoadSet:
+    """Each process loads only the modules its command runs."""
+
+    CONFIGS = {
+        "rows.ini": "[model]\nn = 20\np = 0.3\nd = 8\nk = 10\n[run]\ntrials = 2\n"
+        "[test.global-triangle]\n",
+        "lowdeg.ini": "[model]\nn = 20\np = 0.3\nd = 4\nk = 10\n"
+        "[lowdeg]\nv_max = 3\ndegree_cap = 3\ntrials = 100\n",
+        "wishart.ini": "[wishart]\nk = 4\nd = 8\nn = 8\ncommunity_size = 4\ntrials = 2\n",
+    }
+
+    @staticmethod
+    def _run(tmp_path, script, *args):
+        src = Path(geodetect.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ("tau --p 0.3 --d 8", _FLAG_ONLY),
+        ("cycle-expectation --ell 3 --p 0.3 --d 8", _FLAG_ONLY),
+        ("sample --model planted --n 12 --p 0.3 --out g.txt", _FLAG_ONLY),
+        ("test --config rows.ini --out test.csv", _ROWS),
+        ("sweep --config rows.ini --out sweep.csv", _ROWS),
+        ("lowdeg --config lowdeg.ini --out lowdeg.json", sorted([*_FLAG_ONLY, "geodetect.lowdeg"])),
+        ("wishart --config wishart.ini --out wishart.json",
+         sorted([*_FLAG_ONLY, "geodetect.ensembles", "geodetect.stats"])),
+    ], ids=["tau", "cycle-expectation", "sample", "test", "sweep", "lowdeg", "wishart"])
+    def test_command_loads_its_modules(self, tmp_path, argv, loaded):
+        for name, text in self.CONFIGS.items():
+            (tmp_path / name).write_text(text)
+        report = self._run(tmp_path, _LOAD_SET_SCRIPT, json.dumps(argv.split()))
+        assert report["code"] == 0
+        assert report["geodetect"] == loaded
+        if argv.startswith("lowdeg"):
+            assert report["stdlib"] == []
+
+    def test_bare_import_loads_no_submodule(self, tmp_path):
+        script = (
+            "import json, sys, geodetect\n"
+            "before = sorted(m for m in sys.modules if m.startswith('geodetect.'))\n"
+            "stats = geodetect.stats\n"
+            "print(json.dumps([before, stats is sys.modules['geodetect.stats'],\n"
+            "                  callable(stats.signed_triangle_count)]))\n"
+        )
+        assert self._run(tmp_path, script) == [[], True, True]
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            geodetect.nope

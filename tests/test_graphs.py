@@ -67,6 +67,15 @@ class TestGraph:
         with pytest.raises(ValueError):
             g.edges[0] = True
 
+    def test_constructor_copies_the_callers_field(self):
+        # samplers hand over their own draw; a caller's array is copied, so
+        # it stays writeable and a later write leaves the graph as it was
+        edges = np.zeros(6, dtype=bool)
+        g = Graph(4, edges)
+        assert edges.flags.writeable and not np.shares_memory(edges, g.edges)
+        edges[pair_index(0, 1, 4)] = True
+        assert g.edge_count == 0 and not g.has_edge(0, 1)
+
     def test_adjacency_matrix(self):
         edges = np.zeros(6, dtype=bool)
         edges[pair_index(1, 3, 4)] = True
@@ -231,17 +240,18 @@ class TestSampleNull:
         assert n == 2 or _BLOCK_ELEMENTS < m < 2 * _BLOCK_ELEMENTS
 
     def test_peak_memory_is_the_edge_field(self):
-        # n = 4000: 8.0e6 pairs, 7.6 MiB of bools, held twice while the Graph
-        # copies them, and one 7.6 MiB block of uniforms; a double per pair
-        # would be 61 MiB
+        # n = 6000: 1.8e7 pairs, 17.2 MiB of bools, held once since the Graph
+        # takes the drawn field without a copy, and one 7.6 MiB block of
+        # uniforms: about 24.8 MiB.  A copy would add a second field (34.3
+        # MiB); a double per pair would be 137 MiB
         rng = Seed(3).stream(0)
         tracemalloc.start()
         try:
-            sample_null(4000, 0.3, rng)
+            sample_null(6000, 0.3, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 26 * 2**20
 
 
 class TestFullGeometric:
