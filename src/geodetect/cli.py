@@ -12,7 +12,10 @@ module.  Each command imports the rest of its library at its top, before it
 reads its config, and the readers of values capped by the library (a cycle
 length, v_max, a scan mode) import the cap when they read one.  So a process
 loads only what its command runs, and a function imported inside a command is
-looked up in its module at the call.
+looked up in its module at the call.  test and sweep run their rows on the
+calling thread at one worker, the default, and import concurrent.futures (and
+with it logging) only for a pool of two or more.  wishart's q99 is numpy's
+linear quantile computed here, since np.quantile imports numpy.ma.
 """
 
 from __future__ import annotations
@@ -269,7 +272,6 @@ def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed:
 def cmd_rows(args) -> int:
     """test and sweep: one CSV row per grid point and [test.*] section."""
     import csv
-    from concurrent.futures import ThreadPoolExecutor
 
     from . import detection  # noqa: F401 -- what _point_row runs, loaded before the config
     from .stats import ScanConfig
@@ -321,9 +323,14 @@ def cmd_rows(args) -> int:
         if mode == "w":
             writer.writeheader()
             fh.flush()
-        with ThreadPoolExecutor(max_workers=run["workers"]) as pool:
-            # map yields in submission order, which keeps the output deterministic
-            for row, failed in pool.map(lambda job: _point_row(*job, trials, seed), pending):
+        with contextlib.ExitStack() as stack:
+            if run["workers"] == 1:
+                mapper = map
+            else:  # map yields in submission order, which keeps the output deterministic
+                from concurrent.futures import ThreadPoolExecutor
+
+                mapper = stack.enter_context(ThreadPoolExecutor(run["workers"])).map
+            for row, failed in mapper(lambda job: _point_row(*job, trials, seed), pending):
                 any_failed |= failed
                 writer.writerow(row)
                 fh.flush()
@@ -418,6 +425,22 @@ def cmd_lowdeg(args) -> int:
     return 3 if (args.strict and failed) else 0
 
 
+def _q99(values) -> float:
+    """np.quantile(values, 0.99) by numpy's default linear rule, without loading numpy.ma.
+
+    With h = (n - 1) * 0.99, i = floor(h) and g = h - i, the value interpolates
+    the sorted x[i] and x[i + 1] as numpy's _lerp does, from the nearer end.
+    NaNs sort last, so any NaN gives NaN, as np.quantile does.
+    """
+    x = np.sort(values)
+    h = (x.size - 1) * 0.99
+    i = math.floor(h)
+    if i >= x.size - 1 or np.isnan(x[-1]):
+        return float(x[-1])
+    a, b, g = x[i], x[i + 1], h - i
+    return float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+
+
 def cmd_wishart(args) -> int:
     from .ensembles import (
         route_check,
@@ -446,7 +469,7 @@ def cmd_wishart(args) -> int:
     spectral = {
         "k": k, "d": d, "draws": trials,
         "mean_deviation": float(np.mean(deviations)),
-        "q99": float(np.quantile(deviations, 0.99)),
+        "q99": _q99(deviations),
         "sqrt_k_over_d": ref,
         "within_10x_fraction": float(np.mean(deviations <= 10 * ref)),
     }

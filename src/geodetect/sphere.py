@@ -234,9 +234,45 @@ def _log_multiplicities(d: int, max_m: int) -> np.ndarray:
     return out
 
 
+def _legendre_series(x, c):
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in the operation order of numpy's legval."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=8)
 def _panel_rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], bit for bit numpy's leggauss.
+
+    The steps of leggauss, without importing numpy.polynomial: the nodes are the
+    eigenvalues of P_order's symmetric scaled companion matrix (off-diagonal
+    k / sqrt((2k - 1)(2k + 1))), refined by one Newton step with
+    P'_order = sum (2k + 1) P_k over k = order - 1, order - 3, ...; the weights
+    are 1 / (P_{order-1} P'_order), each factor scaled by its max, symmetrised
+    and scaled to sum to 2.
+    """
+    k = np.arange(order)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p = np.zeros(order + 1)  # P_order, and P_{order-1} as p[1:]
+    p[-1] = 1.0
+    dp = np.zeros(order)
+    dp[order - 1 :: -2] = 2 * k[order - 1 :: -2] + 1
+    df = _legendre_series(x, dp)
+    x -= _legendre_series(x, p) / df
+    fm = _legendre_series(x, p[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()  # at the unrefined nodes, as leggauss takes it
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 def _panel_nodes(lo: float, hi: float, panels: int):

@@ -654,13 +654,13 @@ def _scan_impl(graph: Graph, p: float, cfg: ScanConfig, oracle_subset):
     return _exhaustive_scan(a, cfg)
 
 
-def _completions_feasible(inside, x, gram, cfg: ScanConfig) -> np.ndarray:
+def _completions_feasible(inside, x, gram, cfg: ScanConfig, iu, ju) -> np.ndarray:
     """Wedge constraints of every R + {u, v}, l < u < v, for a block of prefixes R.
 
     inside = a[R, R], x = a[R, u] over the u > l and gram = x^T x, whose [u, v]
-    is W[u, v].  Returns a (B, pairs) mask, the pairs in _upper_pairs order.
+    is W[u, v]; (iu, ju) are the pairs of the u > l, in _upper_pairs order.
+    Returns a (B, pairs) mask, the pairs in that order.
     """
-    iu, ju = _upper_pairs(x.shape[-1])
     w_uv = gram[:, iu, ju]
     w_in = _wedge_matrix(inside)
     w_out = np.swapaxes(np.triu(inside, 1), 1, 2) @ x  # W[r, u]
@@ -669,6 +669,17 @@ def _completions_feasible(inside, x, gram, cfg: ScanConfig) -> np.ndarray:
     sum_sq = (w_in * w_in).sum(axis=(1, 2))[:, None] + sq[:, iu] + sq[:, ju] + w_uv * w_uv
     top = np.maximum(np.maximum(top[:, iu], top[:, ju]), np.abs(w_uv))
     return (sum_sq <= cfg.sigma_sq) & (top <= cfg.B)
+
+
+def _tail_pairs(top: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, 1) for m <= top, read from the cached pairs of order top.
+
+    Those are its last m (m - 1) / 2 pairs, shifted down by top - m, so a scan
+    over the orders below top holds one order in the _upper_pairs cache.
+    """
+    rows, cols = _upper_pairs(top)
+    tail = len(rows) - m * (m - 1) // 2
+    return rows[tail:] - (top - m), cols[tail:] - (top - m)
 
 
 def _exhaustive_scan(a: np.ndarray, cfg: ScanConfig):
@@ -697,7 +708,7 @@ def _exhaustive_scan(a: np.ndarray, cfg: ScanConfig):
         return 0.0, np.arange(k_minus)
     best_val, best_set = -math.inf, None
     for l, idx in _prefix_blocks(n, k_minus - 2):
-        iu, ju = _upper_pairs(n - 1 - l)
+        iu, ju = _tail_pairs(n - k_minus + 2, n - 1 - l)  # the top order: l = k_minus - 3
         x = np.take(a[:, l + 1 :], idx, axis=0)  # a[R, u] for every u > l
         xt = np.swapaxes(x, 1, 2).copy()  # contiguous: a stack of BLAS products
         inside = a[idx[:, :, None], idx[:, None, :]]
@@ -708,7 +719,7 @@ def _exhaustive_scan(a: np.ndarray, cfg: ScanConfig):
         vals += t[:, None, :]
         vals = vals[:, iu, ju]
         if cfg.sigma_sq is not None:
-            vals = np.where(_completions_feasible(inside, x, gram, cfg), vals, -math.inf)
+            vals = np.where(_completions_feasible(inside, x, gram, cfg, iu, ju), vals, -math.inf)
         row, col = divmod(int(np.argmax(vals)), len(iu))
         val = float(vals[row, col])
         subset = (*idx[row].tolist(), l + 1 + int(iu[col]), l + 1 + int(ju[col]))

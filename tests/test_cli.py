@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import geodetect
 from geodetect import ensembles
-from geodetect.cli import main
+from geodetect.cli import _q99, main
 from geodetect.graphs import Graph
 from oracles import wishart_report_per_trial
 
@@ -263,6 +264,27 @@ class TestSweepCommand:
         main(["sweep", "--config", str(cfg), "--out", str(out1), "--workers", "1"])
         main(["sweep", "--config", str(cfg), "--out", str(out8), "--workers", "8"])
         assert strip_wall(read_rows(out1)) == strip_wall(read_rows(out8))
+
+    @pytest.mark.parametrize("workers, on_main", [(None, True), ("1", True), ("2", False)])
+    def test_one_worker_runs_rows_on_the_calling_thread(self, tmp_path, monkeypatch,
+                                                        workers, on_main):
+        import threading
+
+        import geodetect.cli as cli_mod
+
+        threads = []
+        real = cli_mod._point_row
+
+        def recorded(*args):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, "_point_row", recorded)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_CONFIG + "\n[sweep]\nd = 8,16\n")
+        args = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv"), "--trials", "4"]
+        assert main([*args, *(["--workers", workers] if workers else [])]) == 0
+        assert threads == [on_main] * 2
 
     def test_empty_axes_matches_test_command(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -763,6 +785,28 @@ class TestWishartCommand:
         assert abs(route["edge_marginal"]["direct"] - 0.5) <= 0.05
 
 
+class TestQuantile:
+    """wishart's q99 is np.quantile(x, 0.99), the default linear rule, bit for bit."""
+
+    # n = 2, 3 and 12345 interpolate from the upper value (g >= 0.5), 100 and 1000
+    # from the lower, and at 1 and 101 the index lands on a value
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 101, 1000, 12345])
+    @pytest.mark.parametrize("values", ["untied", "tied"])
+    def test_equals_numpy(self, n, values):
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 4, n).astype(float) if values == "tied" else rng.standard_normal(n)
+        before = x.copy()
+        assert _q99(x) == float(np.quantile(x, 0.99))
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 101, 1000, 12345])
+    def test_a_nan_gives_nan(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        x[n // 2] = math.nan
+        assert math.isnan(float(np.quantile(x, 0.99)))
+        assert math.isnan(_q99(x))
+
+
 def _chunk_trials(order: int) -> int:
     """Trials in one chunk of ensembles' loops over order x order draws."""
     return ensembles._CHUNK_BYTES // (8 * order * order)
@@ -896,6 +940,8 @@ print(json.dumps({
     "code": code,
     "geodetect": sorted(m for m in sys.modules if m.startswith("geodetect.")),
     "stdlib": sorted(m for m in ("concurrent.futures", "csv", "statistics") if m in sys.modules),
+    "unused": sorted(m for m in ("concurrent.futures", "logging", "numpy.ma", "numpy.polynomial")
+                     if m in sys.modules),
 }))
 """
 
@@ -940,6 +986,7 @@ class TestCommandLoadSet:
         report = self._run(tmp_path, _LOAD_SET_SCRIPT, json.dumps(argv.split()))
         assert report["code"] == 0
         assert report["geodetect"] == loaded
+        assert report["unused"] == []  # at the default of one worker
         if argv.startswith("lowdeg"):
             assert report["stdlib"] == []
 

@@ -15,7 +15,7 @@ from geodetect.sphere import (
     signed_cycle_expectation,
     solve_threshold,
 )
-from geodetect.sphere import _log_gamma_half_ratio, _log_multiplicities, _mu_pdf
+from geodetect.sphere import _log_gamma_half_ratio, _log_multiplicities, _mu_pdf, _panel_rule
 from oracles import (
     gegenbauer_eval,
     inner_product_tail_betainc,
@@ -230,6 +230,15 @@ class TestGegenbauerEval:
                 for mp_ in range(9):
                     val = float((qs[m] * qs[mp_] * weight).sum())
                     assert val == pytest.approx(1.0 if m == mp_ else 0.0, abs=1e-8)
+
+
+class TestPanelRule:
+    @pytest.mark.parametrize("order", [1, 2, 5, 17, 64, 100])
+    def test_equals_leggauss(self, order):
+        # bit for bit: every quadrature sum, and so every threshold, is unchanged
+        x, w = _panel_rule(order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
 
 class TestMultiplicity:

@@ -870,6 +870,22 @@ class TestExhaustiveScan:
             assert value == values[tied[0]]
             assert tuple(subset) == tied[0]
 
+    @pytest.mark.parametrize("top", [2, 3, 8, 15])
+    def test_tail_pairs_are_every_order_below(self, top):
+        for m in range(top + 1):
+            rows, cols = stats_mod._tail_pairs(top, m)
+            ref_rows, ref_cols = np.triu_indices(m, 1)
+            assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+    def test_one_pair_order_cached_per_scan(self):
+        # at n = 20, k_minus = 6 the prefixes end at 15 values of l, each with its
+        # own order of pairs: more orders than the cache's 8
+        g = sample_null(20, 0.3, Seed(116).stream(0))
+        graphs_mod._upper_pairs.cache_clear()
+        scan_statistic(g, 0.3, ScanConfig(k_minus=6))
+        constrained_scan_statistic(g, 0.3, ScanConfig(k_minus=6, sigma_sq=2.0, B=1.0))
+        assert graphs_mod._upper_pairs.cache_info().misses <= 1
+
     @pytest.mark.parametrize("k_minus", range(8))
     def test_every_subset_ties(self, k_minus):
         # on the empty graph at p = 0.5 every subset scores C(k, 3) (-1/8) exactly
