@@ -562,7 +562,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be opened
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

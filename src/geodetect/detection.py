@@ -293,6 +293,17 @@ def _coin_group(n: int, p: float, k: float, seed: Seed) -> dict:
     return {}
 
 
+def _kept_trial(params: ModelParams, seed: Seed, trial: int):
+    """(rng, members) of planted trial t, the generator left after the
+    membership uniforms, or None when the community size falls outside
+    [k_minus, k_plus]: such a trial is excluded and draws nothing more."""
+    rng = seed.stream(trial, arm=Arm.PLANTED)
+    members = _planted_members(params, rng)
+    if params.k_minus <= members.size <= params.k_plus:
+        return rng, members
+    return None
+
+
 def _planted_triangles(params: ModelParams, seed: Seed, trial: int):
     """signed_triangle_count of planted trial t's graph, or None when the
     community size falls outside [k_minus, k_plus].
@@ -307,13 +318,13 @@ def _planted_triangles(params: ModelParams, seed: Seed, trial: int):
     """
     group = _coin_group(params.n, params.p, params.k, seed)
     if trial not in group:
-        rng = seed.stream(trial, arm=Arm.PLANTED)
-        members = _planted_members(params, rng)
-        if params.k_minus <= members.size <= params.k_plus:
+        kept = _kept_trial(params, seed, trial)
+        if kept is None:
+            group[trial] = None
+        else:
+            rng, members = kept
             counts = _coin_counts(_edge_coins(params.n, params.p, rng), members, params.n)
             group[trial] = rng.bit_generator.state, counts
-        else:
-            group[trial] = None
     if group[trial] is None:
         return None
     state, counts = group[trial]
@@ -338,15 +349,15 @@ def _planted_values(spec: TestSpec, seed: Seed, trials: range) -> list:
         values = (_planted_triangles(params, seed, t) for t in trials)
         return [v for v in values if v is not None]
 
-    def kept():
+    def graphs():
         for t in trials:
-            rng = seed.stream(t, arm=Arm.PLANTED)
-            members = _planted_members(params, rng)
-            if params.k_minus <= members.size <= params.k_plus:
+            kept = _kept_trial(params, seed, t)
+            if kept is not None:
+                rng, members = kept
                 oracle = None if spec.scan is None else members[: spec.scan.k_minus]
                 yield sample_planted_fixed_community(members, params, rng).graph, oracle
 
-    return list(_scores(params.p, spec.ell, spec.scan, kept(), len(trials)))
+    return list(_scores(params.p, spec.ell, spec.scan, graphs(), len(trials)))
 
 
 def estimate_errors(spec: TestSpec, trials: int, seed: Seed | int) -> ErrorEstimate:

@@ -695,6 +695,18 @@ class TestJsonRunKeys:
         assert err.startswith("config error: [run] trials ") and f"[{command}] trials" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["test", "lowdeg", "wishart", "sample"])
+    def test_output_path_that_cannot_be_opened(self, tmp_path, capsys, command):
+        # a directory as --out: a config error, not a traceback and exit 1
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text({"test": BASE_CONFIG, "lowdeg": self.LOWDEG, "wishart": self.WISHART}
+                       .get(command, ""))
+        argv = (["sample", "--model", "null", "--n", "5", "--p", "0.5"] if command == "sample"
+                else [command, "--config", str(cfg)])
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
 
 class TestLowdegCommand:
     def test_report_shape(self, tmp_path, capsys):
