@@ -6,6 +6,11 @@ so that a typo in p vs d, or a value out of range, is a config error rather
 than a ruined experiment.  tau, cycle-expectation and sample read flags only;
 the library checks those, and its ValueError is their config error.  Exit
 codes: 0 success, 2 config error, 3 numerical failure under --strict.
+test, sweep, lowdeg and wishart open their output through _output after their
+last config check and before their first draw, so a path that cannot be
+opened, an empty one included, exits 2 before any draw; lowdeg and wishart
+print to stdout when no path is given.  sample opens its file after its draw,
+which is what checks its flags.
 
 Only graphs and sphere, which every command uses, are imported with this
 module.  Each command imports the rest of its library at its top, before it
@@ -269,6 +274,11 @@ def _point_row(params: ModelParams, kind: str, options: dict, trials: int, seed:
     }, failed
 
 
+def _output(path: str | None, mode: str = "w"):
+    """A config command's output: stdout (left open) without a path, else path, as csv wants it."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, mode, newline="")
+
+
 def cmd_rows(args) -> int:
     """test and sweep: one CSV row per grid point and [test.*] section."""
     import csv
@@ -318,7 +328,7 @@ def cmd_rows(args) -> int:
     ]
 
     any_failed = False
-    with open(out_path, mode, newline="") as fh:
+    with _output(out_path, mode) as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         if mode == "w":
             writer.writeheader()
@@ -335,17 +345,6 @@ def cmd_rows(args) -> int:
                 writer.writerow(row)
                 fh.flush()
     return 3 if (args.strict and any_failed) else 0
-
-
-def _write_json(report: dict, path) -> int:
-    """The report as indented JSON, to path if one is given, else to stdout."""
-    text = json.dumps(report, indent=2)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
 
 
 @contextlib.contextmanager
@@ -396,32 +395,33 @@ def cmd_lowdeg(args) -> int:
         raise ConfigError("[model] p = 1 is refused by lowdeg: want p < 1")
     seed, out = _json_run(cfg, args, "lowdeg")
 
-    report = low_degree_advantage(params, v_max, degree_cap, trials, seed)
-    rows = []
-    triangle_row, failed = None, False
-    for graph, phi, stderr, skipped in report.rows:
-        rows.append({
-            "v": graph.v, "e": graph.e, "code": graph.canonical_code,
-            "is_forest": graph.is_forest,
-            "tree_component": graph.has_tree_component,
-            "phi": phi, "stderr": stderr, "skipped_analytic_zero": skipped,
-        })
-        # the cross-check is null where the series is undefined: p > 1/2 or d = 3
-        if graph.v == 3 and graph.e == 3 and params.p <= 0.5 and params.d >= 4:
-            series = signed_cycle_expectation(3, params.p, params.d)
-            predicted = (
-                (params.k / params.n) ** 3 * series.value
-                / (params.p * (1 - params.p)) ** 1.5
-            )
-            triangle_row = {"phi": phi, "stderr": stderr, "series_predicted": predicted}
-            failed = series.failed
-    _write_json({
-        "version": __version__,
-        "model": {"n": params.n, "p": params.p, "d": params.d, "k": params.k},
-        "v_max": v_max, "degree_cap": degree_cap, "trials": trials, "seed": seed.master,
-        "advantage": report.value, "advantage_error": report.error,
-        "rows": rows, "triangle_crosscheck": triangle_row,
-    }, out)
+    with _output(out) as fh:
+        report = low_degree_advantage(params, v_max, degree_cap, trials, seed)
+        rows = []
+        triangle_row, failed = None, False
+        for graph, phi, stderr, skipped in report.rows:
+            rows.append({
+                "v": graph.v, "e": graph.e, "code": graph.canonical_code,
+                "is_forest": graph.is_forest,
+                "tree_component": graph.has_tree_component,
+                "phi": phi, "stderr": stderr, "skipped_analytic_zero": skipped,
+            })
+            # the cross-check is null where the series is undefined: p > 1/2 or d = 3
+            if graph.v == 3 and graph.e == 3 and params.p <= 0.5 and params.d >= 4:
+                series = signed_cycle_expectation(3, params.p, params.d)
+                predicted = (
+                    (params.k / params.n) ** 3 * series.value
+                    / (params.p * (1 - params.p)) ** 1.5
+                )
+                triangle_row = {"phi": phi, "stderr": stderr, "series_predicted": predicted}
+                failed = series.failed
+        print(json.dumps({
+            "version": __version__,
+            "model": {"n": params.n, "p": params.p, "d": params.d, "k": params.k},
+            "v_max": v_max, "degree_cap": degree_cap, "trials": trials, "seed": seed.master,
+            "advantage": report.value, "advantage_error": report.error,
+            "rows": rows, "triangle_crosscheck": triangle_row,
+        }, indent=2), file=fh)
     return 3 if (args.strict and failed) else 0
 
 
@@ -464,28 +464,28 @@ def cmd_wishart(args) -> int:
         params = _model("wishart", n=n, p=p, d=d, k=max(size, 1))
     seed, out = _json_run(cfg, args, "wishart")
 
-    deviations = spectral_deviations(k, d, trials, seed)
-    ref = math.sqrt(k / d)
-    spectral = {
-        "k": k, "d": d, "draws": trials,
-        "mean_deviation": float(np.mean(deviations)),
-        "q99": _q99(deviations),
-        "sqrt_k_over_d": ref,
-        "within_10x_fraction": float(np.mean(deviations <= 10 * ref)),
-    }
-    k1 = spectral_deviation(sample_spherical_wishart(1, d, seed.stream(0, arm=Arm.WISHART_K1)))
-
-    route = None
-    if n is not None:
-        route = {
-            "n": n, "community_size": size, "p": params.p, "d": d, "trials": trials,
-            **route_check(np.arange(size), params, trials, seed),
+    with _output(out) as fh:
+        deviations = spectral_deviations(k, d, trials, seed)
+        ref = math.sqrt(k / d)
+        spectral = {
+            "k": k, "d": d, "draws": trials,
+            "mean_deviation": float(np.mean(deviations)),
+            "q99": _q99(deviations),
+            "sqrt_k_over_d": ref,
+            "within_10x_fraction": float(np.mean(deviations <= 10 * ref)),
         }
-
-    return _write_json({
-        "version": __version__, "seed": seed.master,
-        "spectral": spectral, "k1_deviation": k1, "route_check": route,
-    }, out)
+        k1 = spectral_deviation(sample_spherical_wishart(1, d, seed.stream(0, arm=Arm.WISHART_K1)))
+        route = None
+        if n is not None:
+            route = {
+                "n": n, "community_size": size, "p": params.p, "d": d, "trials": trials,
+                **route_check(np.arange(size), params, trials, seed),
+            }
+        print(json.dumps({
+            "version": __version__, "seed": seed.master,
+            "spectral": spectral, "k1_deviation": k1, "route_check": route,
+        }, indent=2), file=fh)
+    return 0
 
 
 def cmd_sample(args) -> int:
@@ -501,12 +501,9 @@ def cmd_sample(args) -> int:
                 graph = sample_planted_fixed_size(args.community_size, params, rng).graph
             else:
                 graph = sample_planted(params, rng).graph
-    if args.format == "edgelist":
-        with open(args.out, "w") as fh:
-            fh.write(graph.to_edgelist_text())
-    else:
-        with open(args.out, "wb") as fh:
-            fh.write(graph.to_bitfield_bytes())
+    with open(args.out, "wb") as fh:
+        fh.write(graph.to_edgelist_text().encode() if args.format == "edgelist"
+                 else graph.to_bitfield_bytes())
     return 0
 
 

@@ -192,6 +192,8 @@ class Graph:
     @classmethod
     def from_edgelist_text(cls, text: str) -> "Graph":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if len(lines) < 2:  # the header is a line of n, then a line of m
+            raise ValueError(f"edge list is missing its header line of {'nm'[len(lines)]}")
         n = int(lines[0])
         m = int(lines[1])
         if len(lines) != 2 + m:

@@ -251,10 +251,9 @@ def _signed_products(graph: SmallGraph, params: ModelParams) -> np.ndarray:
 
 
 def _estimate(
-    graph: SmallGraph, params: ModelParams, counts: np.ndarray, trials: int
+    graph: SmallGraph, values: np.ndarray, counts: np.ndarray, trials: int
 ) -> FourierEstimate:
-    """The coefficient and its standard error from the histogram of graph's own edge patterns."""
-    values = _signed_products(graph, params)
+    """The coefficient and its standard error from graph's signed products and pattern counts."""
     phi = float((counts * values).sum()) / trials
     var = max(float((counts * values**2).sum()) / trials - phi**2, 0.0)
     return FourierEstimate(graph=graph, phi=phi, stderr=math.sqrt(var / trials), trials=trials)
@@ -283,7 +282,8 @@ def fourier_coefficient_mc(
     if isinstance(seed, int):
         seed = Seed(seed)
     counts = _pattern_counts(graph.v, params, trials, seed)
-    return _estimate(graph, params, _marginal(graph, graph.v, counts)[1], trials)
+    values = _signed_products(graph, params)
+    return _estimate(graph, values, _marginal(graph, graph.v, counts)[1], trials)
 
 
 @dataclass(frozen=True)
@@ -337,13 +337,14 @@ def low_degree_advantage(
             rows.append((graph, 0.0, 0.0, True))
             continue
         own, own_counts = _marginal(graph, v_max, counts)
-        est = _estimate(graph, params, own_counts, trials)
+        values = _signed_products(graph, params)
+        est = _estimate(graph, values, own_counts, trials)
         count = graph.embedding_count(params.n)
         total += count * (est.phi**2 - est.stderr**2)
         rows.append((graph, est.phi, est.stderr, False))
         weights.append(float(count))
         phis.append(est.phi)
-        per_code.append(_signed_products(graph, params)[own])
+        per_code.append(values[own])
     var = 0.0
     if per_code:
         weights, phis = np.array(weights), np.array(phis)

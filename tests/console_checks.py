@@ -115,6 +115,8 @@ ROWS = (
     # an output path that cannot be opened, here a directory, is a config error
     Row("geodetect test --out . --trials 2", model(20, 16, 10) + "[test.global-triangle]\n",
         code=2),
+    Row("geodetect lowdeg --out .", model(40, 4, 20) + LOWDEG, code=2),
+    Row("geodetect wishart --out .", WISHART, code=2),
     # --strict must pass on both points
     Row("geodetect --strict sweep --out sweep.csv", SWEEP.format(d="16,64"),
         check=lambda rows: ",".join(rows[0].keys()) == SWEEP_HEADER

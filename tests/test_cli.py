@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import geodetect
-from geodetect import ensembles
+from geodetect import detection, ensembles, lowdeg
 from geodetect.cli import _q99, main
 from geodetect.graphs import Graph
 from oracles import wishart_report_per_trial
@@ -696,16 +696,29 @@ class TestJsonRunKeys:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["test", "lowdeg", "wishart", "sample"])
-    def test_output_path_that_cannot_be_opened(self, tmp_path, capsys, command):
-        # a directory as --out: a config error, not a traceback and exit 1
+    def test_output_path_that_cannot_be_opened(self, tmp_path, capsys, monkeypatch, command):
+        # a directory as --out, or an empty [run] out: a config error, not a traceback
+        # and exit 1, and before the first draw (sample draws first: its draw checks its flags)
+        draws = {"test": (detection, "estimate_errors"),
+                 "lowdeg": (lowdeg, "low_degree_advantage"),
+                 "wishart": (ensembles, "spectral_deviations")}
+        if command in draws:
+            def draw(*args, **kwargs):
+                raise AssertionError(f"{command} drew before opening its output")
+
+            monkeypatch.setattr(*draws[command], draw)
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text({"test": BASE_CONFIG, "lowdeg": self.LOWDEG, "wishart": self.WISHART}
-                       .get(command, ""))
+        cfg.write_text({"test": BASE_CONFIG.replace("[run]\n", "[run]\nout =\n"),
+                        "lowdeg": self.LOWDEG + "[run]\nout =\n",
+                        "wishart": self.WISHART + "[run]\nout =\n"}.get(command, ""))
         argv = (["sample", "--model", "null", "--n", "5", "--p", "0.5"] if command == "sample"
                 else [command, "--config", str(cfg)])
-        assert main([*argv, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "Traceback" not in err
+        empty = ["--out", ""] if command == "sample" else []  # the others read [run] out
+        for out in (["--out", str(tmp_path)], empty):
+            assert main([*argv, *out]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: ") and "Traceback" not in captured.err
+            assert captured.out == ""
 
 
 class TestLowdegCommand:

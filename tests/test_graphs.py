@@ -145,9 +145,12 @@ class TestGraph:
         assert blob[:8] == (5).to_bytes(8, "little")
         assert len(blob) == 8 + 2  # ceil(10 / 8)
 
-    def test_edgelist_rejects_duplicate_lines(self):
+    # a repeated pair, and text short of the two header lines (n, then m)
+    @pytest.mark.parametrize("text", ["3\n2\n0 1\n0 1\n", "", "5\n"],
+                             ids=["repeated-pair", "empty", "no-m-line"])
+    def test_edgelist_rejects_duplicate_lines(self, text):
         with pytest.raises(ValueError):
-            Graph.from_edgelist_text("3\n2\n0 1\n0 1\n")
+            Graph.from_edgelist_text(text)
 
     def test_negative_order_rejected(self):
         # n = -1 and n = -2 give 1 and 3 pair slots by n(n-1)/2; n = 0 has none
